@@ -9,7 +9,7 @@ import inspect
 
 import numpy as np
 
-from .data import Interaction
+from .data import TIMESTAMP_LIMIT, Interaction
 from .errors import ConfigError
 
 
@@ -76,6 +76,8 @@ def as_interactions(X) -> list[Interaction]:
             raise ConfigError(f"timestamp {ts!r} is not an integer") from exc
         if timestamp < 0:
             raise ConfigError(f"timestamp {timestamp} is negative")
+        if timestamp >= TIMESTAMP_LIMIT:
+            raise ConfigError(f"timestamp {timestamp} is not below {TIMESTAMP_LIMIT}")
         out.append(Interaction(str(user), str(item), timestamp))
     return out
 

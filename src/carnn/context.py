@@ -39,7 +39,8 @@ class ContextScheme:
         mixed-radix composition, most significant first.
     holiday_dates: civil dates treated as holidays by the is_holiday factor.
     max_interval_days: gaps of this many days or more share the top bin.
-    timezone_offset_seconds: added to timestamps before reading civil time.
+    timezone_offset_seconds: added to timestamps before reading civil time;
+        at most 14 hours either way.
     """
 
     factors: tuple[str, ...] = ("day_of_week", "hour_of_day")
@@ -59,6 +60,11 @@ class ContextScheme:
             raise ConfigError(f"duplicate context factors: {self.factors}")
         if self.max_interval_days < 1:
             raise ConfigError("max_interval_days must be >= 1")
+        if abs(self.timezone_offset_seconds) > _data.MAX_TZ_OFFSET_SECONDS:
+            raise ConfigError(
+                f"timezone offset {self.timezone_offset_seconds} s is beyond "
+                f"+/-{_data.MAX_TZ_OFFSET_SECONDS} s"
+            )
 
     @property
     def n_input_contexts(self) -> int:

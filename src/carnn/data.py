@@ -23,6 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 FORMATS = ("tsv", "csv", "movielens_dat")
 
+# Civil time ends with year 9999. Timestamps stay below its end less the
+# largest timezone offset a context scheme allows (UTC+14 is the largest in
+# use), so every scheme can convert every accepted timestamp.
+MAX_TZ_OFFSET_SECONDS = 14 * 3600
+TIMESTAMP_LIMIT = 253_402_300_800 - MAX_TZ_OFFSET_SECONDS  # 10000-01-01T00:00Z
+
 
 @dataclass(frozen=True)
 class Interaction:
@@ -135,7 +141,7 @@ def _parse_line(line: str, fmt: str) -> Interaction | None:
         timestamp = int(ts.strip())
     except ValueError:
         return None
-    if not user or not item or timestamp < 0:
+    if not user or not item or not 0 <= timestamp < TIMESTAMP_LIMIT:
         return None
     return Interaction(user, item, timestamp)
 
@@ -155,7 +161,8 @@ def _looks_like_header(line: str, fmt: str) -> bool:
 def parse_interactions(path: str, fmt: str) -> InteractionLog:
     """Parse a log file into interactions.
 
-    Malformed lines are counted as rejects and skipped; if more than half of
+    Malformed lines, and lines whose timestamp is negative or not below
+    TIMESTAMP_LIMIT, are counted as rejects and skipped; if more than half of
     the non-blank lines reject, the file is considered to be in the wrong
     format. A leading header line in tsv/csv is tolerated.
     """

@@ -20,7 +20,7 @@ import numpy as np
 from .context import SECONDS_PER_DAY, ContextScheme, annotate_sequences
 from .data import SequenceSet, SplitSet, UserSequence
 from .errors import ConfigError, DataError
-from .model import ModelParams, hidden_step, score_all, zero_state
+from .model import ModelParams, hidden_step, score_all
 from .seeding import named_rng
 
 DEFAULT_KS = (1, 5, 10)
@@ -66,52 +66,75 @@ def aggregate_ranks(records: list[RankRecord], ks=DEFAULT_KS) -> MetricsReport:
     return MetricsReport(recall, f1, map_score, ndcg, n)
 
 
-def _iter_test_ranks(split: SplitSet, score_fn) -> list[RankRecord]:
-    """Walk every held-out position; ``score_fn(seq, j, h)`` returns the score
-    vector for position j given the running hidden state (or None for
-    state-free scorers)."""
-    records = []
-    for si, seq in enumerate(split.sequences.sequences):
-        n_tr = int(split.n_train[si])
-        if n_tr >= len(seq):
-            continue
-        h = score_fn.start_state(seq, n_tr)
-        for j in range(n_tr, len(seq)):
-            scores = score_fn.scores(seq, j, h)
-            records.append(RankRecord(seq.user, j, rank_target(scores, int(seq.items[j]))))
-            h = score_fn.advance(seq, j, h)
-    return records
+# Upper bound on the bytes of one block of scores; at 3,706 items a block
+# holds 35 queries.
+SCORE_BLOCK_BYTES = 1 << 20
 
 
-class _ModelScorer:
-    def __init__(self, p: ModelParams):
-        self.p = p
-
-    def start_state(self, seq: UserSequence, n_tr: int) -> np.ndarray:
-        h = zero_state(self.p.config)
-        for j in range(n_tr):
-            h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], self.p)
-        return h
-
-    def scores(self, seq: UserSequence, j: int, h: np.ndarray) -> np.ndarray:
-        return score_all(h, int(seq.input_ctxs[j]), int(seq.trans_bins[j]), self.p)
-
-    def advance(self, seq: UserSequence, j: int, h: np.ndarray) -> np.ndarray:
-        return hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], self.p)
+def _heldout(split: SplitSet) -> list[tuple[UserSequence, int]]:
+    """(sequence, n_train) of every sequence with a held-out position."""
+    return [(seq, int(n_tr)) for seq, n_tr in zip(split.sequences.sequences, split.n_train)
+            if n_tr < len(seq)]
 
 
-class _ConstantScorer:
-    def __init__(self, scores: np.ndarray):
-        self._scores = scores
+def _records(heldout: list[tuple[UserSequence, int]], ranks) -> list[RankRecord]:
+    """Pair ranks, given in report order (user by user, position by
+    position), with their user and position."""
+    ranks = iter(ranks)
+    return [RankRecord(seq.user, j, next(ranks))
+            for seq, n_tr in heldout for j in range(n_tr, len(seq))]
 
-    def start_state(self, seq, n_tr):
-        return None
 
-    def scores(self, seq, j, h):
-        return self._scores
+def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> list[int]:
+    """Rank of the true item at every held-out position, in report order.
 
-    def advance(self, seq, j, h):
-        return None
+    Every user advances in lockstep: rows are sorted by sequence length,
+    longest first, so the users still stepping at step k are a prefix of
+    the (users, d) state block and each step is one block ``hidden_step``.
+    Step k reads the concatenated sequences at each row's offset plus k, so
+    no (users x longest sequence) array is built. The state before each
+    held-out position is copied out as the block reaches it; the queries
+    are then scored in blocks of at most SCORE_BLOCK_BYTES.
+    """
+    lengths = np.array([len(seq) for seq, _ in heldout], dtype=np.int64)
+    items = np.concatenate([seq.items for seq, _ in heldout])
+    ctxs = np.concatenate([seq.input_ctxs for seq, _ in heldout])
+    bins = np.concatenate([seq.trans_bins for seq, _ in heldout])
+    p.check_ids(items, ctxs, bins)
+    starts = np.cumsum(lengths) - lengths
+
+    order = np.argsort(-lengths, kind="stable")
+    row_start = starts[order]
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(len(order))
+    active = len(lengths) - np.cumsum(np.bincount(lengths))  # users longer than k
+
+    # held-out positions in report order, and their order by step
+    pos = np.arange(len(items)) - np.repeat(starts, lengths)
+    query = np.flatnonzero(pos >= np.repeat([n for _, n in heldout], lengths))
+    q_pos = pos[query]
+    q_row = np.repeat(row_of, lengths)[query]
+    by_step = np.argsort(q_pos, kind="stable")
+    step_bounds = np.concatenate(([0], np.cumsum(np.bincount(q_pos, minlength=len(active)))))
+
+    states = np.empty((len(query), p.config.d), dtype=np.float64)
+    H = np.zeros((len(order), p.config.d), dtype=np.float64)
+    for k in range(len(active) - 1):
+        taken = by_step[step_bounds[k]:step_bounds[k + 1]]
+        states[taken] = H[q_row[taken]]
+        B = active[k + 1]
+        if B:
+            at = row_start[:B] + k
+            H[:B] = hidden_step(H[:B], items[at], ctxs[at], bins[at], p)
+
+    block = max(1, SCORE_BLOCK_BYTES // (8 * p.config.n_items))
+    ranks = []
+    for lo in range(0, len(query), block):
+        at = query[lo:lo + block]
+        scores = score_all(states[lo:lo + block], ctxs[at], bins[at], p)
+        ranks.extend(rank_target(row, int(v)) for row, v in zip(scores, items[at]))
+        del scores  # free this block before the next one is made
+    return ranks
 
 
 def evaluate(split: SplitSet, p: ModelParams, scheme: ContextScheme | None = None,
@@ -135,8 +158,9 @@ def evaluate(split: SplitSet, p: ModelParams, scheme: ContextScheme | None = Non
                 f"scheme has {seqs.scheme.n_transition_bins} transition bins, "
                 f"model expects {p.config.n_transition_bins}"
             )
-    records = _iter_test_ranks(split, _ModelScorer(p))
-    return aggregate_ranks(records, ks)
+    heldout = _heldout(split)
+    ranks = _model_ranks(heldout, p) if heldout else []
+    return aggregate_ranks(_records(heldout, ranks), ks)
 
 
 def train_item_counts(split: SplitSet) -> np.ndarray:
@@ -149,8 +173,10 @@ def train_item_counts(split: SplitSet) -> np.ndarray:
 
 def pop_baseline(split: SplitSet, ks=DEFAULT_KS) -> MetricsReport:
     """Rank every item by its training-set frequency, constant across queries."""
-    records = _iter_test_ranks(split, _ConstantScorer(train_item_counts(split)))
-    return aggregate_ranks(records, ks)
+    counts = train_item_counts(split)
+    heldout = _heldout(split)
+    ranks = (rank_target(counts, int(v)) for seq, n_tr in heldout for v in seq.items[n_tr:])
+    return aggregate_ranks(_records(heldout, ranks), ks)
 
 
 # --- report serialization ----------------------------------------------------

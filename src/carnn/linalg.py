@@ -70,9 +70,7 @@ def sigmoid(x: float) -> float:
 def sigmoid_vec(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, overflow-safe for large |x|."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument cannot overflow; e is exp(-x) for x >= 0
+    # and exp(x) below, so each branch has the bits of its textbook form.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)

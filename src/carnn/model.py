@@ -10,6 +10,11 @@ With a context switch off the corresponding bank collapses to a single
 shared matrix, which reproduces a conventional recurrent model. By default
 the prediction matrices M'/W' are the hidden-layer banks themselves;
 ``separate_prediction_banks`` allocates independent ones.
+
+``hidden_step`` and ``score_all`` take either one state of shape (d,) or a
+block of states of shape (B, d) with one item, context and bin per row. A
+block row goes through the same vector-matrix BLAS call as the one-state
+form (a stacked ``np.matmul``), so its state has the same bits.
 """
 
 from __future__ import annotations
@@ -92,6 +97,21 @@ class ModelParams:
             )
         return int(bin_)
 
+    def check_ids(self, items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray) -> None:
+        """Raise ConfigError unless every id is in range, as the one-state
+        calls check theirs; block calls index the banks unchecked."""
+        cfg = self.config
+        for name, ids, n, used in (
+            ("item index", items, cfg.n_items, True),
+            ("input context", ctxs, cfg.n_input_contexts, cfg.use_input_contexts),
+            ("transition bin", bins, cfg.n_transition_bins, cfg.use_transition_contexts),
+        ):
+            if not used:
+                continue
+            bad = (ids < 0) | (ids >= n)
+            if bad.any():
+                raise ConfigError(f"{name} {ids[np.argmax(bad)]} out of range [0, {n})")
+
     def item_row(self, item: int) -> np.ndarray:
         if not (0 <= item < self.config.n_items):
             raise ConfigError(f"item index {item} out of range [0, {self.config.n_items})")
@@ -164,8 +184,26 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(config, R, M_bank, W_bank, M_pred, W_pred)
 
 
-def hidden_step(h_prev: np.ndarray, item_index: int, ctx: int, bin_: int, p: ModelParams) -> np.ndarray:
-    """One recurrence step with context-selected input and transition matrices."""
+def _block_banks(m_bank: np.ndarray, w_bank: np.ndarray, ctx: np.ndarray, bin_: np.ndarray,
+                 config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row input and transition matrices of a block; a bank whose switch
+    is off is its single matrix, broadcast over the rows."""
+    m = m_bank[ctx] if config.use_input_contexts else m_bank[0]
+    w = w_bank[bin_] if config.use_transition_contexts else w_bank[0]
+    return m, w
+
+
+def hidden_step(h_prev: np.ndarray, item_index: int | np.ndarray, ctx: int | np.ndarray,
+                bin_: int | np.ndarray, p: ModelParams) -> np.ndarray:
+    """One recurrence step with context-selected input and transition matrices.
+
+    With a (B, d) block, ``item_index``, ``ctx`` and ``bin_`` are length-B
+    arrays that ``ModelParams.check_ids`` has accepted.
+    """
+    if np.ndim(h_prev) == 2:
+        m, w = _block_banks(p.M_bank, p.W_bank, ctx, bin_, p.config)
+        z = np.matmul(p.R[item_index][:, None, :], m) + np.matmul(h_prev[:, None, :], w)
+        return activate(z[:, 0, :], p.config)
     r = p.item_row(item_index)
     m = p.M_bank[p.input_slot(ctx)]
     w = p.W_bank[p.trans_slot(bin_)]
@@ -192,8 +230,17 @@ def score(h: np.ndarray, item_index: int, next_ctx: int, next_bin: int, p: Model
     return float(vec_mat(h, w) @ vec_mat(r, m))
 
 
-def score_all(h: np.ndarray, next_ctx: int, next_bin: int, p: ModelParams) -> np.ndarray:
-    """Scores for every item: one projected vector, then a single R @ q product."""
+def score_all(h: np.ndarray, next_ctx: int | np.ndarray, next_bin: int | np.ndarray,
+              p: ModelParams) -> np.ndarray:
+    """Scores for every item: one projected vector, then a single R @ q product.
+
+    A (B, d) block of states, with checked length-B context and bin arrays,
+    gives (B, n_items) scores from one Q @ R.T product.
+    """
+    if np.ndim(h) == 2:
+        m, w = _block_banks(p.scoring_m_bank, p.scoring_w_bank, next_ctx, next_bin, p.config)
+        q = np.matmul(np.matmul(h[:, None, :], w), np.swapaxes(m, -1, -2))
+        return q[:, 0, :] @ p.R.T
     m = p.scoring_m_bank[p.input_slot(next_ctx)]
     w = p.scoring_w_bank[p.trans_slot(next_bin)]
     q = (h @ w) @ m.T
@@ -274,7 +321,7 @@ def load_params(path: str, seed: int = 0) -> ModelParams:
         n = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
         offset += 8 * n
-        return np.ascontiguousarray(arr, dtype=np.float64)
+        return arr.astype(np.float64)  # a copy: frombuffer's view is read-only
 
     R = take((n_items, d))
     M_bank = take((n_m, d, d))

@@ -123,6 +123,19 @@ class TestPrepare:
         result = invoke("prepare", "--dataset", str(src), "--out", str(tmp_path / "o"))
         assert result.exit_code == DataError.exit_code
 
+    @pytest.mark.parametrize("timestamp", ["1000000000000", "100000000000000000000"])
+    def test_timestamp_past_year_9999_is_a_counted_reject(self, tmp_path, timestamp):
+        src = tmp_path / "big.dat"
+        src.write_text("1::10::5::978300760\n1::11::5::978300800\n2::10::5::978300900\n"
+                       f"2::11::5::978301000\n1::10::5::{timestamp}\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("min_user=2\nmin_item=1\n")
+        result = invoke("prepare", "--config", str(cfg), "--dataset", str(src),
+                        "--format", "movielens_dat", "--out", str(tmp_path / "o"))
+        assert result.exit_code == 0, result.output
+        assert "records_parsed=4" in result.output
+        assert "records_rejected=1" in result.output
+
     def test_wrong_format_is_format_error(self, tmp_path):
         src = tmp_path / "events.csv"
         src.write_text("1::2::3::4\n5::6::7::8\na::b::c::d\n")

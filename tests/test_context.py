@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from carnn.context import (SECONDS_PER_DAY, ContextScheme, annotate_sequences,
                            input_context, parse_holiday_file, transition_bin)
-from carnn.data import SequenceSet, UserSequence
+from carnn.data import MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT, SequenceSet, UserSequence
 from carnn.errors import ConfigError, DataError
 
 # 2000-01-03 00:00:00 UTC was a Monday
@@ -39,6 +39,17 @@ class TestScheme:
     def test_unknown_factor_rejected(self):
         with pytest.raises(ConfigError):
             ContextScheme(factors=("weather",))
+
+    def test_timezone_offset_beyond_14_hours_rejected(self):
+        for offset in (MAX_TZ_OFFSET_SECONDS + 1, -MAX_TZ_OFFSET_SECONDS - 1):
+            with pytest.raises(ConfigError, match="timezone offset"):
+                ContextScheme(timezone_offset_seconds=offset)
+
+    def test_last_accepted_timestamp_converts_at_every_offset(self):
+        for offset in (-MAX_TZ_OFFSET_SECONDS, 0, MAX_TZ_OFFSET_SECONDS):
+            scheme = ContextScheme(timezone_offset_seconds=offset)
+            assert 0 <= input_context(TIMESTAMP_LIMIT - 1, scheme) < scheme.n_input_contexts
+            assert 0 <= input_context(0, scheme) < scheme.n_input_contexts
 
 
 class TestInputContext:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carnn.data import (InteractionLog, Interaction, build_sequences, full_train_split,
-                        parse_interactions, split_sequences, train_length)
+from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, build_sequences,
+                        full_train_split, parse_interactions, split_sequences, train_length)
 from carnn.errors import ConfigError, DataError, FormatError, InputOutputError
 
 
@@ -49,6 +49,14 @@ class TestParse:
         log = parse_interactions(path, "csv")
         assert len(log) == 1
         assert log.rejects == 1
+
+    def test_timestamp_past_year_9999_rejected(self, tmp_path):
+        rows = [f"u1,i{i},{100 + i}" for i in range(4)]
+        rows += [f"u1,late,{TIMESTAMP_LIMIT - 1}", f"u1,x,{TIMESTAMP_LIMIT}",
+                 "u1,y,1000000000000", "u1,z,100000000000000000000"]
+        log = parse_interactions(write(tmp_path, "r.csv", "\n".join(rows) + "\n"), "csv")
+        assert [it.item for it in log.interactions] == ["i0", "i1", "i2", "i3", "late"]
+        assert log.rejects == 3
 
     def test_majority_rejects_is_format_error(self, tmp_path):
         path = write(tmp_path, "r.csv", "a::b::1::2\nc::d::1::2\nu,i,3\n")

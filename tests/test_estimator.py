@@ -96,6 +96,12 @@ class TestFitPredict:
         with pytest.raises(ConfigError, match="not fitted"):
             CARNNRecommender().predict([["u0", 1]])
 
+    @pytest.mark.parametrize("timestamp", [10**12, 10**20])
+    def test_timestamp_past_year_9999_rejected(self, timestamp):
+        rows = interaction_rows() + [("u0", "i1", timestamp)]
+        with pytest.raises(ConfigError, match=f"timestamp {timestamp}"):
+            CARNNRecommender(d=4, epochs=1).fit(rows)
+
     def test_bad_input_shape_rejected(self):
         with pytest.raises(ConfigError):
             CARNNRecommender().fit(np.zeros((4, 2)))

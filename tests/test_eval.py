@@ -1,9 +1,12 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from carnn.context import annotate_sequences
-from carnn.data import full_train_split, split_sequences
+from carnn.data import SequenceSet, SplitSet, UserSequence, full_train_split, split_sequences
 from carnn.errors import ConfigError, DataError
 from carnn.evaluate import (DEFAULT_KS, MetricsReport, RankRecord, aggregate_ranks,
                             evaluate, format_report_table, generate_synthetic,
@@ -98,6 +101,56 @@ def small_model_split(signal="input_ctx", seed=5, n_users=12, n_items=16, seq_le
     return split, scheme, init_params(config)
 
 
+def walker_records(split, p) -> list[RankRecord]:
+    """Replay the held-out walk one query at a time: score, rank, then
+    teacher-force the state with one-state calls."""
+    records = []
+    for si, seq in enumerate(split.sequences.sequences):
+        n_tr = int(split.n_train[si])
+        h = zero_state(p.config)
+        for j in range(n_tr):
+            h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
+        for j in range(n_tr, len(seq)):
+            scores = score_all(h, int(seq.input_ctxs[j]), int(seq.trans_bins[j]), p)
+            records.append(RankRecord(seq.user, j, rank_target(scores, int(seq.items[j]))))
+            h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
+    return records
+
+
+# (length, n_train): one-event users with and without a held-out position, a
+# two-event user held out from its first event, users with nothing held out,
+# and one user far longer than the rest
+RAGGED = [(1, 0), (2, 1), (300, 240), (5, 5), (2, 0), (40, 32), (1, 1), (7, 3), (12, 10)]
+
+
+def ragged_split(seed, shapes=RAGGED, n_items=12, n_ctx=5, n_bins=4, **variant):
+    rng = np.random.default_rng(seed)
+    sequences = [UserSequence(f"u{u}", rng.integers(0, n_items, size=n),
+                              np.arange(n, dtype=np.int64) * 3600,
+                              rng.integers(0, n_ctx, size=n), rng.integers(0, n_bins, size=n))
+                 for u, (n, _) in enumerate(shapes)]
+    seqs = SequenceSet(sequences, {f"i{v}": v for v in range(n_items)},
+                       {s.user: u for u, s in enumerate(sequences)})
+    config = ModelConfig(d=4, n_items=n_items, n_input_contexts=n_ctx,
+                         n_transition_bins=n_bins, seed=seed, **variant)
+    return SplitSet(seqs, np.array([t for _, t in shapes], dtype=np.int64)), init_params(config)
+
+
+def ranks_of_evaluate(split, p, monkeypatch) -> list[int]:
+    """Every rank evaluate computes, in the order it calls rank_target."""
+    module = sys.modules["carnn.evaluate"]
+    ranks = []
+
+    def recording(scores, target):
+        ranks.append(rank_target(scores, target))
+        return ranks[-1]
+
+    monkeypatch.setattr(module, "rank_target", recording)
+    evaluate(split, p)
+    monkeypatch.undo()
+    return ranks
+
+
 class TestEvaluate:
     def test_deterministic_given_frozen_model(self):
         split, scheme, p = small_model_split()
@@ -106,24 +159,57 @@ class TestEvaluate:
         assert a == b
 
     def test_matches_independent_walker(self):
-        # replay the held-out walk by hand: score, rank, then teacher-force
         split, scheme, p = small_model_split()
         rep = evaluate(split, p, scheme)
-        records = []
-        for si, seq in enumerate(split.sequences.sequences):
-            n_tr = int(split.n_train[si])
-            h = zero_state(p.config)
-            for j in range(n_tr):
-                h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
-            for j in range(n_tr, len(seq)):
-                scores = score_all(h, int(seq.input_ctxs[j]), int(seq.trans_bins[j]), p)
-                records.append(rank_target(scores, int(seq.items[j])))
-                h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
-        expected = aggregate_ranks(
-            [RankRecord("u", i, r) for i, r in enumerate(records)], DEFAULT_KS)
+        expected = aggregate_ranks(walker_records(split, p), DEFAULT_KS)
         assert rep.recall_at == expected.recall_at
         assert rep.map_score == pytest.approx(expected.map_score, abs=1e-15)
         assert rep.n_positions == expected.n_positions
+
+    @pytest.mark.parametrize("variant", [
+        dict(),
+        dict(use_input_contexts=False),
+        dict(use_transition_contexts=False),
+        dict(use_input_contexts=False, use_transition_contexts=False),
+        dict(activation="identity"),
+    ])
+    def test_lockstep_equals_walker_rank_by_rank(self, variant, monkeypatch):
+        for seed in range(3):
+            split, p = ragged_split(seed, **variant)
+            expected = walker_records(split, p)
+            ranks = ranks_of_evaluate(split, p, monkeypatch)
+            assert ranks == [r.rank for r in expected]
+            assert evaluate(split, p) == aggregate_ranks(expected)
+
+    def test_out_of_range_ids_are_config_errors(self):
+        for where in (0, 250):  # a training step and a held-out step of one user
+            for arr, bad in (("input_ctxs", 5), ("input_ctxs", -1), ("trans_bins", 4),
+                             ("items", 12)):
+                split, p = ragged_split(0)
+                getattr(split.sequences.sequences[2], arr)[where] = bad
+                with pytest.raises(ConfigError, match="out of range"):
+                    evaluate(split, p)
+
+    def test_switched_off_bank_ignores_its_ids(self, monkeypatch):
+        split, p = ragged_split(0, use_input_contexts=False, use_transition_contexts=False)
+        expected = [r.rank for r in walker_records(split, p)]
+        for seq in split.sequences.sequences:
+            seq.input_ctxs[:] = 99
+            seq.trans_bins[:] = -7
+        assert ranks_of_evaluate(split, p, monkeypatch) == expected
+
+    def test_peak_allocation_grows_with_events_not_users_times_longest(self):
+        # 2,000 two-event users and one 5,000-event user: a padded
+        # (users x longest sequence) float64 array alone would take 80 MB
+        shapes = [(5000, 4000)] + [(2, 1)] * 2000
+        split, p = ragged_split(0, shapes=shapes, n_items=50)
+        tracemalloc.start()
+        try:
+            evaluate(split, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_no_test_positions_is_data_error(self):
         split, scheme, p = small_model_split()

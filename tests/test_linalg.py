@@ -72,6 +72,28 @@ def test_sigmoid_vec_matches_scalar():
     assert np.array_equal(sigmoid_vec(xs), np.array([sigmoid(x) for x in xs]))
 
 
+def masked_logistic(x):
+    """The branch-by-mask formula sigmoid_vec replaced, kept as its reference."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_vec_has_the_bits_of_the_masked_formula():
+    edges = np.array([0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan])
+    draws = np.random.default_rng(0).normal(0.0, 30.0, size=100_000)
+    for x in (edges, draws, draws.reshape(1000, 100)):
+        got, want = sigmoid_vec(x), masked_logistic(x)
+        assert got.shape == x.shape
+        # NaN maps to NaN; every other value keeps its exact bits
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+
+
 def test_outer_basis_vectors():
     out = outer(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert np.array_equal(out, [[0.0, 1.0], [0.0, 0.0]])

@@ -126,6 +126,63 @@ class TestHiddenStep:
                 assert np.array_equal(states[k], h)
 
 
+BLOCK_VARIANTS = [
+    dict(),
+    dict(use_input_contexts=False),
+    dict(use_transition_contexts=False),
+    dict(use_input_contexts=False, use_transition_contexts=False),
+    dict(activation="identity"),
+]
+
+
+def block_fixture(seed, d, B=13, **variant):
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(d=d, n_items=9, n_input_contexts=4, n_transition_bins=5,
+                         seed=seed, **variant)
+    ids = (rng.integers(0, 9, size=B), rng.integers(0, 4, size=B), rng.integers(0, 5, size=B))
+    return init_params(config), rng.uniform(-1.0, 1.0, size=(B, d)), ids
+
+
+class TestBlockCalls:
+    @pytest.mark.parametrize("variant", BLOCK_VARIANTS)
+    def test_block_step_has_the_bits_of_scalar_steps(self, variant):
+        for d in (1, 4, 10, 17):
+            p, H, ids = block_fixture(d, d, **variant)
+            for _ in range(4):  # chained, as evaluation uses it
+                block = hidden_step(H, *ids, p)
+                rows = np.array([hidden_step(H[i], *(a[i] for a in ids), p)
+                                 for i in range(len(H))])
+                assert block.shape == H.shape
+                assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
+                H, ids = block, tuple(np.roll(a, 1) for a in ids)
+
+    @pytest.mark.parametrize("variant", BLOCK_VARIANTS + [dict(separate_prediction_banks=True)])
+    def test_block_scores_match_scalar_scores(self, variant):
+        p, H, (_, ctxs, bins) = block_fixture(3, 10, **variant)
+        block = score_all(H, ctxs, bins, p)
+        rows = np.array([score_all(H[i], ctxs[i], bins[i], p) for i in range(len(H))])
+        assert block.shape == (len(H), p.config.n_items)
+        # one GEMM against one GEMV per row: the d-term sums may be ordered
+        # differently, so allow a few ulps of the largest term
+        tol = 4 * p.config.d * np.finfo(np.float64).eps * np.abs(rows).max()
+        assert np.abs(block - rows).max() <= tol
+
+    def test_check_ids_names_the_first_bad_id(self):
+        p, _, (items, ctxs, bins) = block_fixture(0, 3)
+        p.check_ids(items, ctxs, bins)
+        for k, name, bad in ((0, "item index", 9), (1, "input context", -1),
+                             (2, "transition bin", 5)):
+            ids = [items.copy(), ctxs.copy(), bins.copy()]
+            ids[k][2] = bad
+            with pytest.raises(ConfigError, match=f"{name} {bad} out of range"):
+                p.check_ids(*ids)
+
+    def test_check_ids_ignores_contexts_of_a_switched_off_bank(self):
+        p, _, (items, ctxs, bins) = block_fixture(0, 3, use_input_contexts=False,
+                                                  use_transition_contexts=False)
+        p.check_ids(items, ctxs + 40, bins - 40)
+
+
 class TestForward:
     def test_empty_sequence(self):
         p = manual_params(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from carnn.data import UserSequence, split_sequences
 from carnn.errors import ConfigError, NumericalError
 from carnn.evaluate import generate_synthetic
-from carnn.model import ModelConfig, ModelParams, init_params
+from carnn.model import ModelConfig, ModelParams, init_params, load_params, save_params
 from carnn.seeding import named_rng
 from carnn.training import (EpochStats, GradientBuffer, TrainConfig, TrainingExample,
                             backprop_sequence, bpr_pair_loss, gradient_check,
@@ -290,6 +290,19 @@ class TestTrain:
         assert np.array_equal(p.R, before.R)
         assert np.array_equal(p.M_bank, before.M_bank)
         assert np.array_equal(p.W_bank, before.W_bank)
+
+    def test_loaded_model_trains_like_the_saved_one(self, tmp_path):
+        split, scheme = planted_split()
+        p = self.make_model(scheme, split.sequences.n_items)
+        path = str(tmp_path / "m.carn")
+        save_params(p, path)
+        cfg = TrainConfig(epochs=1, seed=1)
+        loaded, _ = train(split, load_params(path), cfg)
+        expected, _ = train(split, p, cfg)
+        assert not np.array_equal(loaded.R, load_params(path).R)
+        assert np.array_equal(loaded.R, expected.R)
+        assert np.array_equal(loaded.M_bank, expected.M_bank)
+        assert np.array_equal(loaded.W_bank, expected.W_bank)
 
     def test_loss_descends_on_planted_structure(self):
         split, scheme = planted_split(seed=11, n_users=50)
