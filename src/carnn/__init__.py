@@ -15,7 +15,7 @@ from .errors import (CarnnError, CompatibilityError, ConfigError, DataError,
 from .estimator import CARNNRecommender
 from .evaluate import (MetricsReport, RankRecord, evaluate, generate_synthetic,
                        pop_baseline, rank_target)
-from .model import (ModelConfig, ModelParams, forward_sequence, hidden_step,
+from .model import (ModelConfig, ModelParams, forward_states, hidden_step,
                     init_params, load_params, save_params, score, score_all)
 from .training import (EpochStats, GradientBuffer, TrainConfig, TrainingExample,
                        backprop_sequence, bpr_pair_loss, gradient_check,
@@ -30,7 +30,7 @@ __all__ = [
     "ContextScheme", "annotate_sequences", "input_context", "transition_bin",
     "Interaction", "InteractionLog", "SequenceSet", "SplitSet", "UserSequence",
     "build_sequences", "full_train_split", "parse_interactions", "split_sequences",
-    "ModelConfig", "ModelParams", "forward_sequence", "hidden_step",
+    "ModelConfig", "ModelParams", "forward_states", "hidden_step",
     "init_params", "load_params", "save_params", "score", "score_all",
     "EpochStats", "GradientBuffer", "TrainConfig", "TrainingExample",
     "backprop_sequence", "bpr_pair_loss", "gradient_check",

@@ -19,13 +19,14 @@ import click
 import numpy as np
 
 from . import store
-from .context import ContextScheme, annotate_sequences, input_context, parse_holiday_file, transition_bin
+from .context import ContextScheme, annotate_sequences, parse_holiday_file
 from .data import FORMATS, InteractionLog, build_sequences, parse_interactions, split_sequences
 from .errors import CarnnError, ConfigError, DataError, InputOutputError, NumericalError
+from .estimator import query_context
 from .evaluate import (evaluate, format_report_table, pop_baseline,
                        report_to_json)
-from .model import (ModelConfig, ModelParams, check_vocab_compatibility, hidden_step,
-                    init_params, load_params, save_params, score_all, zero_state)
+from .model import (ModelConfig, ModelParams, check_vocab_compatibility, forward_states,
+                    init_params, load_params, save_params, score_all)
 from .seeding import named_rng
 from .training import (TrainConfig, gradient_check, train, write_loss_trace)
 
@@ -354,7 +355,8 @@ def eval_cmd(config_path, seed, out, variant, cache, model):
 @_common_options
 @click.option("--user", required=True, help="User id as it appears in the dataset.")
 @click.option("--timestamp", type=int, required=True,
-              help="Prediction time (Unix seconds, >= the user's last training event).")
+              help="Prediction time (Unix seconds, >= the user's last training event "
+                   "and before 10000-01-01 UTC less 14 h).")
 @click.option("--k", type=int, default=10, show_default=True)
 @click.option("--cache", default=None)
 @click.option("--model", default=None)
@@ -371,17 +373,8 @@ def predict_cmd(config_path, seed, out, user, timestamp, k, cache, model):
         raise DataError(f"unknown user {user!r}")
     seq = seqs.sequences[uidx]
     n_tr = int(split.n_train[uidx])
-    last_t = int(seq.timestamps[n_tr - 1])
-    if timestamp < last_t:
-        raise DataError(
-            f"timestamp {timestamp} precedes the user's last training event ({last_t})"
-        )
-    h = zero_state(params.config)
-    for j in range(n_tr):
-        h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], params)
-    ctx = input_context(timestamp, seqs.scheme)
-    bin_ = transition_bin(timestamp, last_t, seqs.scheme)
-    scores = score_all(h, ctx, bin_, params)
+    ctx, bin_ = query_context(timestamp, int(seq.timestamps[n_tr - 1]), seqs.scheme)
+    scores = score_all(forward_states(seq, params, n_tr)[-1], ctx, bin_, params)
     item_ids = seqs.item_ids()
     top = np.argsort(-scores, kind="stable")[: min(k, len(item_ids))]
     click.echo(f"user={user} timestamp={timestamp} input_context={ctx} transition_bin={bin_}")

@@ -14,10 +14,23 @@ import numpy as np
 
 from .base import ParamsMixin, as_interactions, as_query_rows, check_is_fitted
 from .context import ContextScheme, annotate_sequences, input_context, transition_bin
-from .data import InteractionLog, build_sequences, full_train_split
-from .errors import DataError
-from .model import ModelConfig, init_params, score_all, zero_state, hidden_step
+from .data import TIMESTAMP_LIMIT, InteractionLog, build_sequences, full_train_split
+from .errors import ConfigError, DataError
+from .model import ModelConfig, forward_states, init_params, score_all
 from .training import TrainConfig, train
+
+
+def query_context(timestamp: int, last_t: int, scheme: ContextScheme) -> tuple[int, int]:
+    """Input context and gap bin of a query at ``timestamp`` after a last
+    event at ``last_t``; shared by the estimator and ``carnn predict``.
+
+    Raises ConfigError unless 0 <= timestamp < data.TIMESTAMP_LIMIT, the
+    range parsed logs and ``fit`` accept, and DataError if it precedes
+    ``last_t``.
+    """
+    if not 0 <= timestamp < TIMESTAMP_LIMIT:
+        raise ConfigError(f"timestamp {timestamp} is outside [0, {TIMESTAMP_LIMIT})")
+    return input_context(timestamp, scheme), transition_bin(timestamp, last_t, scheme)
 
 
 class CARNNRecommender(ParamsMixin):
@@ -106,18 +119,14 @@ class CARNNRecommender(ParamsMixin):
         if idx is None:
             raise DataError(f"unknown user {user!r}")
         seq = self.sequences_.sequences[idx]
-        h = zero_state(self.params_.config)
-        for j in range(len(seq)):
-            h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], self.params_)
-        state = (h, int(seq.timestamps[-1]))
+        # a copy, so the cache keeps one state and not the whole trajectory
+        state = (forward_states(seq, self.params_)[-1].copy(), int(seq.timestamps[-1]))
         self._state_cache[user] = state
         return state
 
     def _scores_for(self, user: str, timestamp: int) -> np.ndarray:
         h, last_t = self._user_state(user)
-        ctx = input_context(timestamp, self.scheme_)
-        bin_ = transition_bin(timestamp, last_t, self.scheme_)
-        return score_all(h, ctx, bin_, self.params_)
+        return score_all(h, *query_context(timestamp, last_t, self.scheme_), self.params_)
 
     def predict_scores(self, X) -> np.ndarray:
         """Score every item for each (user, timestamp) query row."""

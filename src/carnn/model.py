@@ -4,28 +4,30 @@ The hidden state evolves as h_k = f(r_k @ M[ctx_k] + h_{k-1} @ W[bin_k])
 where M is a bank of input matrices selected by the step's input-context id
 and W a bank of transition matrices selected by the step's gap bin; f is the
 elementwise logistic function. Scoring an item under the contexts of the
-predicted step is the bilinear form h @ W'[bin] @ (r_item @ M'[ctx])^T.
+predicted step is the bilinear form h @ W[bin] @ (r_item @ M[ctx])^T, with
+the same two banks.
 
 With a context switch off the corresponding bank collapses to a single
-shared matrix, which reproduces a conventional recurrent model. By default
-the prediction matrices M'/W' are the hidden-layer banks themselves;
-``separate_prediction_banks`` allocates independent ones.
+shared matrix, which reproduces a conventional recurrent model.
 
-``hidden_step`` and ``score_all`` take either one state of shape (d,) or a
-block of states of shape (B, d) with one item, context and bin per row. A
-block row goes through the same vector-matrix BLAS call as the one-state
-form (a stacked ``np.matmul``), so its state has the same bits.
+``hidden_step`` is the only code that computes a recurrence step: training,
+``carnn predict`` and the estimator step through it via ``forward_states``,
+evaluation through its block form. It and ``score_all`` take either one
+state of shape (d,) or a block of states of shape (B, d) with one item,
+context and bin per row. A block row goes through the same vector-matrix
+BLAS call as the one-state form (a stacked ``np.matmul``), so its state has
+the same bits.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CompatibilityError, ConfigError, FormatError, InputOutputError
-from .linalg import sigmoid_vec, vec_mat
+from .linalg import sigmoid_vec
 from .seeding import named_rng
 
 MAGIC = b"CARN"
@@ -44,7 +46,6 @@ class ModelConfig:
     use_transition_contexts: bool = True
     seed: int = 0
     init_scale: float = 0.1
-    separate_prediction_banks: bool = False
     activation: str = "sigmoid"  # "identity" exists for gradient diagnostics
 
     def __post_init__(self):
@@ -76,8 +77,6 @@ class ModelParams:
     R: np.ndarray        # (n_items, d)
     M_bank: np.ndarray   # (m_slots, d, d)
     W_bank: np.ndarray   # (w_slots, d, d)
-    M_pred: np.ndarray | None = None  # only with separate_prediction_banks
-    W_pred: np.ndarray | None = None
 
     def input_slot(self, ctx: int) -> int:
         if not self.config.use_input_contexts:
@@ -117,35 +116,8 @@ class ModelParams:
             raise ConfigError(f"item index {item} out of range [0, {self.config.n_items})")
         return self.R[int(item)]
 
-    @property
-    def scoring_m_bank(self) -> np.ndarray:
-        return self.M_pred if self.M_pred is not None else self.M_bank
-
-    @property
-    def scoring_w_bank(self) -> np.ndarray:
-        return self.W_pred if self.W_pred is not None else self.W_bank
-
     def n_parameters(self) -> int:
-        n = self.R.size + self.M_bank.size + self.W_bank.size
-        if self.M_pred is not None:
-            n += self.M_pred.size
-        if self.W_pred is not None:
-            n += self.W_pred.size
-        return n
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.config,
-            self.R.copy(),
-            self.M_bank.copy(),
-            self.W_bank.copy(),
-            None if self.M_pred is None else self.M_pred.copy(),
-            None if self.W_pred is None else self.W_pred.copy(),
-        )
-
-
-def zero_state(config: ModelConfig) -> np.ndarray:
-    return np.zeros(config.d, dtype=np.float64)
+        return self.R.size + self.M_bank.size + self.W_bank.size
 
 
 def activate(z: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -164,8 +136,8 @@ def activation_grad(h: np.ndarray, config: ModelConfig) -> np.ndarray:
 def init_params(config: ModelConfig) -> ModelParams:
     """Draw every parameter i.i.d. uniform on [-init_scale, +init_scale].
 
-    Draw order is fixed (R, M bank, W bank, then prediction banks if any)
-    so a seed pins the exact parameter values.
+    Draw order is fixed (R, M bank, W bank) so a seed pins the exact
+    parameter values.
     """
     rng = named_rng(config.seed, "init")
     s = config.init_scale
@@ -177,11 +149,7 @@ def init_params(config: ModelConfig) -> ModelParams:
     R = draw((config.n_items, d))
     M_bank = draw((config.m_slots, d, d))
     W_bank = draw((config.w_slots, d, d))
-    M_pred = W_pred = None
-    if config.separate_prediction_banks:
-        M_pred = draw((config.m_slots, d, d))
-        W_pred = draw((config.w_slots, d, d))
-    return ModelParams(config, R, M_bank, W_bank, M_pred, W_pred)
+    return ModelParams(config, R, M_bank, W_bank)
 
 
 def _block_banks(m_bank: np.ndarray, w_bank: np.ndarray, ctx: np.ndarray, bin_: np.ndarray,
@@ -200,34 +168,38 @@ def hidden_step(h_prev: np.ndarray, item_index: int | np.ndarray, ctx: int | np.
     With a (B, d) block, ``item_index``, ``ctx`` and ``bin_`` are length-B
     arrays that ``ModelParams.check_ids`` has accepted.
     """
-    if np.ndim(h_prev) == 2:
+    if h_prev.ndim == 2:
         m, w = _block_banks(p.M_bank, p.W_bank, ctx, bin_, p.config)
         z = np.matmul(p.R[item_index][:, None, :], m) + np.matmul(h_prev[:, None, :], w)
         return activate(z[:, 0, :], p.config)
     r = p.item_row(item_index)
     m = p.M_bank[p.input_slot(ctx)]
     w = p.W_bank[p.trans_slot(bin_)]
-    return activate(vec_mat(r, m) + vec_mat(h_prev, w), p.config)
+    return activate(r @ m + h_prev @ w, p.config)
 
 
-def forward_sequence(seq, p: ModelParams) -> list[np.ndarray]:
-    """Hidden states h_1..h_L for an annotated sequence, starting from h_0 = 0."""
-    if len(seq) and not seq.annotated:
+def forward_states(seq, p: ModelParams, n: int | None = None) -> np.ndarray:
+    """States of an annotated sequence, or of its first ``n`` events.
+
+    Returns an (n+1, d) array: row 0 is the zero state h_0 and row k the
+    state after k events, each from one one-state ``hidden_step`` call.
+    """
+    n = len(seq) if n is None else n
+    if n and not seq.annotated:
         raise ConfigError("sequence must be annotated with contexts before the forward pass")
-    h = zero_state(p.config)
-    states = []
-    for k in range(len(seq)):
-        h = hidden_step(h, seq.items[k], seq.input_ctxs[k], seq.trans_bins[k], p)
-        states.append(h)
-    return states
+    H = np.zeros((n + 1, p.config.d), dtype=np.float64)
+    steps = zip(seq.items[:n].tolist(), seq.input_ctxs[:n].tolist(), seq.trans_bins[:n].tolist())
+    for k, (item, ctx, bin_) in enumerate(steps):
+        H[k + 1] = hidden_step(H[k], item, ctx, bin_, p)
+    return H
 
 
 def score(h: np.ndarray, item_index: int, next_ctx: int, next_bin: int, p: ModelParams) -> float:
     """Bilinear score of one item under the contexts of the predicted step."""
     r = p.item_row(item_index)
-    m = p.scoring_m_bank[p.input_slot(next_ctx)]
-    w = p.scoring_w_bank[p.trans_slot(next_bin)]
-    return float(vec_mat(h, w) @ vec_mat(r, m))
+    m = p.M_bank[p.input_slot(next_ctx)]
+    w = p.W_bank[p.trans_slot(next_bin)]
+    return float((h @ w) @ (r @ m))
 
 
 def score_all(h: np.ndarray, next_ctx: int | np.ndarray, next_bin: int | np.ndarray,
@@ -238,11 +210,11 @@ def score_all(h: np.ndarray, next_ctx: int | np.ndarray, next_bin: int | np.ndar
     gives (B, n_items) scores from one Q @ R.T product.
     """
     if np.ndim(h) == 2:
-        m, w = _block_banks(p.scoring_m_bank, p.scoring_w_bank, next_ctx, next_bin, p.config)
+        m, w = _block_banks(p.M_bank, p.W_bank, next_ctx, next_bin, p.config)
         q = np.matmul(np.matmul(h[:, None, :], w), np.swapaxes(m, -1, -2))
         return q[:, 0, :] @ p.R.T
-    m = p.scoring_m_bank[p.input_slot(next_ctx)]
-    w = p.scoring_w_bank[p.trans_slot(next_bin)]
+    m = p.M_bank[p.input_slot(next_ctx)]
+    w = p.W_bank[p.trans_slot(next_bin)]
     q = (h @ w) @ m.T
     return p.R @ q
 
@@ -259,10 +231,6 @@ _HEADER = struct.Struct("<4sIIIIIBB")
 
 
 def save_params(p: ModelParams, path: str) -> None:
-    if p.M_pred is not None or p.W_pred is not None:
-        raise ConfigError(
-            "models with separate prediction banks cannot be saved in format v1"
-        )
     cfg = p.config
     header = _HEADER.pack(
         MAGIC,

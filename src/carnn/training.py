@@ -19,8 +19,7 @@ import numpy as np
 
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
-from .linalg import sigmoid_vec
-from .model import ModelParams, activation_grad
+from .model import ModelParams, activation_grad, forward_states
 from .seeding import named_rng
 
 
@@ -97,84 +96,38 @@ class GradientBuffer:
         self.dR = np.zeros_like(p.R)
         self.dM_bank = np.zeros_like(p.M_bank)
         self.dW_bank = np.zeros_like(p.W_bank)
-        self.dM_pred = None if p.M_pred is None else np.zeros_like(p.M_pred)
-        self.dW_pred = None if p.W_pred is None else np.zeros_like(p.W_pred)
         self.touched_items: set[int] = set()
         self.touched_m: set[int] = set()
         self.touched_w: set[int] = set()
-        self.touched_mp: set[int] = set()
-        self.touched_wp: set[int] = set()
 
     def clear(self) -> None:
-        for grad, touched in self._groups():
+        for grad, touched in ((self.dR, self.touched_items), (self.dM_bank, self.touched_m),
+                              (self.dW_bank, self.touched_w)):
             if touched:
                 grad[sorted(touched)] = 0.0
                 touched.clear()
 
-    def _groups(self):
-        groups = [
-            (self.dR, self.touched_items),
-            (self.dM_bank, self.touched_m),
-            (self.dW_bank, self.touched_w),
-        ]
-        if self.dM_pred is not None:
-            groups.append((self.dM_pred, self.touched_mp))
-        if self.dW_pred is not None:
-            groups.append((self.dW_pred, self.touched_wp))
-        return groups
+
+def _forward(seq: UserSequence, p: ModelParams):
+    """``forward_states`` of a training view, plus the item, M slot and W slot
+    of every step, which the backward pass indexes."""
+    H = forward_states(seq, p)
+    L = len(seq)
+    cfg = p.config
+    m_slots = seq.input_ctxs.tolist() if cfg.use_input_contexts else [0] * L
+    w_slots = seq.trans_bins.tolist() if cfg.use_transition_contexts else [0] * L
+    return H, seq.items.tolist(), m_slots, w_slots
 
 
-class _ForwardCache:
-    """Forward pass over a training view with everything backprop needs."""
-
-    def __init__(self, seq: UserSequence, p: ModelParams):
-        if len(seq) and not seq.annotated:
-            raise ConfigError("training requires context-annotated sequences")
-        cfg = p.config
-        L = len(seq)
-        self.items = np.asarray(seq.items[:L], dtype=np.int64)
-        if cfg.use_input_contexts:
-            self.m_slots = np.asarray(seq.input_ctxs, dtype=np.int64)
-            if L and (self.m_slots.min() < 0 or self.m_slots.max() >= cfg.n_input_contexts):
-                raise ConfigError("input context id out of range for the model")
-        else:
-            self.m_slots = np.zeros(L, dtype=np.int64)
-        if cfg.use_transition_contexts:
-            self.w_slots = np.asarray(seq.trans_bins, dtype=np.int64)
-            if L and (self.w_slots.min() < 0 or self.w_slots.max() >= cfg.n_transition_bins):
-                raise ConfigError("transition bin out of range for the model")
-        else:
-            self.w_slots = np.zeros(L, dtype=np.int64)
-
-        # Hfull[j] is the hidden state before step j; Hfull[L] is the final one.
-        d = cfg.d
-        Hfull = np.zeros((L + 1, d), dtype=np.float64)
-        R, M, W = p.R, p.M_bank, p.W_bank
-        for j in range(L):
-            z = R[self.items[j]] @ M[self.m_slots[j]] + Hfull[j] @ W[self.w_slots[j]]
-            Hfull[j + 1] = z if cfg.activation == "identity" else sigmoid_vec(z)
-        self.Hfull = Hfull
-
-
-def _pair_gradients(cache: _ForwardCache, examples, p: ModelParams, cfg: TrainConfig,
+def _pair_gradients(fwd, examples, p: ModelParams, cfg: TrainConfig,
                     buf: GradientBuffer) -> float:
     """Accumulate gradients of the summed pair losses into ``buf``.
 
-    Returns the summed loss. Scoring-path gradients go to the prediction
-    banks (the hidden-layer banks when shared); recurrence-path gradients
-    always go to the hidden-layer banks.
+    ``fwd`` is what ``_forward`` returns. Returns the summed loss.
     """
-    R = p.R
-    M, W = p.M_bank, p.W_bank
-    Msc_bank, Wsc_bank = p.scoring_m_bank, p.scoring_w_bank
-    separate = p.M_pred is not None
-    dMsc = buf.dM_pred if separate else buf.dM_bank
-    dWsc = buf.dW_pred if separate else buf.dW_bank
-    touched_msc = buf.touched_mp if separate else buf.touched_m
-    touched_wsc = buf.touched_wp if separate else buf.touched_w
-
-    L = len(cache.items)
-    Hfull = cache.Hfull
+    R, M, W = p.R, p.M_bank, p.W_bank
+    Hfull, _, _, w_slots = fwd
+    L = len(Hfull) - 1
     dh = np.zeros_like(Hfull)
     total_loss = 0.0
 
@@ -184,8 +137,8 @@ def _pair_gradients(cache: _ForwardCache, examples, p: ModelParams, cfg: TrainCo
             raise ConfigError(f"example position {j} outside the sequence (length {L})")
         ms = p.input_slot(ex.input_ctx)
         ws = p.trans_slot(ex.trans_bin)
-        Msc = Msc_bank[ms]
-        Wsc = Wsc_bank[ws]
+        Msc = M[ms]
+        Wsc = W[ws]
         h = Hfull[j]
         r_pos = R[ex.pos_item]
         r_neg = R[ex.neg_item]
@@ -213,10 +166,10 @@ def _pair_gradients(cache: _ForwardCache, examples, p: ModelParams, cfg: TrainCo
         buf.touched_items.add(int(ex.neg_item))
 
         diff = p_pos - p_neg
-        dWsc[ws] += np.outer(h, g * diff)
-        touched_wsc.add(ws)
-        dMsc[ms] += np.outer(g * (r_pos - r_neg), q)
-        touched_msc.add(ms)
+        buf.dW_bank[ws] += np.outer(h, g * diff)
+        buf.touched_w.add(ws)
+        buf.dM_bank[ms] += np.outer(g * (r_pos - r_neg), q)
+        buf.touched_m.add(ms)
         dh[j] += g * (diff @ Wsc.T)
 
     if cfg.bptt_window is None:
@@ -226,8 +179,8 @@ def _pair_gradients(cache: _ForwardCache, examples, p: ModelParams, cfg: TrainCo
             if not dh[j + 1].any():
                 continue
             dz = dh[j + 1] * act[j + 1]
-            _recurrence_grads(cache, j, dz, p, buf)
-            dh[j] += dz @ W[cache.w_slots[j]].T
+            _recurrence_grads(fwd, j, dz, p, buf)
+            dh[j] += dz @ W[w_slots[j]].T
     elif cfg.bptt_window > 0:
         # truncated: unroll each position's error at most bptt_window steps
         act = activation_grad(Hfull, p.config)
@@ -240,21 +193,22 @@ def _pair_gradients(cache: _ForwardCache, examples, p: ModelParams, cfg: TrainCo
                 if steps >= cfg.bptt_window:
                     break
                 dz = cur * act[s + 1]
-                _recurrence_grads(cache, s, dz, p, buf)
-                cur = dz @ W[cache.w_slots[s]].T
+                _recurrence_grads(fwd, s, dz, p, buf)
+                cur = dz @ W[w_slots[s]].T
                 steps += 1
     # bptt_window == 0: scoring-path gradients only
     return total_loss
 
 
-def _recurrence_grads(cache: _ForwardCache, j: int, dz: np.ndarray,
-                      p: ModelParams, buf: GradientBuffer) -> None:
-    v = int(cache.items[j])
-    ms = int(cache.m_slots[j])
-    ws = int(cache.w_slots[j])
+def _recurrence_grads(fwd, j: int, dz: np.ndarray, p: ModelParams,
+                      buf: GradientBuffer) -> None:
+    Hfull, items, m_slots, w_slots = fwd
+    v = items[j]
+    ms = m_slots[j]
+    ws = w_slots[j]
     buf.dR[v] += dz @ p.M_bank[ms].T
     buf.dM_bank[ms] += np.outer(p.R[v], dz)
-    buf.dW_bank[ws] += np.outer(cache.Hfull[j], dz)
+    buf.dW_bank[ws] += np.outer(Hfull[j], dz)
     buf.touched_items.add(v)
     buf.touched_m.add(ms)
     buf.touched_w.add(ws)
@@ -264,25 +218,16 @@ def backprop_sequence(seq: UserSequence, examples, p: ModelParams,
                       cfg: TrainConfig) -> GradientBuffer:
     """Exact gradient of the summed pair losses (regularizer excluded)."""
     buf = GradientBuffer(p)
-    cache = _ForwardCache(seq, p)
-    _pair_gradients(cache, examples, p, cfg, buf)
+    _pair_gradients(_forward(seq, p), examples, p, cfg, buf)
     return buf
 
 
 def sequence_loss(seq: UserSequence, examples, p: ModelParams) -> float:
-    """Summed pair loss of the given examples under the current parameters."""
-    cache = _ForwardCache(seq, p)
-    Hfull = cache.Hfull
-    total = 0.0
-    for ex in examples:
-        ms = p.input_slot(ex.input_ctx)
-        ws = p.trans_slot(ex.trans_bin)
-        q = Hfull[ex.position] @ p.scoring_w_bank[ws]
-        proj = p.scoring_m_bank[ms]
-        y_pos = float(q @ (p.R[ex.pos_item] @ proj))
-        y_neg = float(q @ (p.R[ex.neg_item] @ proj))
-        total += bpr_pair_loss(y_pos, y_neg)
-    return total
+    """Summed pair loss of the given examples under the current parameters,
+    scored by ``_pair_gradients`` itself; its scoring-path gradients go to a
+    scratch buffer and nothing is back-propagated."""
+    return _pair_gradients(_forward(seq, p), examples, p, TrainConfig(bptt_window=0),
+                           GradientBuffer(p))
 
 
 def make_examples(seq: UserSequence, n_items: int, rng: np.random.Generator,
@@ -322,10 +267,6 @@ def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams
     apply(p.R, g.dR, g.touched_items, "R")
     apply(p.M_bank, g.dM_bank, g.touched_m, "M_bank")
     apply(p.W_bank, g.dW_bank, g.touched_w, "W_bank")
-    if p.M_pred is not None:
-        apply(p.M_pred, g.dM_pred, g.touched_mp, "M_pred")
-    if p.W_pred is not None:
-        apply(p.W_pred, g.dW_pred, g.touched_wp, "W_pred")
     return p
 
 
@@ -359,8 +300,7 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
                 continue
             view = _train_view(seqs[si], n_tr)
             examples = make_examples(view, n_items, neg_rng, cfg.negatives_per_positive)
-            cache = _ForwardCache(view, p)
-            loss_sum += _pair_gradients(cache, examples, p, cfg, buf)
+            loss_sum += _pair_gradients(_forward(view, p), examples, p, cfg, buf)
             loss_count += len(examples)
             try:
                 sgd_step(p, buf, cfg)
@@ -410,10 +350,6 @@ def gradient_check(p: ModelParams, seq: UserSequence, cfg: TrainConfig,
 
     banks = [("R", p.R, buf.dR), ("M_bank", p.M_bank, buf.dM_bank),
              ("W_bank", p.W_bank, buf.dW_bank)]
-    if p.M_pred is not None:
-        banks.append(("M_pred", p.M_pred, buf.dM_pred))
-    if p.W_pred is not None:
-        banks.append(("W_pred", p.W_pred, buf.dW_pred))
 
     max_rel = 0.0
     rel_sum = 0.0

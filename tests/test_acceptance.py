@@ -21,7 +21,7 @@ from carnn.data import build_sequences, parse_interactions, split_sequences
 from carnn.evaluate import (evaluate, generate_synthetic, pop_baseline,
                             write_interactions_csv)
 from carnn.linalg import sigmoid_vec
-from carnn.model import (ModelConfig, ModelParams, forward_sequence, init_params,
+from carnn.model import (ModelConfig, ModelParams, forward_states, init_params,
                          score)
 from carnn.seeding import named_rng
 from carnn.training import TrainConfig, TrainingExample, gradient_check, train
@@ -107,11 +107,11 @@ def test_plain_variant_reduces_to_constant_matrix_recurrence():
             np.zeros(length, dtype=np.int64),
             np.zeros(length, dtype=np.int64),
         )
-        states = forward_sequence(seq, params)
+        states = forward_states(seq, params)
         h_ref = np.zeros(d)
         for k in range(length):
             h_ref = sigmoid_vec(R[seq.items[k]] @ M + h_ref @ W)
-            assert np.array_equal(states[k], h_ref), f"state mismatch at step {k}"
+            assert np.array_equal(states[k + 1], h_ref), f"state mismatch at step {k}"
         for v in range(n_items):
             y_ref = (h_ref @ W) @ (R[v] @ M)
             assert score(states[-1], v, 0, 0, params) == y_ref, f"score mismatch item {v}"

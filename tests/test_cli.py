@@ -283,7 +283,7 @@ class TestPredict:
 
     def test_k1_is_argmax_of_full_scoring(self, workdir):
         from carnn.context import input_context, transition_bin
-        from carnn.model import hidden_step, score_all, zero_state
+        from carnn.model import hidden_step, score_all
 
         split = store.read_cache(workdir["cache"])
         params = load_params(workdir["models"]["carnn"])
@@ -296,7 +296,7 @@ class TestPredict:
         assert result.exit_code == 0
         top_item = result.output.strip().splitlines()[1].split("\t")[1]
 
-        h = zero_state(params.config)
+        h = np.zeros(params.config.d)
         for j in range(n_tr):
             h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], params)
         scheme = split.sequences.scheme
@@ -332,6 +332,16 @@ class TestPredict:
                         "--model", workdir["models"]["carnn"],
                         "--user", "ghost", "--timestamp", "99999999999")
         assert result.exit_code == DataError.exit_code
+
+    @pytest.mark.parametrize("timestamp", [10**12, 10**20, -10**12])
+    def test_timestamp_out_of_range_is_config_error(self, workdir, timestamp):
+        split = store.read_cache(workdir["cache"])
+        result = invoke("predict", "--config", workdir["cfg"], "--cache", workdir["cache"],
+                        "--model", workdir["models"]["carnn"],
+                        "--user", split.sequences.sequences[0].user,
+                        "--timestamp", str(timestamp))
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert f"timestamp {timestamp} is outside" in result.output
 
     def test_timestamp_before_history_rejected(self, workdir):
         split = store.read_cache(workdir["cache"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, build_sequences,
                         full_train_split, parse_interactions, split_sequences, train_length)
@@ -168,11 +168,19 @@ class TestSplit:
 
     @given(st.integers(min_value=1, max_value=500),
            st.floats(min_value=0.01, max_value=0.99, allow_nan=False))
+    @example(500, 0.010000000000000002)  # the product lands one ulp above 5
+    @example(10, 0.7)
     def test_train_length_bounds(self, length, ratio):
         n = train_length(length, ratio)
         assert 1 <= n <= length
-        # a ceiling can overshoot the exact product by less than one step
-        assert 0 <= n - ratio * length < 1 + 1e-9
+        # a ceiling can overshoot the exact product by less than one step;
+        # train_length lets the product run up to 1e-12 above it
+        assert n - ratio * length >= -1e-12
+        assert n - ratio * length < 1 + 1e-9
+
+    def test_train_length_of_near_whole_products(self):
+        assert train_length(500, 0.010000000000000002) == 5  # product 5.000000000000001
+        assert train_length(10, 0.7) == 7
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=10**6))

@@ -96,6 +96,19 @@ class TestFitPredict:
         with pytest.raises(ConfigError, match="not fitted"):
             CARNNRecommender().predict([["u0", 1]])
 
+    @pytest.mark.parametrize("timestamp", [10**12, 10**20, -10**12])
+    def test_query_timestamp_out_of_range_rejected(self, timestamp):
+        est = self.fitted()
+        with pytest.raises(ConfigError, match=f"timestamp {timestamp} is outside"):
+            est.recommend("u0", timestamp)
+        with pytest.raises(ConfigError, match=f"timestamp {timestamp} is outside"):
+            est.predict_scores([["u0", timestamp]])
+
+    def test_query_timestamp_before_history_rejected(self):
+        est = self.fitted()
+        with pytest.raises(DataError, match="out of order"):
+            est.recommend("u0", 0)
+
     @pytest.mark.parametrize("timestamp", [10**12, 10**20])
     def test_timestamp_past_year_9999_rejected(self, timestamp):
         rows = interaction_rows() + [("u0", "i1", timestamp)]

@@ -12,7 +12,7 @@ from carnn.evaluate import (DEFAULT_KS, MetricsReport, RankRecord, aggregate_ran
                             evaluate, format_report_table, generate_synthetic,
                             pop_baseline, rank_target, report_from_json,
                             report_to_json, synthetic_partition, train_item_counts)
-from carnn.model import (ModelConfig, hidden_step, init_params, score_all, zero_state)
+from carnn.model import ModelConfig, hidden_step, init_params, score_all
 
 
 class TestRankTarget:
@@ -107,7 +107,7 @@ def walker_records(split, p) -> list[RankRecord]:
     records = []
     for si, seq in enumerate(split.sequences.sequences):
         n_tr = int(split.n_train[si])
-        h = zero_state(p.config)
+        h = np.zeros(p.config.d)
         for j in range(n_tr):
             h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
         for j in range(n_tr, len(seq)):

@@ -5,8 +5,8 @@ from carnn.data import UserSequence
 from carnn.errors import CompatibilityError, ConfigError, FormatError
 from carnn.linalg import sigmoid_vec
 from carnn.model import (ModelConfig, ModelParams, check_vocab_compatibility,
-                         forward_sequence, hidden_step, init_params, load_params,
-                         save_params, score, score_all, zero_state)
+                         forward_states, hidden_step, init_params, load_params,
+                         save_params, score, score_all)
 
 
 def manual_params(R, M_bank, W_bank, use_input=True, use_trans=True):
@@ -79,7 +79,7 @@ class TestInit:
 class TestHiddenStep:
     def test_zero_inputs_give_half(self):
         p = manual_params(np.zeros((2, 3)), np.zeros((1, 3, 3)), np.zeros((1, 3, 3)))
-        h = hidden_step(zero_state(p.config), 0, 0, 0, p)
+        h = hidden_step(np.zeros(3), 0, 0, 0, p)
         assert np.allclose(h, 0.5)
 
     def test_scalar_hand_evaluation(self):
@@ -91,14 +91,14 @@ class TestHiddenStep:
         rng = np.random.default_rng(3)
         config = ModelConfig(d=6, n_items=9, n_input_contexts=4, n_transition_bins=5, seed=3)
         p = init_params(config)
-        h = zero_state(config)
+        h = np.zeros(config.d)
         for _ in range(50):
             h = hidden_step(h, int(rng.integers(9)), int(rng.integers(4)), int(rng.integers(5)), p)
             assert np.all(h > 0.0) and np.all(h < 1.0)
 
     def test_index_out_of_range(self):
         p = manual_params(np.zeros((2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
-        h = zero_state(p.config)
+        h = np.zeros(2)
         with pytest.raises(ConfigError):
             hidden_step(h, 5, 0, 0, p)
         with pytest.raises(ConfigError):
@@ -119,11 +119,11 @@ class TestHiddenStep:
             # arbitrary ctx/bin labels must be ignored
             seq.input_ctxs[:] = rng.integers(0, 40, size=12)
             seq.trans_bins[:] = rng.integers(0, 30, size=12)
-            states = forward_sequence(seq, p)
+            states = forward_states(seq, p)
             h = np.zeros(d)
             for k in range(12):
                 h = sigmoid_vec(R[seq.items[k]] @ M[0] + h @ W[0])
-                assert np.array_equal(states[k], h)
+                assert np.array_equal(states[k + 1], h)
 
 
 BLOCK_VARIANTS = [
@@ -156,7 +156,7 @@ class TestBlockCalls:
                 assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
                 H, ids = block, tuple(np.roll(a, 1) for a in ids)
 
-    @pytest.mark.parametrize("variant", BLOCK_VARIANTS + [dict(separate_prediction_banks=True)])
+    @pytest.mark.parametrize("variant", BLOCK_VARIANTS)
     def test_block_scores_match_scalar_scores(self, variant):
         p, H, (_, ctxs, bins) = block_fixture(3, 10, **variant)
         block = score_all(H, ctxs, bins, p)
@@ -184,48 +184,71 @@ class TestBlockCalls:
 
 
 class TestForward:
+    @pytest.mark.parametrize("variant", BLOCK_VARIANTS)
+    def test_states_are_the_one_state_chain(self, variant):
+        rng = np.random.default_rng(4)
+        config = ModelConfig(d=4, n_items=7, n_input_contexts=3, n_transition_bins=5,
+                             seed=4, **variant)
+        p = init_params(config)
+        for length in (0, 1, 9):
+            seq = random_annotated_sequence(rng, length, 7, 3, 5)
+            H = forward_states(seq, p)
+            assert H.shape == (length + 1, 4)
+            h = np.zeros(4)
+            assert np.array_equal(H[0].view(np.uint64), h.view(np.uint64))
+            for k in range(length):
+                h = hidden_step(h, seq.items[k], seq.input_ctxs[k], seq.trans_bins[k], p)
+                assert np.array_equal(H[k + 1].view(np.uint64), h.view(np.uint64))
+            for n in range(length + 1):  # a train prefix is a prefix of the rows
+                assert np.array_equal(forward_states(seq, p, n), H[:n + 1])
+
     def test_empty_sequence(self):
         p = manual_params(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
         seq = UserSequence("u", np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                            np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert forward_sequence(seq, p) == []
+        assert np.array_equal(forward_states(seq, p), np.zeros((1, 2)))
+
+    def test_unannotated_sequence_rejected(self):
+        p = manual_params(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+        seq = UserSequence("u", np.array([0, 1]), np.array([0, 5]))
+        with pytest.raises(ConfigError, match="annotated"):
+            forward_states(seq, p)
 
     def test_single_step_matches_hidden_step(self):
         rng = np.random.default_rng(5)
         config = ModelConfig(d=3, n_items=5, n_input_contexts=2, n_transition_bins=3, seed=5)
         p = init_params(config)
         seq = random_annotated_sequence(rng, 1, 5, 2, 3)
-        states = forward_sequence(seq, p)
-        expected = hidden_step(zero_state(config), seq.items[0], seq.input_ctxs[0],
+        states = forward_states(seq, p)
+        expected = hidden_step(np.zeros(3), seq.items[0], seq.input_ctxs[0],
                                seq.trans_bins[0], p)
-        assert len(states) == 1
-        assert np.array_equal(states[0], expected)
+        assert len(states) == 2
+        assert np.array_equal(states[1], expected)
 
     def test_causality_and_sensitivity(self):
         rng = np.random.default_rng(6)
         config = ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3, seed=6)
         p = init_params(config)
         seq = random_annotated_sequence(rng, 3, 6, 2, 3)
-        base = forward_sequence(seq, p)
+        base = forward_states(seq, p)
 
         changed_late = UserSequence(seq.user, seq.items.copy(), seq.timestamps,
                                     seq.input_ctxs, seq.trans_bins)
         changed_late.items[2] = (changed_late.items[2] + 1) % 6
-        after = forward_sequence(changed_late, p)
-        assert np.array_equal(base[0], after[0])
-        assert np.array_equal(base[1], after[1])
+        after = forward_states(changed_late, p)
+        assert np.array_equal(base[:3], after[:3])
 
         changed_early = UserSequence(seq.user, seq.items.copy(), seq.timestamps,
                                      seq.input_ctxs, seq.trans_bins)
         changed_early.items[0] = (changed_early.items[0] + 1) % 6
-        assert not np.array_equal(forward_sequence(changed_early, p)[2], base[2])
+        assert not np.array_equal(forward_states(changed_early, p)[3], base[3])
 
 
 class TestScore:
     def test_zero_state_scores_zero(self):
         config = ModelConfig(d=3, n_items=4, n_input_contexts=2, n_transition_bins=2, seed=1)
         p = init_params(config)
-        h = zero_state(config)
+        h = np.zeros(config.d)
         assert score(h, 2, 1, 1, p) == 0.0
         assert not score_all(h, 1, 1, p).any()
 
@@ -291,11 +314,6 @@ class TestPersistence:
         open(path, "wb").write(blob[:-8])
         with pytest.raises(FormatError, match="length"):
             load_params(path)
-
-    def test_separate_prediction_banks_not_saveable(self, tmp_path):
-        p = self.make_params(separate_prediction_banks=True)
-        with pytest.raises(ConfigError):
-            save_params(p, str(tmp_path / "m.carn"))
 
     def test_vocab_compatibility_names_both_sizes(self):
         p = self.make_params()

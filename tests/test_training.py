@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -129,7 +130,7 @@ class TestBackprop:
     def test_nonzero_gradients_without_updates(self):
         # lr=0 training leaves parameters untouched while gradients exist
         params, seq = tiny_fixture(4)
-        before = params.copy()
+        before = copy.deepcopy(params)
         examples = make_examples(seq, 5, named_rng(4, "negatives"))
         buf = backprop_sequence(seq, examples, params, TrainConfig(learning_rate=0.0))
         assert np.abs(buf.dR).sum() > 0
@@ -146,15 +147,6 @@ class TestBackprop:
         params, seq = tiny_fixture(5)
         report = gradient_check(params, seq, TrainConfig(seed=5, negatives_per_positive=3))
         assert report.max_rel_error < 1e-4
-
-    def test_finite_difference_separate_prediction_banks(self):
-        config = ModelConfig(d=3, n_items=5, n_input_contexts=2, n_transition_bins=3,
-                             seed=0, separate_prediction_banks=True)
-        params = init_params(config)
-        _, seq = tiny_fixture(0)
-        report = gradient_check(params, seq, TrainConfig(seed=0))
-        assert report.max_rel_error < 1e-4
-        assert report.n_coordinates == params.n_parameters()
 
     def test_identity_activation_near_exact(self):
         # no squashing: every nonzero gradient is large enough that central
@@ -285,7 +277,7 @@ class TestTrain:
     def test_zero_rates_leave_parameters_unchanged(self):
         split, scheme = planted_split()
         p = self.make_model(scheme, split.sequences.n_items)
-        before = p.copy()
+        before = copy.deepcopy(p)
         train(split, p, TrainConfig(learning_rate=0.0, l2=0.0, epochs=2, seed=1))
         assert np.array_equal(p.R, before.R)
         assert np.array_equal(p.M_bank, before.M_bank)
@@ -326,6 +318,16 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(split, p, TrainConfig(epochs=1))
 
+    def test_out_of_range_items_are_config_errors(self):
+        # -1 would otherwise train R's last row; n_items would index past R
+        split, scheme = planted_split()
+        n_items = split.sequences.n_items
+        for bad in (-1, n_items):
+            split.sequences.sequences[3].items[5] = bad
+            p = self.make_model(scheme, n_items)
+            with pytest.raises(ConfigError, match=f"item index {bad} out of range"):
+                train(split, p, TrainConfig(epochs=1))
+
     def test_loss_trace_csv_round_trip(self, tmp_path):
         trace = [EpochStats(1, 0.6931, 0.5), EpochStats(2, 0.5120, 0.4)]
         path = str(tmp_path / "loss.csv")
@@ -340,9 +342,9 @@ class TestObjectiveHelpers:
     def test_sequence_loss_matches_pair_loss_sum(self):
         params, seq = tiny_fixture(2)
         examples = make_examples(seq, 5, named_rng(2, "negatives"))
-        from carnn.model import forward_sequence, score, zero_state
+        from carnn.model import forward_states, score
 
-        states = [zero_state(params.config)] + forward_sequence(seq, params)
+        states = forward_states(seq, params)
         expected = 0.0
         for ex in examples:
             h = states[ex.position]
