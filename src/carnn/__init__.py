@@ -17,7 +17,7 @@ from .evaluate import (MetricsReport, RankRecord, evaluate, generate_synthetic,
                        pop_baseline, rank_target)
 from .model import (ModelConfig, ModelParams, forward_states, hidden_step,
                     init_params, load_params, save_params, score, score_all)
-from .training import (EpochStats, GradientBuffer, TrainConfig, TrainingExample,
+from .training import (EpochStats, GradientBuffer, TrainConfig,
                        backprop_sequence, bpr_pair_loss, gradient_check,
                        sample_negative, sgd_step, train)
 
@@ -32,7 +32,7 @@ __all__ = [
     "build_sequences", "full_train_split", "parse_interactions", "split_sequences",
     "ModelConfig", "ModelParams", "forward_states", "hidden_step",
     "init_params", "load_params", "save_params", "score", "score_all",
-    "EpochStats", "GradientBuffer", "TrainConfig", "TrainingExample",
+    "EpochStats", "GradientBuffer", "TrainConfig",
     "backprop_sequence", "bpr_pair_loss", "gradient_check",
     "sample_negative", "sgd_step", "train",
     "MetricsReport", "RankRecord", "evaluate", "generate_synthetic",

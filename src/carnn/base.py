@@ -62,24 +62,13 @@ def as_interactions(X) -> list[Interaction]:
     rows, or a 2-D object/str/numeric array with those three columns.
     """
     if isinstance(X, list) and X and isinstance(X[0], Interaction):
-        return list(X)
+        X = [(it.user, it.item, it.timestamp) for it in X]  # their timestamps get checked too
     arr = np.asarray(X, dtype=object)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ConfigError(
             f"expected (n, 3) rows of (user, item, timestamp), got shape {arr.shape}"
         )
-    out = []
-    for user, item, ts in arr:
-        try:
-            timestamp = int(ts)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"timestamp {ts!r} is not an integer") from exc
-        if timestamp < 0:
-            raise ConfigError(f"timestamp {timestamp} is negative")
-        if timestamp >= TIMESTAMP_LIMIT:
-            raise ConfigError(f"timestamp {timestamp} is not below {TIMESTAMP_LIMIT}")
-        out.append(Interaction(str(user), str(item), timestamp))
-    return out
+    return [Interaction(str(user), str(item), as_timestamp(ts)) for user, item, ts in arr]
 
 
 def as_query_rows(X) -> list[tuple[str, int]]:
@@ -89,4 +78,18 @@ def as_query_rows(X) -> list[tuple[str, int]]:
         raise ConfigError(
             f"expected (n, 2) rows of (user, timestamp), got shape {arr.shape}"
         )
-    return [(str(u), int(t)) for u, t in arr]
+    return [(str(u), as_timestamp(t)) for u, t in arr]
+
+
+def as_timestamp(value) -> int:
+    """``value`` as whole Unix seconds in [0, data.TIMESTAMP_LIMIT), the range
+    parsed logs accept; ConfigError for anything else, a fraction included."""
+    try:
+        t = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"timestamp {value!r} is not a whole number") from exc
+    if not isinstance(value, (str, bytes)) and t != value:
+        raise ConfigError(f"timestamp {value!r} is not a whole number")
+    if not 0 <= t < TIMESTAMP_LIMIT:
+        raise ConfigError(f"timestamp {t} is outside [0, {TIMESTAMP_LIMIT})")
+    return t

@@ -168,8 +168,8 @@ def config_text(cfg: RunConfig) -> str:
 
 def _echo_config(cfg: RunConfig, command: str) -> None:
     os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, f"{command}.effective.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(config_text(cfg))
+    store.write_atomic(os.path.join(cfg.out, f"{command}.effective.cfg"), config_text(cfg),
+                       "configuration echo")
 
 
 def _scheme_from(cfg: RunConfig) -> ContextScheme:
@@ -282,8 +282,7 @@ def prepare(config_path, seed, out, dataset, fmt):
         f"transition_bins={seqs.scheme.n_transition_bins}",
         f"test_positions={split.n_test_positions}",
     ]) + "\n"
-    with open(os.path.join(cfg.out, "prepare_stats.txt"), "w", encoding="utf-8") as fh:
-        fh.write(stats)
+    store.write_atomic(os.path.join(cfg.out, "prepare_stats.txt"), stats, "statistics")
     _echo_config(cfg, "prepare")
     click.echo(stats.rstrip())
     click.echo(f"cache written to {cfg.cache_path()}")
@@ -344,8 +343,7 @@ def eval_cmd(config_path, seed, out, variant, cache, model):
         label = variant_of(params)
         report = evaluate(split, params, split.sequences.scheme, cfg.ks)
     os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, "metrics.json"), "w", encoding="utf-8") as fh:
-        fh.write(report_to_json(report))
+    store.write_atomic(os.path.join(cfg.out, "metrics.json"), report_to_json(report), "report")
     _echo_config(cfg, "eval")
     click.echo(format_report_table(report, label))
     click.echo(f"report written to {os.path.join(cfg.out, 'metrics.json')}")
@@ -483,8 +481,7 @@ def sweep_cmd(config_path, seed, out, d_values, variants_opt, cache):
             rows.append(",".join(cells))
             click.echo(f"swept variant={variant} d={d}")
     sweep_path = os.path.join(cfg.out, "sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    store.write_atomic(sweep_path, "\n".join(rows) + "\n", "sweep table")
     _echo_config(cfg, "sweep")
     click.echo(f"sweep written to {sweep_path}")
 

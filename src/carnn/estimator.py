@@ -12,24 +12,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ParamsMixin, as_interactions, as_query_rows, check_is_fitted
+from .base import ParamsMixin, as_interactions, as_query_rows, as_timestamp, check_is_fitted
 from .context import ContextScheme, annotate_sequences, input_context, transition_bin
-from .data import TIMESTAMP_LIMIT, InteractionLog, build_sequences, full_train_split
-from .errors import ConfigError, DataError
+from .data import InteractionLog, build_sequences, full_train_split
+from .errors import DataError
 from .model import ModelConfig, forward_states, init_params, score_all
 from .training import TrainConfig, train
 
 
-def query_context(timestamp: int, last_t: int, scheme: ContextScheme) -> tuple[int, int]:
+def query_context(timestamp, last_t: int, scheme: ContextScheme) -> tuple[int, int]:
     """Input context and gap bin of a query at ``timestamp`` after a last
     event at ``last_t``; shared by the estimator and ``carnn predict``.
 
-    Raises ConfigError unless 0 <= timestamp < data.TIMESTAMP_LIMIT, the
-    range parsed logs and ``fit`` accept, and DataError if it precedes
-    ``last_t``.
+    Raises ConfigError unless ``base.as_timestamp`` accepts the timestamp,
+    as parsed logs and ``fit`` do, and DataError if it precedes ``last_t``.
     """
-    if not 0 <= timestamp < TIMESTAMP_LIMIT:
-        raise ConfigError(f"timestamp {timestamp} is outside [0, {TIMESTAMP_LIMIT})")
+    timestamp = as_timestamp(timestamp)
     return input_context(timestamp, scheme), transition_bin(timestamp, last_t, scheme)
 
 
@@ -124,7 +122,7 @@ class CARNNRecommender(ParamsMixin):
         self._state_cache[user] = state
         return state
 
-    def _scores_for(self, user: str, timestamp: int) -> np.ndarray:
+    def _scores_for(self, user: str, timestamp) -> np.ndarray:
         h, last_t = self._user_state(user)
         return score_all(h, *query_context(timestamp, last_t, self.scheme_), self.params_)
 
@@ -146,7 +144,7 @@ class CARNNRecommender(ParamsMixin):
     def recommend(self, user, timestamp, n: int = 10) -> list[tuple[str, float]]:
         """Top-n (item id, score) pairs for one user at one timestamp."""
         check_is_fitted(self, "params_")
-        scores = self._scores_for(str(user), int(timestamp))
+        scores = self._scores_for(str(user), timestamp)
         n = min(n, self.n_items_)
         top = np.argsort(-scores, kind="stable")[:n]
         return [(self.item_ids_[i], float(scores[i])) for i in top]

@@ -26,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigError, FormatError, InputOutputError
+from .errors import (CompatibilityError, ConfigError, FormatError, InputOutputError,
+                     NumericalError)
 from .linalg import sigmoid_vec
 from .seeding import named_rng
+from .store import write_atomic
 
 MAGIC = b"CARN"
 FORMAT_VERSION = 1
@@ -242,14 +244,9 @@ def save_params(p: ModelParams, path: str) -> None:
         1 if cfg.use_input_contexts else 0,
         1 if cfg.use_transition_contexts else 0,
     )
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(p.R.astype("<f8").tobytes())
-            fh.write(p.M_bank.astype("<f8").tobytes())
-            fh.write(p.W_bank.astype("<f8").tobytes())
-    except OSError as exc:
-        raise InputOutputError(f"cannot write model file {path}: {exc}") from exc
+    write_atomic(path, b"".join([header, p.R.astype("<f8").tobytes(),
+                                 p.M_bank.astype("<f8").tobytes(),
+                                 p.W_bank.astype("<f8").tobytes()]), "model file")
 
 
 def load_params(path: str, seed: int = 0) -> ModelParams:
@@ -294,7 +291,16 @@ def load_params(path: str, seed: int = 0) -> ModelParams:
     R = take((n_items, d))
     M_bank = take((n_m, d, d))
     W_bank = take((n_w, d, d))
+    for name, bank in (("R", R), ("M_bank", M_bank), ("W_bank", W_bank)):
+        if (bad := first_non_finite(bank)) is not None:
+            raise NumericalError(f"{path}: non-finite value in {name}[{bad}]")
     return ModelParams(config, R, M_bank, W_bank)
+
+
+def first_non_finite(block: np.ndarray) -> int | None:
+    """Index of the first row of ``block`` that holds a NaN or an infinity."""
+    finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def check_vocab_compatibility(p: ModelParams, n_items: int) -> None:

@@ -9,6 +9,7 @@ requires.
 from __future__ import annotations
 
 import datetime as _dt
+import os
 import struct
 
 import numpy as np
@@ -21,6 +22,21 @@ MAGIC = b"CASQ"
 VERSION = 1
 
 _FACTOR_ORDER = list(FACTOR_CARDINALITIES)
+
+
+def write_atomic(path: str, data: bytes | str, what: str) -> None:
+    """Write ``data`` (text as UTF-8) to a file beside ``path``, then ``os.replace``
+    it over ``path``, which never holds a part of it; OSError is InputOutputError."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise InputOutputError(f"cannot write {what} {path}: {exc}") from exc
+    finally:
+        if os.path.lexists(tmp):  # only when something failed
+            os.unlink(tmp)
 
 
 def _pack_str(s: str) -> bytes:
@@ -88,11 +104,7 @@ def write_cache(path: str, split: SplitSet) -> None:
         parts.append(seq.timestamps.astype("<i8").tobytes())
         parts.append(seq.input_ctxs.astype("<u4").tobytes())
         parts.append(seq.trans_bins.astype("<u4").tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(parts))
-    except OSError as exc:
-        raise InputOutputError(f"cannot write cache {path}: {exc}") from exc
+    write_atomic(path, b"".join(parts), "cache")
 
 
 def read_cache(path: str) -> SplitSet:

@@ -19,8 +19,9 @@ import numpy as np
 
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
-from .model import ModelParams, activation_grad, forward_states
+from .model import ModelParams, activation_grad, first_non_finite, forward_states
 from .seeding import named_rng
+from .store import write_atomic
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,6 @@ class TrainConfig:
             raise ConfigError("negatives_per_positive must be >= 1")
         if self.bptt_window is not None and self.bptt_window < 0:
             raise ConfigError("bptt_window must be None or >= 0")
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    """One ranking pair: predict step ``position`` (0-based) of a sequence."""
-
-    position: int
-    pos_item: int
-    neg_item: int
-    input_ctx: int
-    trans_bin: int
-
-    def __post_init__(self):
-        if self.pos_item == self.neg_item:
-            raise ConfigError("negative item must differ from the positive")
 
 
 @dataclass
@@ -112,140 +98,136 @@ def _forward(seq: UserSequence, p: ModelParams):
     """``forward_states`` of a training view, plus the item, M slot and W slot
     of every step, which the backward pass indexes."""
     H = forward_states(seq, p)
-    L = len(seq)
-    cfg = p.config
-    m_slots = seq.input_ctxs.tolist() if cfg.use_input_contexts else [0] * L
-    w_slots = seq.trans_bins.tolist() if cfg.use_transition_contexts else [0] * L
+    zeros = [0] * len(seq)
+    m_slots = seq.input_ctxs.tolist() if p.config.use_input_contexts else zeros
+    w_slots = seq.trans_bins.tolist() if p.config.use_transition_contexts else zeros
     return H, seq.items.tolist(), m_slots, w_slots
 
 
-def _pair_gradients(fwd, examples, p: ModelParams, cfg: TrainConfig,
+def _pair_gradients(fwd, negatives: np.ndarray, p: ModelParams, cfg: TrainConfig,
                     buf: GradientBuffer) -> float:
     """Accumulate gradients of the summed pair losses into ``buf``.
 
-    ``fwd`` is what ``_forward`` returns. Returns the summed loss.
+    ``fwd`` is what ``_forward`` returns and ``negatives`` what
+    ``make_examples`` returns: row j holds the negatives scored against the
+    item at position j. Returns the summed loss.
     """
     R, M, W = p.R, p.M_bank, p.W_bank
-    Hfull, _, _, w_slots = fwd
-    L = len(Hfull) - 1
+    Hfull, items, m_slots, w_slots = fwd
+    negatives = _check_negatives(negatives, items, p.config.n_items)
     dh = np.zeros_like(Hfull)
     total_loss = 0.0
 
-    for ex in examples:
-        j = ex.position
-        if not (0 <= j < L):
-            raise ConfigError(f"example position {j} outside the sequence (length {L})")
-        ms = p.input_slot(ex.input_ctx)
-        ws = p.trans_slot(ex.trans_bin)
-        Msc = M[ms]
-        Wsc = W[ws]
-        h = Hfull[j]
-        r_pos = R[ex.pos_item]
-        r_neg = R[ex.neg_item]
+    for j, negs in enumerate(negatives.tolist()):
+        pos, ms, ws = items[j], m_slots[j], w_slots[j]
+        Msc, Wsc, h, r_pos = M[ms], W[ws], Hfull[j], R[pos]
         q = h @ Wsc
         p_pos = r_pos @ Msc
-        p_neg = r_neg @ Msc
         y_pos = float(q @ p_pos)
-        y_neg = float(q @ p_neg)
-        total_loss += bpr_pair_loss(y_pos, y_neg)
+        for neg in negs:
+            r_neg = R[neg]
+            p_neg = r_neg @ Msc
+            y_neg = float(q @ p_neg)
+            total_loss += bpr_pair_loss(y_pos, y_neg)
 
-        x = y_pos - y_neg
-        # d loss / d y_pos = -sigmoid(-x); keep exp() arguments non-positive
-        if x >= 0.0:
-            e = math.exp(-x)
-            g = -e / (1.0 + e)
-        else:
-            g = -1.0 / (1.0 + math.exp(x))
-        if g == 0.0:
-            continue
+            x = y_pos - y_neg
+            # d loss / d y_pos = -sigmoid(-x); keep exp() arguments non-positive
+            if x >= 0.0:
+                e = math.exp(-x)
+                g = -e / (1.0 + e)
+            else:
+                g = -1.0 / (1.0 + math.exp(x))
+            if g == 0.0:
+                continue
 
-        u = g * (q @ Msc.T)
-        buf.dR[ex.pos_item] += u
-        buf.dR[ex.neg_item] -= u
-        buf.touched_items.add(int(ex.pos_item))
-        buf.touched_items.add(int(ex.neg_item))
+            u = g * (q @ Msc.T)
+            buf.dR[pos] += u
+            buf.dR[neg] -= u
+            buf.touched_items.add(pos)
+            buf.touched_items.add(neg)
 
-        diff = p_pos - p_neg
-        buf.dW_bank[ws] += np.outer(h, g * diff)
-        buf.touched_w.add(ws)
-        buf.dM_bank[ms] += np.outer(g * (r_pos - r_neg), q)
-        buf.touched_m.add(ms)
-        dh[j] += g * (diff @ Wsc.T)
+            diff = p_pos - p_neg
+            buf.dW_bank[ws] += np.outer(h, g * diff)
+            buf.touched_w.add(ws)
+            buf.dM_bank[ms] += np.outer(g * (r_pos - r_neg), q)
+            buf.touched_m.add(ms)
+            dh[j] += g * (diff @ Wsc.T)
 
+    if cfg.bptt_window == 0:
+        return total_loss  # scoring-path gradients only
+    act = activation_grad(Hfull, p.config)
     if cfg.bptt_window is None:
         # single reverse sweep: each dh[j] already carries all downstream error
-        act = activation_grad(Hfull, p.config)
-        for j in range(L - 1, -1, -1):
-            if not dh[j + 1].any():
-                continue
-            dz = dh[j + 1] * act[j + 1]
-            _recurrence_grads(fwd, j, dz, p, buf)
-            dh[j] += dz @ W[w_slots[j]].T
-    elif cfg.bptt_window > 0:
+        for j in range(len(items) - 1, -1, -1):
+            if dh[j + 1].any():
+                dh[j] += _recurrence_grads(fwd, act, j, dh[j + 1], p, buf)
+    else:
         # truncated: unroll each position's error at most bptt_window steps
-        act = activation_grad(Hfull, p.config)
-        for j in range(L):
+        for j in range(len(items)):
             cur = dh[j]
-            if not cur.any():
-                continue
-            steps = 0
-            for s in range(j - 1, -1, -1):
-                if steps >= cfg.bptt_window:
-                    break
-                dz = cur * act[s + 1]
-                _recurrence_grads(fwd, s, dz, p, buf)
-                cur = dz @ W[w_slots[s]].T
-                steps += 1
-    # bptt_window == 0: scoring-path gradients only
+            if cur.any():
+                for s in range(j - 1, max(j - 1 - cfg.bptt_window, -1), -1):
+                    cur = _recurrence_grads(fwd, act, s, cur, p, buf)
     return total_loss
 
 
-def _recurrence_grads(fwd, j: int, dz: np.ndarray, p: ModelParams,
-                      buf: GradientBuffer) -> None:
+def _check_negatives(negatives, items: list[int], n_items: int) -> np.ndarray:
+    """``negatives`` as an array; ConfigError unless it has one row of item ids
+    per position, each in [0, n_items) and not that position's positive."""
+    negatives = np.asarray(negatives)
+    if negatives.ndim != 2 or len(negatives) != len(items) or negatives.dtype.kind not in "iu":
+        raise ConfigError(f"negatives must be integer ids with one row for each of the "
+                          f"{len(items)} positions, got {negatives.dtype} {negatives.shape}")
+    bad = (negatives < 0) | (negatives >= n_items)
+    if bad.any():
+        raise ConfigError(f"negative item {negatives[bad][0]} out of range [0, {n_items})")
+    same = (negatives == np.asarray(items, dtype=np.int64)[:, None]).any(axis=1)
+    if same.any():
+        j = int(np.argmax(same))
+        raise ConfigError(f"negative item {items[j]} at position {j} equals its positive")
+    return negatives
+
+
+def _recurrence_grads(fwd, act: np.ndarray, j: int, dh_next: np.ndarray, p: ModelParams,
+                      buf: GradientBuffer) -> np.ndarray:
+    """One backward step through step j: accumulate the gradients of the
+    error ``dh_next`` on state j+1 into ``buf`` and return the error it
+    sends to state j. ``act`` is ``activation_grad`` of every state."""
     Hfull, items, m_slots, w_slots = fwd
-    v = items[j]
-    ms = m_slots[j]
-    ws = w_slots[j]
+    dz = dh_next * act[j + 1]
+    v, ms, ws = items[j], m_slots[j], w_slots[j]
     buf.dR[v] += dz @ p.M_bank[ms].T
     buf.dM_bank[ms] += np.outer(p.R[v], dz)
     buf.dW_bank[ws] += np.outer(Hfull[j], dz)
     buf.touched_items.add(v)
     buf.touched_m.add(ms)
     buf.touched_w.add(ws)
+    return dz @ p.W_bank[ws].T
 
 
-def backprop_sequence(seq: UserSequence, examples, p: ModelParams,
+def backprop_sequence(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
                       cfg: TrainConfig) -> GradientBuffer:
     """Exact gradient of the summed pair losses (regularizer excluded)."""
     buf = GradientBuffer(p)
-    _pair_gradients(_forward(seq, p), examples, p, cfg, buf)
+    _pair_gradients(_forward(seq, p), negatives, p, cfg, buf)
     return buf
 
 
-def sequence_loss(seq: UserSequence, examples, p: ModelParams) -> float:
-    """Summed pair loss of the given examples under the current parameters,
+def sequence_loss(seq: UserSequence, negatives: np.ndarray, p: ModelParams) -> float:
+    """Summed pair loss of the given negatives under the current parameters,
     scored by ``_pair_gradients`` itself; its scoring-path gradients go to a
     scratch buffer and nothing is back-propagated."""
-    return _pair_gradients(_forward(seq, p), examples, p, TrainConfig(bptt_window=0),
+    return _pair_gradients(_forward(seq, p), negatives, p, TrainConfig(bptt_window=0),
                            GradientBuffer(p))
 
 
 def make_examples(seq: UserSequence, n_items: int, rng: np.random.Generator,
-                  negatives_per_positive: int = 1) -> list[TrainingExample]:
-    """One example per predictable position (times the negative multiplicity),
-    with fresh uniform negatives."""
-    examples = []
-    for j in range(len(seq)):
-        for _ in range(negatives_per_positive):
-            neg = sample_negative(rng, int(seq.items[j]), n_items)
-            examples.append(TrainingExample(
-                position=j,
-                pos_item=int(seq.items[j]),
-                neg_item=neg,
-                input_ctx=int(seq.input_ctxs[j]),
-                trans_bin=int(seq.trans_bins[j]),
-            ))
-    return examples
+                  negatives_per_positive: int = 1) -> np.ndarray:
+    """Fresh uniform negatives for every predictable position: an int64
+    (len(seq), negatives_per_positive) array, drawn position by position."""
+    rows = [[sample_negative(rng, pos, n_items) for _ in range(negatives_per_positive)]
+            for pos in seq.items.tolist()]
+    return np.array(rows, dtype=np.int64).reshape(len(seq), negatives_per_positive)
 
 
 def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams:
@@ -258,10 +240,8 @@ def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams
             return
         idx = sorted(touched)
         block = grad[idx]
-        finite = np.isfinite(block).reshape(len(idx), -1).all(axis=1)
-        if not finite.all():
-            bad = idx[int(np.argmin(finite))]
-            raise NumericalError(f"non-finite gradient in {name}[{bad}]")
+        if (bad := first_non_finite(block)) is not None:
+            raise NumericalError(f"non-finite gradient in {name}[{idx[bad]}]")
         theta[idx] -= lr * (block + l2 * theta[idx])
 
     apply(p.R, g.dR, g.touched_items, "R")
@@ -299,9 +279,9 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
             if n_tr < 1:
                 continue
             view = _train_view(seqs[si], n_tr)
-            examples = make_examples(view, n_items, neg_rng, cfg.negatives_per_positive)
-            loss_sum += _pair_gradients(_forward(view, p), examples, p, cfg, buf)
-            loss_count += len(examples)
+            negatives = make_examples(view, n_items, neg_rng, cfg.negatives_per_positive)
+            loss_sum += _pair_gradients(_forward(view, p), negatives, p, cfg, buf)
+            loss_count += negatives.size
             try:
                 sgd_step(p, buf, cfg)
             except NumericalError as exc:
@@ -313,10 +293,8 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
 
 
 def write_loss_trace(trace: list[EpochStats], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_pair_loss,wall_seconds\n")
-        for row in trace:
-            fh.write(f"{row.epoch},{row.mean_pair_loss!r},{row.wall_seconds:.3f}\n")
+    rows = [f"{row.epoch},{row.mean_pair_loss!r},{row.wall_seconds:.3f}\n" for row in trace]
+    write_atomic(path, "epoch,mean_pair_loss,wall_seconds\n" + "".join(rows), "loss trace")
 
 
 @dataclass
@@ -333,18 +311,18 @@ class GradCheckReport:
 
 
 def gradient_check(p: ModelParams, seq: UserSequence, cfg: TrainConfig,
-                   epsilon: float = 1e-5, examples=None, perturb=None) -> GradCheckReport:
+                   epsilon: float = 1e-5, negatives=None, perturb=None) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Negatives are frozen into one example list reused for every evaluation.
+    Negatives are drawn once and reused for every evaluation.
     Relative error per coordinate is |a-b| / max(|a|, |b|, 1e-8). Meant for
     tiny models (every coordinate costs two objective evaluations), and for
     the unlimited-window configuration, whose gradients are exact.
     """
-    if examples is None:
-        rng = named_rng(cfg.seed, "negatives")
-        examples = make_examples(seq, p.config.n_items, rng, cfg.negatives_per_positive)
-    buf = backprop_sequence(seq, examples, p, cfg)
+    if negatives is None:
+        negatives = make_examples(seq, p.config.n_items, named_rng(cfg.seed, "negatives"),
+                                  cfg.negatives_per_positive)
+    buf = backprop_sequence(seq, negatives, p, cfg)
     if perturb is not None:
         perturb(buf)
 
@@ -362,9 +340,9 @@ def gradient_check(p: ModelParams, seq: UserSequence, cfg: TrainConfig,
         for i in range(flat_theta.shape[0]):
             orig = flat_theta[i]
             flat_theta[i] = orig + epsilon
-            j_plus = sequence_loss(seq, examples, p)
+            j_plus = sequence_loss(seq, negatives, p)
             flat_theta[i] = orig - epsilon
-            j_minus = sequence_loss(seq, examples, p)
+            j_minus = sequence_loss(seq, negatives, p)
             flat_theta[i] = orig
             fd = (j_plus - j_minus) / (2.0 * epsilon)
             an = flat_grad[i]

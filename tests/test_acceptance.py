@@ -24,7 +24,7 @@ from carnn.linalg import sigmoid_vec
 from carnn.model import (ModelConfig, ModelParams, forward_states, init_params,
                          score)
 from carnn.seeding import named_rng
-from carnn.training import TrainConfig, TrainingExample, gradient_check, train
+from carnn.training import TrainConfig, gradient_check, train
 from conftest import ml1m_path, ml1m_required
 
 runner = CliRunner()

@@ -10,7 +10,7 @@ from carnn.cli import cli, config_text, load_run_config
 from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatError,
                           InputOutputError, NumericalError)
 from carnn.evaluate import generate_synthetic, report_from_json, write_interactions_csv
-from carnn.model import load_params
+from carnn.model import load_params, save_params
 
 
 runner = CliRunner()
@@ -254,6 +254,18 @@ class TestEval:
                         "--out", str(tmp_path / "x"))
         assert result.exit_code == CompatibilityError.exit_code
         assert "12" in result.output and "40" in result.output
+
+    def test_nan_model_exits_numerical(self, workdir, tmp_path):
+        params = load_params(workdir["models"]["carnn"])
+        params.R[:] = np.nan
+        path = str(tmp_path / "nan.carn")
+        save_params(params, path)
+        out = str(tmp_path / "eval-nan")
+        result = invoke("eval", "--config", workdir["cfg"], "--variant", "carnn",
+                        "--out", out, "--cache", workdir["cache"], "--model", path)
+        assert result.exit_code == NumericalError.exit_code
+        assert "non-finite value in R[0]" in result.output
+        assert not os.path.exists(os.path.join(out, "metrics.json"))
 
     def test_byte_identical_reports(self, workdir, tmp_path):
         _, _, out_a = self.eval_variant(workdir, tmp_path, "carnn", workdir["models"]["carnn"])

@@ -104,6 +104,39 @@ class TestFitPredict:
         with pytest.raises(ConfigError, match=f"timestamp {timestamp} is outside"):
             est.predict_scores([["u0", timestamp]])
 
+    @pytest.mark.parametrize("timestamp", ["abc", float("nan"), float("inf"), -float("inf"),
+                                           1e9 + 0.7, np.float64(1e9 + 0.5), None])
+    def test_query_timestamp_not_a_whole_number_rejected(self, timestamp):
+        est = self.fitted()
+        with pytest.raises(ConfigError, match="is not a whole number"):
+            est.recommend("u0", timestamp)
+        with pytest.raises(ConfigError, match="is not a whole number"):
+            est.predict_scores([["u0", timestamp]])
+
+    @pytest.mark.parametrize("timestamp", ["abc", float("nan"), float("inf"), 1e9 + 0.7])
+    def test_fit_timestamp_not_a_whole_number_rejected(self, timestamp):
+        rows = interaction_rows() + [("u0", "i1", timestamp)]
+        with pytest.raises(ConfigError, match="is not a whole number"):
+            CARNNRecommender(d=4, epochs=1).fit(rows)
+
+    def test_whole_number_timestamps_of_any_type_accepted(self):
+        est = self.fitted()
+        t = 946857600 + 400 * SECONDS_PER_DAY
+        expected = est.predict_scores([["u0", t]])
+        for same in (float(t), np.int64(t), np.float64(t), np.int32(t), str(t)):
+            assert est.recommend("u0", same, n=3) == est.recommend("u0", t, n=3)
+            assert np.array_equal(est.predict_scores([["u0", same]]), expected)
+        as_floats = [(u, i, float(ts)) for u, i, ts in interaction_rows()]
+        refit = self.fitted().fit(as_floats)
+        assert np.array_equal(refit.params_.R, est.params_.R)
+
+    def test_interaction_objects_are_range_checked(self):
+        from carnn.data import Interaction
+        rows = [Interaction(*row) for row in interaction_rows()]
+        rows.append(Interaction("u0", "i1", 10**12))
+        with pytest.raises(ConfigError, match="timestamp 1000000000000 is outside"):
+            CARNNRecommender(d=4, epochs=1).fit(rows)
+
     def test_query_timestamp_before_history_rejected(self):
         est = self.fitted()
         with pytest.raises(DataError, match="out of order"):

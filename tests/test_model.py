@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from carnn.data import UserSequence
-from carnn.errors import CompatibilityError, ConfigError, FormatError
+from carnn.errors import CompatibilityError, ConfigError, FormatError, NumericalError
 from carnn.linalg import sigmoid_vec
 from carnn.model import (ModelConfig, ModelParams, check_vocab_compatibility,
                          forward_states, hidden_step, init_params, load_params,
@@ -313,6 +313,17 @@ class TestPersistence:
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-8])
         with pytest.raises(FormatError, match="length"):
+            load_params(path)
+
+    @pytest.mark.parametrize("bank,index,value", [("R", 4, float("nan")),
+                                                   ("M_bank", 2, float("inf")),
+                                                   ("W_bank", 0, -float("inf"))])
+    def test_non_finite_tensor_rejected(self, tmp_path, bank, index, value):
+        p = self.make_params()
+        getattr(p, bank)[index].reshape(-1)[-1] = value
+        path = str(tmp_path / "m.carn")
+        save_params(p, path)
+        with pytest.raises(NumericalError, match=rf"non-finite value in {bank}\[{index}\]"):
             load_params(path)
 
     def test_vocab_compatibility_names_both_sizes(self):

@@ -6,7 +6,7 @@ import pytest
 from carnn import store
 from carnn.context import ContextScheme, annotate_sequences
 from carnn.data import split_sequences
-from carnn.errors import FormatError
+from carnn.errors import FormatError, InputOutputError
 from carnn.evaluate import generate_synthetic
 
 
@@ -72,3 +72,55 @@ class TestCache:
             fh.write(b"extra")
         with pytest.raises(FormatError, match="trailing"):
             store.read_cache(path)
+
+
+class _FailingFile:
+    """Writes half of what it is given, then fails as a full disk would."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, make_split())
+        old = open(path, "rb").read()
+        monkeypatch.setattr(store, "open", _FailingFile, raising=False)
+        with pytest.raises(InputOutputError, match="cannot write cache .*No space left"):
+            store.write_cache(path, make_split())
+        assert open(path, "rb").read() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.bin"]
+
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "out.txt")
+        store.write_atomic(path, "old\n", "text")
+
+        def no_replace(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(store.os, "replace", no_replace)
+        with pytest.raises(InputOutputError, match="cannot write text"):
+            store.write_atomic(path, "new\n", "text")
+        assert open(path, "rb").read() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_missing_directory_is_io_error(self, tmp_path):
+        with pytest.raises(InputOutputError, match="cannot write model file"):
+            store.write_atomic(str(tmp_path / "absent" / "m.carn"), b"x", "model file")
+
+    def test_text_is_written_as_utf8(self, tmp_path):
+        path = str(tmp_path / "t.txt")
+        store.write_atomic(path, "epoch\u00e9\n", "text")
+        assert open(path, "rb").read() == "epoch\u00e9\n".encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]

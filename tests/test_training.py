@@ -10,10 +10,9 @@ from carnn.errors import ConfigError, NumericalError
 from carnn.evaluate import generate_synthetic
 from carnn.model import ModelConfig, ModelParams, init_params, load_params, save_params
 from carnn.seeding import named_rng
-from carnn.training import (EpochStats, GradientBuffer, TrainConfig, TrainingExample,
-                            backprop_sequence, bpr_pair_loss, gradient_check,
-                            make_examples, sample_negative, sequence_loss, sgd_step,
-                            train, write_loss_trace)
+from carnn.training import (EpochStats, GradientBuffer, TrainConfig, backprop_sequence,
+                            bpr_pair_loss, gradient_check, make_examples, sample_negative,
+                            sequence_loss, sgd_step, train, write_loss_trace)
 
 
 def tiny_fixture(seed=0, activation="sigmoid", init_scale=0.1, d=3, n_items=5,
@@ -109,8 +108,9 @@ class TestBackprop:
         p = ModelParams(config, R.copy(), M.copy(), W.copy())
         seq = UserSequence("u", np.array([0, 1]), np.array([0, 1000]),
                            np.array([0, 0]), np.array([1, 0]))
-        ex = TrainingExample(position=1, pos_item=1, neg_item=2, input_ctx=0, trans_bin=0)
-        buf = backprop_sequence(seq, [ex], p, TrainConfig())
+        # position 0 scores from the zero state, so its pair adds nothing to
+        # any gradient; position 1 ranks item 1 over item 2
+        buf = backprop_sequence(seq, np.array([[1], [2]]), p, TrainConfig())
 
         sig = lambda x: 1.0 / (1.0 + math.exp(-x))
         h1 = sig(0.3 * 0.7)
@@ -131,8 +131,8 @@ class TestBackprop:
         # lr=0 training leaves parameters untouched while gradients exist
         params, seq = tiny_fixture(4)
         before = copy.deepcopy(params)
-        examples = make_examples(seq, 5, named_rng(4, "negatives"))
-        buf = backprop_sequence(seq, examples, params, TrainConfig(learning_rate=0.0))
+        negatives = make_examples(seq, 5, named_rng(4, "negatives"))
+        buf = backprop_sequence(seq, negatives, params, TrainConfig(learning_rate=0.0))
         assert np.abs(buf.dR).sum() > 0
         sgd_step(params, buf, TrainConfig(learning_rate=0.0, l2=0.0))
         assert np.array_equal(params.R, before.R)
@@ -168,37 +168,74 @@ class TestBackprop:
 
     def test_truncated_window_covering_sequence_equals_full(self):
         params, seq = tiny_fixture(3)
-        examples = make_examples(seq, 5, named_rng(3, "negatives"))
-        full = backprop_sequence(seq, examples, params, TrainConfig(bptt_window=None))
-        wide = backprop_sequence(seq, examples, params, TrainConfig(bptt_window=len(seq)))
+        negatives = make_examples(seq, 5, named_rng(3, "negatives"))
+        full = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=None))
+        wide = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=len(seq)))
         assert np.allclose(full.dR, wide.dR, atol=1e-15)
         assert np.allclose(full.dM_bank, wide.dM_bank, atol=1e-15)
         assert np.allclose(full.dW_bank, wide.dW_bank, atol=1e-15)
 
     def test_short_window_truncates(self):
         params, seq = tiny_fixture(3)
-        examples = make_examples(seq, 5, named_rng(3, "negatives"))
-        full = backprop_sequence(seq, examples, params, TrainConfig(bptt_window=None))
-        short = backprop_sequence(seq, examples, params, TrainConfig(bptt_window=1))
+        negatives = make_examples(seq, 5, named_rng(3, "negatives"))
+        full = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=None))
+        short = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=1))
         assert not np.allclose(full.dR, short.dR)
 
     def test_zero_window_touches_only_scoring_parameters(self):
         params, seq = tiny_fixture(3)
-        examples = make_examples(seq, 5, named_rng(3, "negatives"))
-        buf = backprop_sequence(seq, examples, params, TrainConfig(bptt_window=0))
-        # without unrolling, only items named by the examples carry gradient
-        example_items = {e.pos_item for e in examples} | {e.neg_item for e in examples}
-        assert buf.touched_items == example_items
-
-    def test_position_outside_sequence_rejected(self):
-        params, seq = tiny_fixture(0)
-        bad = TrainingExample(position=99, pos_item=0, neg_item=1, input_ctx=0, trans_bin=0)
-        with pytest.raises(ConfigError):
-            backprop_sequence(seq, [bad], params, TrainConfig())
+        negatives = make_examples(seq, 5, named_rng(3, "negatives"))
+        buf = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=0))
+        # without unrolling, only the positives and their negatives carry gradient
+        assert buf.touched_items == set(seq.items.tolist()) | set(negatives.ravel().tolist())
 
     def test_example_requires_distinct_items(self):
-        with pytest.raises(ConfigError):
-            TrainingExample(position=0, pos_item=2, neg_item=2, input_ctx=0, trans_bin=0)
+        params, seq = tiny_fixture(0)
+        negatives = make_examples(seq, 5, named_rng(0, "negatives"))
+        negatives[2, 0] = seq.items[2]
+        with pytest.raises(ConfigError, match="position 2 equals its positive"):
+            backprop_sequence(seq, negatives, params, TrainConfig())
+
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_negatives_need_one_row_per_position(self, rows):
+        params, seq = tiny_fixture(0)
+        with pytest.raises(ConfigError, match="one row for each of the 6 positions"):
+            backprop_sequence(seq, np.ones((rows, 1), dtype=np.int64), params, TrainConfig())
+
+    def test_negatives_must_be_integer_ids(self):
+        params, seq = tiny_fixture(0)
+        with pytest.raises(ConfigError, match="integer ids"):
+            sequence_loss(seq, np.ones((6, 1)), params)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_negatives_rejected(self, bad):
+        # -1 would otherwise train R's last row; n_items would index past R
+        params, seq = tiny_fixture(0)
+        negatives = make_examples(seq, 5, named_rng(0, "negatives"))
+        negatives[4, 0] = bad
+        before = copy.deepcopy(params)
+        with pytest.raises(ConfigError, match=f"negative item {bad} out of range"):
+            backprop_sequence(seq, negatives, params, TrainConfig())
+        with pytest.raises(ConfigError, match=f"negative item {bad} out of range"):
+            gradient_check(params, seq, TrainConfig(), negatives=negatives)
+        assert np.array_equal(params.R, before.R)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_make_examples_is_the_sample_negative_stream(self, k):
+        # the draws behind byte-identical model files: position by position,
+        # then negative by negative, one sample_negative call each
+        params, seq = tiny_fixture(1, length=9)
+        negatives = make_examples(seq, 5, named_rng(1, "negatives"), k)
+        rng = named_rng(1, "negatives")
+        expected = [[sample_negative(rng, int(pos), 5) for _ in range(k)] for pos in seq.items]
+        assert negatives.dtype == np.int64 and negatives.shape == (9, k)
+        assert negatives.tolist() == expected
+
+    def test_make_examples_of_an_empty_sequence(self):
+        params, seq = tiny_fixture(0, length=0)
+        negatives = make_examples(seq, 5, named_rng(0, "negatives"), 2)
+        assert negatives.shape == (0, 2) and negatives.dtype == np.int64
+        assert sequence_loss(seq, negatives, params) == 0.0
 
 
 class TestSgdStep:
@@ -341,14 +378,14 @@ class TestTrain:
 class TestObjectiveHelpers:
     def test_sequence_loss_matches_pair_loss_sum(self):
         params, seq = tiny_fixture(2)
-        examples = make_examples(seq, 5, named_rng(2, "negatives"))
+        negatives = make_examples(seq, 5, named_rng(2, "negatives"), 2)
         from carnn.model import forward_states, score
 
         states = forward_states(seq, params)
         expected = 0.0
-        for ex in examples:
-            h = states[ex.position]
-            y_pos = score(h, ex.pos_item, ex.input_ctx, ex.trans_bin, params)
-            y_neg = score(h, ex.neg_item, ex.input_ctx, ex.trans_bin, params)
-            expected += bpr_pair_loss(y_pos, y_neg)
-        assert sequence_loss(seq, examples, params) == pytest.approx(expected, rel=1e-12)
+        for j, negs in enumerate(negatives):
+            ctx, bin_ = seq.input_ctxs[j], seq.trans_bins[j]
+            y_pos = score(states[j], seq.items[j], ctx, bin_, params)
+            for neg in negs:
+                expected += bpr_pair_loss(y_pos, score(states[j], neg, ctx, bin_, params))
+        assert sequence_loss(seq, negatives, params) == pytest.approx(expected, rel=1e-12)
