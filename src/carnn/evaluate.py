@@ -22,6 +22,7 @@ from .data import SequenceSet, SplitSet, UserSequence
 from .errors import ConfigError, DataError
 from .model import ModelParams, hidden_step, score_all
 from .seeding import named_rng
+from .store import write_atomic
 
 DEFAULT_KS = (1, 5, 10)
 
@@ -321,7 +322,6 @@ def write_interactions_csv(seqs: SequenceSet, path: str) -> None:
     """Dump a sequence set as user,item,timestamp rows (file order = per-user
     step order), so synthetic fixtures can drive the file-based pipeline."""
     item_ids = seqs.item_ids()
-    with open(path, "w", encoding="utf-8") as fh:
-        for seq in seqs.sequences:
-            for j in range(len(seq)):
-                fh.write(f"{seq.user},{item_ids[int(seq.items[j])]},{int(seq.timestamps[j])}\n")
+    rows = [f"{seq.user},{item_ids[item]},{t}\n" for seq in seqs.sequences
+            for item, t in zip(seq.items.tolist(), seq.timestamps.tolist())]
+    write_atomic(path, "".join(rows), "interactions file")

@@ -118,9 +118,6 @@ class ModelParams:
             raise ConfigError(f"item index {item} out of range [0, {self.config.n_items})")
         return self.R[int(item)]
 
-    def n_parameters(self) -> int:
-        return self.R.size + self.M_bank.size + self.W_bank.size
-
 
 def activate(z: np.ndarray, config: ModelConfig) -> np.ndarray:
     if config.activation == "identity":

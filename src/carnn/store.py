@@ -16,7 +16,7 @@ import numpy as np
 
 from .context import FACTOR_CARDINALITIES, ContextScheme
 from .data import SequenceSet, SplitSet, UserSequence
-from .errors import FormatError, InputOutputError
+from .errors import ConfigError, FormatError, InputOutputError
 
 MAGIC = b"CASQ"
 VERSION = 1
@@ -128,11 +128,12 @@ def read_cache(path: str) -> SplitSet:
             raise FormatError(f"{path}: unknown factor index {fi}")
         factors.append(_FACTOR_ORDER[fi])
     (n_holidays,) = r.take("<I")
-    holidays = set()
-    for _ in range(n_holidays):
-        (ordinal,) = r.take("<i")
-        holidays.add(_dt.date.fromordinal(ordinal))
-    scheme = ContextScheme(tuple(factors), frozenset(holidays), max_days, tz)
+    ordinals = [r.take("<i")[0] for _ in range(n_holidays)]
+    try:
+        holidays = frozenset(_dt.date.fromordinal(o) for o in ordinals)
+        scheme = ContextScheme(tuple(factors), holidays, max_days, tz)
+    except (ValueError, ConfigError) as exc:
+        raise FormatError(f"{path}: invalid context scheme in cache: {exc}") from exc
 
     n_users, n_items = r.take("<II")
     user_ids = [r.take_str() for _ in range(n_users)]
@@ -148,9 +149,19 @@ def read_cache(path: str) -> SplitSet:
         ts = r.take_array("<i8", length)
         ctx = r.take_array("<u4", length)
         bins = r.take_array("<u4", length)
+        if nt > length:
+            raise FormatError(f"{path}: user {user_ids[i]!r} has n_train={nt} "
+                              f"beyond its {length} events")
         sequences.append(UserSequence(user_ids[i], items, ts, ctx, bins))
         n_train[i] = nt
     if r.off != len(blob):
         raise FormatError(f"{path}: {len(blob) - r.off} trailing bytes in cache")
+    for name, field, n in (("item", "items", n_items),
+                           ("input context", "input_ctxs", scheme.n_input_contexts),
+                           ("gap bin", "trans_bins", scheme.n_transition_bins)):
+        # stored unsigned, so only the upper bound can fail
+        ids = np.concatenate([getattr(s, field) for s in sequences] or [np.zeros(0, np.int64)])
+        if ids.size and (top := int(ids.max())) >= n:
+            raise FormatError(f"{path}: {name} id {top} out of range [0, {n})")
     seqs = SequenceSet(sequences, item_vocab, user_vocab, scheme=scheme)
     return SplitSet(seqs, n_train)

@@ -96,12 +96,12 @@ class GradientBuffer:
 
 def _forward(seq: UserSequence, p: ModelParams):
     """``forward_states`` of a training view, plus the item, M slot and W slot
-    of every step, which the backward pass indexes."""
+    of every step, which the scoring path and the backward pass index."""
     H = forward_states(seq, p)
-    zeros = [0] * len(seq)
-    m_slots = seq.input_ctxs.tolist() if p.config.use_input_contexts else zeros
-    w_slots = seq.trans_bins.tolist() if p.config.use_transition_contexts else zeros
-    return H, seq.items.tolist(), m_slots, w_slots
+    zeros = np.zeros(len(seq), dtype=np.int64)
+    m_slots = seq.input_ctxs if p.config.use_input_contexts else zeros
+    w_slots = seq.trans_bins if p.config.use_transition_contexts else zeros
+    return H, np.asarray(seq.items, dtype=np.int64), m_slots, w_slots
 
 
 def _pair_gradients(fwd, negatives: np.ndarray, p: ModelParams, cfg: TrainConfig,
@@ -110,68 +110,60 @@ def _pair_gradients(fwd, negatives: np.ndarray, p: ModelParams, cfg: TrainConfig
 
     ``fwd`` is what ``_forward`` returns and ``negatives`` what
     ``make_examples`` returns: row j holds the negatives scored against the
-    item at position j. Returns the summed loss.
+    item at position j. Every position is scored at once; the gradients of
+    the scoring path and of the recurrence are reduced into the banks once,
+    from per-position buffers. A pair whose derivative underflows to 0
+    touches nothing. Returns the summed loss.
     """
-    R, M, W = p.R, p.M_bank, p.W_bank
     Hfull, items, m_slots, w_slots = fwd
     negatives = _check_negatives(negatives, items, p.config.n_items)
-    dh = np.zeros_like(Hfull)
-    total_loss = 0.0
+    H = Hfull[:-1]
+    Ms, Ws = p.M_bank[m_slots], p.W_bank[w_slots]
+    # column 0 is each position's positive, the others its negatives
+    rows = np.concatenate([items[:, None], negatives], axis=1)
+    Rr = p.R[rows]                                          # (L, 1+k, d)
+    Q = np.matmul(H[:, None, :], Ws)                        # (L, 1, d)
+    P = np.matmul(Rr, Ms)                                   # (L, 1+k, d)
+    y = np.matmul(P, np.swapaxes(Q, 1, 2))[:, :, 0]
+    x = y[:, :1] - y[:, 1:]
+    # ln(1 + e^-x) and its derivative -sigmoid(-x), with e = exp(-|x|) <= 1
+    e = np.exp(-np.abs(x))
+    total_loss = float(np.sum(np.maximum(-x, 0.0) + np.log1p(e)))
+    g = -np.where(x >= 0.0, e, 1.0) / (1.0 + e)
+    live = g != 0.0
+    # d loss / d score of each row: the positive's sums its pairs' g, a negative's is -g
+    coef = np.concatenate([g.sum(axis=1, keepdims=True), -g], axis=1)
+    D = np.matmul(coef[:, None, :], P)[:, 0]                # d loss / d q
+    dh = np.matmul(D[:, None, :], np.swapaxes(Ws, 1, 2))[:, 0]
 
-    for j, negs in enumerate(negatives.tolist()):
-        pos, ms, ws = items[j], m_slots[j], w_slots[j]
-        Msc, Wsc, h, r_pos = M[ms], W[ws], Hfull[j], R[pos]
-        q = h @ Wsc
-        p_pos = r_pos @ Msc
-        y_pos = float(q @ p_pos)
-        for neg in negs:
-            r_neg = R[neg]
-            p_neg = r_neg @ Msc
-            y_neg = float(q @ p_neg)
-            total_loss += bpr_pair_loss(y_pos, y_neg)
+    dZ, stepped = _recurrence_grads(dh, activation_grad(Hfull, p.config), Ws, cfg.bptt_window)
 
-            x = y_pos - y_neg
-            # d loss / d y_pos = -sigmoid(-x); keep exp() arguments non-positive
-            if x >= 0.0:
-                e = math.exp(-x)
-                g = -e / (1.0 + e)
-            else:
-                g = -1.0 / (1.0 + math.exp(x))
-            if g == 0.0:
-                continue
+    # position j's scoring and step j share R[item j], M[m_j], W[w_j] and h_j, so
+    # d loss / d (r @ M) of each row is its score's derivative times q, plus
+    # step j's error for the item it reads; d loss / d (h @ W) is D plus that error
+    B = coef[:, :, None] * Q
+    B[:, 0] += dZ
+    _scatter_add(buf.dR, rows, np.matmul(B, np.swapaxes(Ms, 1, 2)))
+    _scatter_add(buf.dM_bank, m_slots, np.matmul(np.swapaxes(Rr, 1, 2), B))
+    _scatter_add(buf.dW_bank, w_slots, H[:, :, None] * (D + dZ)[:, None, :])
 
-            u = g * (q @ Msc.T)
-            buf.dR[pos] += u
-            buf.dR[neg] -= u
-            buf.touched_items.add(pos)
-            buf.touched_items.add(neg)
-
-            diff = p_pos - p_neg
-            buf.dW_bank[ws] += np.outer(h, g * diff)
-            buf.touched_w.add(ws)
-            buf.dM_bank[ms] += np.outer(g * (r_pos - r_neg), q)
-            buf.touched_m.add(ms)
-            dh[j] += g * (diff @ Wsc.T)
-
-    if cfg.bptt_window == 0:
-        return total_loss  # scoring-path gradients only
-    act = activation_grad(Hfull, p.config)
-    if cfg.bptt_window is None:
-        # single reverse sweep: each dh[j] already carries all downstream error
-        for j in range(len(items) - 1, -1, -1):
-            if dh[j + 1].any():
-                dh[j] += _recurrence_grads(fwd, act, j, dh[j + 1], p, buf)
-    else:
-        # truncated: unroll each position's error at most bptt_window steps
-        for j in range(len(items)):
-            cur = dh[j]
-            if cur.any():
-                for s in range(j - 1, max(j - 1 - cfg.bptt_window, -1), -1):
-                    cur = _recurrence_grads(fwd, act, s, cur, p, buf)
+    active = live.any(axis=1) | stepped
+    buf.touched_items.update(items[active].tolist())
+    buf.touched_items.update(negatives[live].tolist())
+    buf.touched_m.update(m_slots[active].tolist())
+    buf.touched_w.update(w_slots[active].tolist())
     return total_loss
 
 
-def _check_negatives(negatives, items: list[int], n_items: int) -> np.ndarray:
+def _scatter_add(bank: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``bank[index] += values`` with repeated indices summed in order, as one
+    unbuffered add over the flat bank."""
+    width = bank[0].size
+    flat = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+    np.add.at(bank.reshape(-1), flat, values.ravel())
+
+
+def _check_negatives(negatives, items: np.ndarray, n_items: int) -> np.ndarray:
     """``negatives`` as an array; ConfigError unless it has one row of item ids
     per position, each in [0, n_items) and not that position's positive."""
     negatives = np.asarray(negatives)
@@ -181,28 +173,41 @@ def _check_negatives(negatives, items: list[int], n_items: int) -> np.ndarray:
     bad = (negatives < 0) | (negatives >= n_items)
     if bad.any():
         raise ConfigError(f"negative item {negatives[bad][0]} out of range [0, {n_items})")
-    same = (negatives == np.asarray(items, dtype=np.int64)[:, None]).any(axis=1)
+    same = (negatives == items[:, None]).any(axis=1)
     if same.any():
         j = int(np.argmax(same))
         raise ConfigError(f"negative item {items[j]} at position {j} equals its positive")
     return negatives
 
 
-def _recurrence_grads(fwd, act: np.ndarray, j: int, dh_next: np.ndarray, p: ModelParams,
-                      buf: GradientBuffer) -> np.ndarray:
-    """One backward step through step j: accumulate the gradients of the
-    error ``dh_next`` on state j+1 into ``buf`` and return the error it
-    sends to state j. ``act`` is ``activation_grad`` of every state."""
-    Hfull, items, m_slots, w_slots = fwd
-    dz = dh_next * act[j + 1]
-    v, ms, ws = items[j], m_slots[j], w_slots[j]
-    buf.dR[v] += dz @ p.M_bank[ms].T
-    buf.dM_bank[ms] += np.outer(p.R[v], dz)
-    buf.dW_bank[ws] += np.outer(Hfull[j], dz)
-    buf.touched_items.add(v)
-    buf.touched_m.add(ms)
-    buf.touched_w.add(ws)
-    return dz @ p.W_bank[ws].T
+def _recurrence_grads(dh: np.ndarray, act: np.ndarray, Ws: np.ndarray,
+                      window: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Back-propagate the scoring errors ``dh`` on states 0..L-1 through the
+    recurrence, where step j maps state j to state j+1, ``act`` is
+    ``activation_grad`` of every state and ``Ws`` the transition matrix of
+    every step. ``window`` None is one exact reverse sweep; otherwise each
+    position's error is unrolled at most ``window`` steps, so 0 runs none.
+
+    Returns the (L, d) error on each step's pre-activation and which steps
+    the sweep went through: those touch their parameters."""
+    # step j sends the error e on state j+1 back to state j as e @ K[j]
+    K = act[1:, :, None] * np.swapaxes(Ws, 1, 2)
+    E = np.zeros_like(dh)  # error on the state each step produces
+    if window is None:
+        # state L is never scored, so step L-1 never runs
+        E[:-1] = dh[1:]
+        for j in range(len(dh) - 3, -1, -1):
+            E[j] += E[j + 1] @ K[j + 1]
+        stepped = E.any(axis=1)
+    else:
+        stepped = np.zeros(len(dh), dtype=bool)
+        for j in np.flatnonzero(dh.any(axis=1)).tolist():
+            cur, lo = dh[j], max(j - window, 0)
+            stepped[lo:j] = True
+            for s in range(j - 1, lo - 1, -1):
+                E[s] += cur
+                cur = cur @ K[s]
+    return E * act[1:], stepped
 
 
 def backprop_sequence(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
@@ -224,10 +229,13 @@ def sequence_loss(seq: UserSequence, negatives: np.ndarray, p: ModelParams) -> f
 def make_examples(seq: UserSequence, n_items: int, rng: np.random.Generator,
                   negatives_per_positive: int = 1) -> np.ndarray:
     """Fresh uniform negatives for every predictable position: an int64
-    (len(seq), negatives_per_positive) array, drawn position by position."""
-    rows = [[sample_negative(rng, pos, n_items) for _ in range(negatives_per_positive)]
-            for pos in seq.items.tolist()]
-    return np.array(rows, dtype=np.int64).reshape(len(seq), negatives_per_positive)
+    (len(seq), negatives_per_positive) array from one draw, which is the
+    stream of ``sample_negative`` called position by position, then
+    negative by negative."""
+    if n_items < 2:
+        raise ConfigError("need at least 2 items to sample a negative")
+    draws = rng.integers(0, n_items - 1, size=(len(seq), negatives_per_positive))
+    return draws + (draws >= seq.items[:, None])
 
 
 def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams:

@@ -1,6 +1,9 @@
 import os
+import struct
 
 import pytest
+
+from carnn import store
 
 ML1M_ENV = "CARNN_ML1M"
 
@@ -17,6 +20,23 @@ ml1m_required = pytest.mark.skipif(
     ml1m_path() is None,
     reason=f"Movielens-1M ratings.dat not present; set {ML1M_ENV} or add data/ml-1m/ratings.dat",
 )
+
+
+def patch_cache(path: str, field: str, value: int) -> None:
+    """Overwrite one u32 of the first user's record in a cache that
+    ``store.write_cache`` wrote: its ``n_train``, or the first entry of its
+    ``items``, ``input_ctxs`` or ``trans_bins``."""
+    seqs = store.read_cache(path).sequences.sequences
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    # the user records end the file: length and n_train, then 4+8+4+4 bytes an event
+    start = len(blob) - sum(8 + 20 * len(s) for s in seqs)
+    n = len(seqs[0])
+    offset = start + {"n_train": 4, "items": 8, "input_ctxs": 8 + 12 * n,
+                      "trans_bins": 8 + 16 * n}[field]
+    blob[offset:offset + 4] = struct.pack("<I", value)
+    with open(path, "wb") as fh:
+        fh.write(blob)
 
 
 # One summary line per acceptance criterion at the end of the run.

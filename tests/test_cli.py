@@ -11,6 +11,7 @@ from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatErro
                           InputOutputError, NumericalError)
 from carnn.evaluate import generate_synthetic, report_from_json, write_interactions_csv
 from carnn.model import load_params, save_params
+from conftest import patch_cache
 
 
 runner = CliRunner()
@@ -194,6 +195,17 @@ class TestTrain:
         result = invoke("train", "--config", workdir["cfg"],
                         "--cache", str(tmp_path / "none.bin"), "--out", str(tmp_path / "o"))
         assert result.exit_code == InputOutputError.exit_code
+
+    @pytest.mark.parametrize("field,value", [("n_train", 99), ("input_ctxs", 500)])
+    def test_corrupt_cache_is_format_error(self, workdir, tmp_path, field, value):
+        cache = str(tmp_path / "cache.bin")
+        with open(workdir["cache"], "rb") as src, open(cache, "wb") as dst:
+            dst.write(src.read())
+        patch_cache(cache, field, value)
+        result = invoke("train", "--config", workdir["cfg"], "--cache", cache,
+                        "--out", str(tmp_path / "o"))
+        assert result.exit_code == FormatError.exit_code, result.output
+        assert not os.path.exists(tmp_path / "o" / "model.carn")
 
 
 class TestEval:

@@ -7,11 +7,13 @@ from hypothesis import given, strategies as st
 
 from carnn.context import annotate_sequences
 from carnn.data import SequenceSet, SplitSet, UserSequence, full_train_split, split_sequences
-from carnn.errors import ConfigError, DataError
+from carnn import store
+from carnn.errors import ConfigError, DataError, InputOutputError
 from carnn.evaluate import (DEFAULT_KS, MetricsReport, RankRecord, aggregate_ranks,
                             evaluate, format_report_table, generate_synthetic,
                             pop_baseline, rank_target, report_from_json,
-                            report_to_json, synthetic_partition, train_item_counts)
+                            report_to_json, synthetic_partition, train_item_counts,
+                            write_interactions_csv)
 from carnn.model import ModelConfig, hidden_step, init_params, score_all
 
 
@@ -305,3 +307,33 @@ class TestSyntheticGenerator:
             seqs, _ = generate_synthetic(5, 12, 25, 3, signal=signal, seed=4)
             for seq in seqs.sequences:
                 assert np.all(np.diff(seq.timestamps) > 0)
+
+
+class TestInteractionsCsv:
+    def test_rows_in_step_order(self, tmp_path):
+        seqs, _ = generate_synthetic(3, 5, 4, 2, signal="none", seed=2)
+        path = tmp_path / "events.csv"
+        write_interactions_csv(seqs, str(path))
+        item_ids = seqs.item_ids()
+        expected = "".join(f"{s.user},{item_ids[int(v)]},{int(t)}\n"
+                           for s in seqs.sequences for v, t in zip(s.items, s.timestamps))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        seqs, _ = generate_synthetic(3, 5, 4, 2, signal="none", seed=2)
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"old\n")
+
+        def no_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store.os, "replace", no_replace)
+        with pytest.raises(InputOutputError, match="cannot write interactions file"):
+            write_interactions_csv(seqs, str(path))
+        assert path.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv"]
+
+    def test_missing_directory_is_io_error(self, tmp_path):
+        seqs, _ = generate_synthetic(3, 5, 4, 2, signal="none", seed=2)
+        with pytest.raises(InputOutputError):
+            write_interactions_csv(seqs, str(tmp_path / "absent" / "events.csv"))

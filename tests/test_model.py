@@ -66,7 +66,10 @@ class TestInit:
 
     def test_parameter_count_for_declared_shapes(self):
         config = ModelConfig(d=10, n_items=100, n_input_contexts=42, n_transition_bins=32)
-        assert init_params(config).n_parameters() == 100 * 10 + 42 * 100 + 32 * 100 == 8400
+        p = init_params(config)
+        assert p.R.shape == (100, 10)
+        assert p.M_bank.shape == (42, 10, 10) and p.W_bank.shape == (32, 10, 10)
+        assert p.R.size + p.M_bank.size + p.W_bank.size == 100 * 10 + 42 * 100 + 32 * 100 == 8400
 
     def test_bounded_by_init_scale(self):
         config = ModelConfig(d=5, n_items=10, n_input_contexts=3, n_transition_bins=3,

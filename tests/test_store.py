@@ -1,4 +1,5 @@
 import datetime as dt
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from carnn.context import ContextScheme, annotate_sequences
 from carnn.data import split_sequences
 from carnn.errors import FormatError, InputOutputError
 from carnn.evaluate import generate_synthetic
+from conftest import patch_cache
 
 
 def make_split(holidays=frozenset()):
@@ -72,6 +74,47 @@ class TestCache:
             fh.write(b"extra")
         with pytest.raises(FormatError, match="trailing"):
             store.read_cache(path)
+
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_train", 99, "n_train=99 beyond its 12 events"),
+        ("items", 10, r"item id 10 out of range \[0, 10\)"),
+        ("input_ctxs", 500, r"input context id 500 out of range \[0, 24\)"),
+        ("input_ctxs", 24, r"input context id 24 out of range \[0, 24\)"),
+        ("trans_bins", 32, r"gap bin id 32 out of range \[0, 32\)"),
+    ])
+    def test_fields_outside_the_stored_vocabulary_and_scheme_rejected(self, tmp_path, field,
+                                                                      value, message):
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, make_split())
+        patch_cache(path, field, value)
+        with pytest.raises(FormatError, match=message):
+            store.read_cache(path)
+
+    @pytest.mark.parametrize("offset,fmt,value,message", [
+        (8, "<q", 10**6, "timezone offset"),
+        (16, "<I", 0, "max_interval_days"),
+        (29, "<i", 0, "ordinal"),  # the one holiday, after one factor byte
+    ])
+    def test_invalid_scheme_header_rejected(self, tmp_path, offset, fmt, value, message):
+        path = tmp_path / "cache.bin"
+        store.write_cache(str(path), make_split(frozenset({dt.date(2000, 1, 3)})))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"invalid context scheme.*{message}"):
+            store.read_cache(str(path))
+
+    def test_largest_stored_ids_accepted(self, tmp_path):
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, make_split())
+        for field, value in (("n_train", 12), ("items", 9), ("input_ctxs", 23),
+                             ("trans_bins", 31)):
+            patch_cache(path, field, value)
+        split = store.read_cache(path)
+        first = split.sequences.sequences[0]
+        assert split.n_train[0] == 12
+        assert (first.items[0], first.input_ctxs[0], first.trans_bins[0]) == (9, 23, 31)
 
 
 class _FailingFile:
