@@ -23,7 +23,7 @@ from .context import ContextScheme, annotate_sequences, parse_holiday_file
 from .data import FORMATS, InteractionLog, build_sequences, parse_interactions, split_sequences
 from .errors import CarnnError, ConfigError, DataError, InputOutputError, NumericalError
 from .estimator import query_context
-from .evaluate import (evaluate, format_report_table, pop_baseline,
+from .evaluate import (evaluate, format_report_table, metric_keys, metric_pairs, pop_baseline,
                        report_to_json)
 from .model import (ModelConfig, ModelParams, check_vocab_compatibility, forward_states,
                     init_params, load_params, save_params, score_all)
@@ -154,8 +154,8 @@ def _validate_run_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown format {cfg.format!r}; expected one of {FORMATS}")
     if cfg.variant not in ALL_VARIANTS:
         raise ConfigError(f"unknown variant {cfg.variant!r}; expected one of {ALL_VARIANTS}")
-    if not cfg.ks or list(cfg.ks) != sorted(cfg.ks):
-        raise ConfigError(f"ks must be a non-empty sorted list, got {cfg.ks}")
+    if not cfg.ks or list(cfg.ks) != sorted(set(cfg.ks)):
+        raise ConfigError(f"ks must be a non-empty increasing list, got {cfg.ks}")
 
 
 def config_text(cfg: RunConfig) -> str:
@@ -456,13 +456,8 @@ def sweep_cmd(config_path, seed, out, d_values, variants_opt, cache):
     scheme = split.sequences.scheme
     os.makedirs(cfg.out, exist_ok=True)
 
-    header = ["variant", "d", "status"]
-    for k in cfg.ks:
-        header.append(f"recall@{k}")
-    for k in cfg.ks:
-        header.append(f"f1@{k}")
-    header += ["map", "ndcg"]
-    rows = [",".join(header)]
+    metrics = metric_keys(cfg.ks)
+    rows = [",".join(["variant", "d", "status"] + metrics)]
     for variant in variants:
         for d in ds:
             try:
@@ -470,13 +465,9 @@ def sweep_cmd(config_path, seed, out, d_values, variants_opt, cache):
                                                    variant=variant, d=d))
                 params, _ = train(split, params, _train_config(cfg))
                 report = evaluate(split, params, scheme, cfg.ks)
-                cells = [variant, str(d), "ok"]
-                cells += [repr(report.recall_at[k]) for k in cfg.ks]
-                cells += [repr(report.f1_at[k]) for k in cfg.ks]
-                cells += [repr(report.map_score), repr(report.ndcg)]
+                cells = [variant, str(d), "ok"] + [repr(v) for _, v in metric_pairs(report)]
             except CarnnError as exc:
-                cells = [variant, str(d), f"error:{type(exc).__name__}"]
-                cells += [""] * (2 * len(cfg.ks) + 2)
+                cells = [variant, str(d), f"error:{type(exc).__name__}"] + [""] * len(metrics)
                 click.echo(f"sweep cell variant={variant} d={d} failed: {exc}", err=True)
             rows.append(",".join(cells))
             click.echo(f"swept variant={variant} d={d}")

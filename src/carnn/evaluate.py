@@ -182,30 +182,23 @@ def pop_baseline(split: SplitSet, ks=DEFAULT_KS) -> MetricsReport:
 
 # --- report serialization ----------------------------------------------------
 
+def metric_keys(ks) -> list[str]:
+    """Names of a report's metrics over the cutoffs ``ks``, in the order of
+    ``metric_pairs``: the columns of ``carnn sweep``."""
+    return [f"recall@{k}" for k in ks] + [f"f1@{k}" for k in ks] + ["map", "ndcg"]
+
+
+def metric_pairs(report: MetricsReport) -> list[tuple[str, float]]:
+    """The report's metrics as ordered (key, value) pairs."""
+    ks = sorted(report.recall_at)
+    values = [report.recall_at[k] for k in ks] + [report.f1_at[k] for k in ks]
+    return list(zip(metric_keys(ks), values + [report.map_score, report.ndcg]))
+
+
 def report_to_json(report: MetricsReport) -> str:
     """Flat key/value JSON text; key order is fixed so reruns are byte-identical."""
-    pairs: list[tuple[str, float | int]] = []
-    for k in sorted(report.recall_at):
-        pairs.append((f"recall@{k}", report.recall_at[k]))
-    for k in sorted(report.f1_at):
-        pairs.append((f"f1@{k}", report.f1_at[k]))
-    pairs.append(("map", report.map_score))
-    pairs.append(("ndcg", report.ndcg))
-    pairs.append(("n_positions", report.n_positions))
+    pairs = metric_pairs(report) + [("n_positions", report.n_positions)]
     return "{\n" + ",\n".join(f'  "{k}": {json.dumps(v)}' for k, v in pairs) + "\n}\n"
-
-
-def report_from_json(text: str) -> MetricsReport:
-    raw = json.loads(text)
-    recall = {}
-    f1 = {}
-    for key, value in raw.items():
-        if key.startswith("recall@"):
-            recall[int(key.split("@")[1])] = float(value)
-        elif key.startswith("f1@"):
-            f1[int(key.split("@")[1])] = float(value)
-    return MetricsReport(recall, f1, float(raw["map"]), float(raw["ndcg"]),
-                         int(raw["n_positions"]))
 
 
 def format_report_table(report: MetricsReport, label: str = "model") -> str:

@@ -3,9 +3,10 @@
 The hidden state evolves as h_k = f(r_k @ M[ctx_k] + h_{k-1} @ W[bin_k])
 where M is a bank of input matrices selected by the step's input-context id
 and W a bank of transition matrices selected by the step's gap bin; f is the
-elementwise logistic function. Scoring an item under the contexts of the
-predicted step is the bilinear form h @ W[bin] @ (r_item @ M[ctx])^T, with
-the same two banks.
+elementwise logistic ``sigmoid_vec``, the only activation, so training reads
+its derivative h * (1 - h) off the states. Scoring an item under the
+contexts of the predicted step is the bilinear form
+h @ W[bin] @ (r_item @ M[ctx])^T, with the same two banks.
 
 With a context switch off the corresponding bank collapses to a single
 shared matrix, which reproduces a conventional recurrent model.
@@ -35,8 +36,6 @@ from .store import write_atomic
 MAGIC = b"CARN"
 FORMAT_VERSION = 1
 
-ACTIVATIONS = ("sigmoid", "identity")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -48,7 +47,6 @@ class ModelConfig:
     use_transition_contexts: bool = True
     seed: int = 0
     init_scale: float = 0.1
-    activation: str = "sigmoid"  # "identity" exists for gradient diagnostics
 
     def __post_init__(self):
         if self.d < 1:
@@ -59,8 +57,6 @@ class ModelConfig:
             raise ConfigError("context cardinalities must be >= 1")
         if self.init_scale < 0:
             raise ConfigError("init_scale must be >= 0")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
 
     @property
     def m_slots(self) -> int:
@@ -119,19 +115,6 @@ class ModelParams:
         return self.R[int(item)]
 
 
-def activate(z: np.ndarray, config: ModelConfig) -> np.ndarray:
-    if config.activation == "identity":
-        return np.asarray(z, dtype=np.float64)
-    return sigmoid_vec(z)
-
-
-def activation_grad(h: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """df/dz expressed through the activation value h."""
-    if config.activation == "identity":
-        return np.ones_like(h)
-    return h * (1.0 - h)
-
-
 def init_params(config: ModelConfig) -> ModelParams:
     """Draw every parameter i.i.d. uniform on [-init_scale, +init_scale].
 
@@ -170,11 +153,11 @@ def hidden_step(h_prev: np.ndarray, item_index: int | np.ndarray, ctx: int | np.
     if h_prev.ndim == 2:
         m, w = _block_banks(p.M_bank, p.W_bank, ctx, bin_, p.config)
         z = np.matmul(p.R[item_index][:, None, :], m) + np.matmul(h_prev[:, None, :], w)
-        return activate(z[:, 0, :], p.config)
+        return sigmoid_vec(z[:, 0, :])
     r = p.item_row(item_index)
     m = p.M_bank[p.input_slot(ctx)]
     w = p.W_bank[p.trans_slot(bin_)]
-    return activate(r @ m + h_prev @ w, p.config)
+    return sigmoid_vec(r @ m + h_prev @ w)
 
 
 def forward_states(seq, p: ModelParams, n: int | None = None) -> np.ndarray:

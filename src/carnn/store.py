@@ -156,12 +156,40 @@ def read_cache(path: str) -> SplitSet:
         n_train[i] = nt
     if r.off != len(blob):
         raise FormatError(f"{path}: {len(blob) - r.off} trailing bytes in cache")
-    for name, field, n in (("item", "items", n_items),
-                           ("input context", "input_ctxs", scheme.n_input_contexts),
-                           ("gap bin", "trans_bins", scheme.n_transition_bins)):
-        # stored unsigned, so only the upper bound can fail
-        ids = np.concatenate([getattr(s, field) for s in sequences] or [np.zeros(0, np.int64)])
-        if ids.size and (top := int(ids.max())) >= n:
-            raise FormatError(f"{path}: {name} id {top} out of range [0, {n})")
+    _check_events(path, sequences, n_items, scheme)
     seqs = SequenceSet(sequences, item_vocab, user_vocab, scheme=scheme)
     return SplitSet(seqs, n_train)
+
+
+def _check_events(path: str, sequences: list[UserSequence], n_items: int,
+                  scheme: ContextScheme) -> None:
+    """FormatError unless every stored id is in range, each user's timestamps
+    never decrease, and a user's first event, and only it, holds the start
+    bin; checked over all users' events at once."""
+    def joined(field):
+        return np.concatenate([getattr(s, field) for s in sequences] or [np.zeros(0, np.int64)])
+
+    ts, bins = joined("timestamps"), joined("trans_bins")
+    for name, ids, n in (("item", joined("items"), n_items),
+                         ("input context", joined("input_ctxs"), scheme.n_input_contexts),
+                         ("gap bin", bins, scheme.n_transition_bins)):
+        # stored unsigned, so only the upper bound can fail
+        if ids.size and (top := int(ids.max())) >= n:
+            raise FormatError(f"{path}: {name} id {top} out of range [0, {n})")
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+    starts = np.cumsum(lengths) - lengths
+    first = np.zeros(len(ts), dtype=bool)
+    first[starts[lengths > 0]] = True
+    back = np.zeros_like(first)
+    np.less(ts[1:], ts[:-1], out=back[1:])  # compared, as a difference can wrap
+    back &= ~first
+    if (bad := back | ((bins == scheme.start_bin) != first)).any():
+        k = int(np.argmax(bad))
+        u = int(np.searchsorted(starts, k, side="right")) - 1
+        if back[k]:
+            what = f"timestamp {ts[k]}, before the previous {ts[k - 1]}"
+        elif first[k]:
+            what = f"gap bin {bins[k]}, not the start bin {scheme.start_bin}"
+        else:
+            what = f"the start bin {bins[k]} after its first event"
+        raise FormatError(f"{path}: user {sequences[u].user!r} event {k - starts[u]} has {what}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
-from .model import ModelParams, activation_grad, first_non_finite, forward_states
+from .model import ModelParams, first_non_finite, forward_states
 from .seeding import named_rng
 from .store import write_atomic
 
@@ -71,51 +71,43 @@ def sample_negative(rng: np.random.Generator, positive: int, n_items: int) -> in
 
 
 class GradientBuffer:
-    """Dense gradient mirrors of the parameter banks plus touched-group sets.
+    """Dense gradient mirrors of the parameter banks plus touched masks.
 
-    "Touched" is tracked per embedding row and per bank slot; the SGD step
-    decays exactly those groups, so an update never regularizes parameters
-    the gradients did not reach.
+    "Touched" is one boolean per embedding row and per bank slot; the SGD
+    step decays exactly those groups, so an update never regularizes
+    parameters the gradients did not reach.
     """
 
     def __init__(self, p: ModelParams):
         self.dR = np.zeros_like(p.R)
         self.dM_bank = np.zeros_like(p.M_bank)
         self.dW_bank = np.zeros_like(p.W_bank)
-        self.touched_items: set[int] = set()
-        self.touched_m: set[int] = set()
-        self.touched_w: set[int] = set()
+        self.touched_items = np.zeros(len(p.R), dtype=bool)
+        self.touched_m = np.zeros(len(p.M_bank), dtype=bool)
+        self.touched_w = np.zeros(len(p.W_bank), dtype=bool)
 
     def clear(self) -> None:
         for grad, touched in ((self.dR, self.touched_items), (self.dM_bank, self.touched_m),
                               (self.dW_bank, self.touched_w)):
-            if touched:
-                grad[sorted(touched)] = 0.0
-                touched.clear()
+            grad[touched] = 0.0
+            touched[:] = False
 
 
-def _forward(seq: UserSequence, p: ModelParams):
-    """``forward_states`` of a training view, plus the item, M slot and W slot
-    of every step, which the scoring path and the backward pass index."""
-    H = forward_states(seq, p)
+def _pair_gradients(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
+                    cfg: TrainConfig, buf: GradientBuffer) -> float:
+    """Accumulate gradients of the summed pair losses of ``seq`` into ``buf``.
+
+    ``negatives`` is what ``make_examples`` returns: row j holds the
+    negatives scored against the item at position j. Every position is
+    scored at once; the gradients of the scoring path and of the recurrence
+    are reduced into the banks once, from per-position buffers. A pair whose
+    derivative underflows to 0 touches nothing. Returns the summed loss.
+    """
+    Hfull = forward_states(seq, p)
+    items = seq.items
     zeros = np.zeros(len(seq), dtype=np.int64)
     m_slots = seq.input_ctxs if p.config.use_input_contexts else zeros
     w_slots = seq.trans_bins if p.config.use_transition_contexts else zeros
-    return H, np.asarray(seq.items, dtype=np.int64), m_slots, w_slots
-
-
-def _pair_gradients(fwd, negatives: np.ndarray, p: ModelParams, cfg: TrainConfig,
-                    buf: GradientBuffer) -> float:
-    """Accumulate gradients of the summed pair losses into ``buf``.
-
-    ``fwd`` is what ``_forward`` returns and ``negatives`` what
-    ``make_examples`` returns: row j holds the negatives scored against the
-    item at position j. Every position is scored at once; the gradients of
-    the scoring path and of the recurrence are reduced into the banks once,
-    from per-position buffers. A pair whose derivative underflows to 0
-    touches nothing. Returns the summed loss.
-    """
-    Hfull, items, m_slots, w_slots = fwd
     negatives = _check_negatives(negatives, items, p.config.n_items)
     H = Hfull[:-1]
     Ms, Ws = p.M_bank[m_slots], p.W_bank[w_slots]
@@ -136,7 +128,7 @@ def _pair_gradients(fwd, negatives: np.ndarray, p: ModelParams, cfg: TrainConfig
     D = np.matmul(coef[:, None, :], P)[:, 0]                # d loss / d q
     dh = np.matmul(D[:, None, :], np.swapaxes(Ws, 1, 2))[:, 0]
 
-    dZ, stepped = _recurrence_grads(dh, activation_grad(Hfull, p.config), Ws, cfg.bptt_window)
+    dZ, stepped = _recurrence_grads(dh, Hfull * (1.0 - Hfull), Ws, cfg.bptt_window)
 
     # position j's scoring and step j share R[item j], M[m_j], W[w_j] and h_j, so
     # d loss / d (r @ M) of each row is its score's derivative times q, plus
@@ -148,10 +140,10 @@ def _pair_gradients(fwd, negatives: np.ndarray, p: ModelParams, cfg: TrainConfig
     _scatter_add(buf.dW_bank, w_slots, H[:, :, None] * (D + dZ)[:, None, :])
 
     active = live.any(axis=1) | stepped
-    buf.touched_items.update(items[active].tolist())
-    buf.touched_items.update(negatives[live].tolist())
-    buf.touched_m.update(m_slots[active].tolist())
-    buf.touched_w.update(w_slots[active].tolist())
+    buf.touched_items[items[active]] = True
+    buf.touched_items[negatives[live]] = True
+    buf.touched_m[m_slots[active]] = True
+    buf.touched_w[w_slots[active]] = True
     return total_loss
 
 
@@ -183,10 +175,11 @@ def _check_negatives(negatives, items: np.ndarray, n_items: int) -> np.ndarray:
 def _recurrence_grads(dh: np.ndarray, act: np.ndarray, Ws: np.ndarray,
                       window: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Back-propagate the scoring errors ``dh`` on states 0..L-1 through the
-    recurrence, where step j maps state j to state j+1, ``act`` is
-    ``activation_grad`` of every state and ``Ws`` the transition matrix of
-    every step. ``window`` None is one exact reverse sweep; otherwise each
-    position's error is unrolled at most ``window`` steps, so 0 runs none.
+    recurrence, where step j maps state j to state j+1, ``act`` is the
+    logistic's derivative h * (1 - h) at every state and ``Ws`` the
+    transition matrix of every step. ``window`` None is one exact reverse
+    sweep; otherwise each position's error is unrolled at most ``window``
+    steps, so 0 runs none.
 
     Returns the (L, d) error on each step's pre-activation and which steps
     the sweep went through: those touch their parameters."""
@@ -214,7 +207,7 @@ def backprop_sequence(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
                       cfg: TrainConfig) -> GradientBuffer:
     """Exact gradient of the summed pair losses (regularizer excluded)."""
     buf = GradientBuffer(p)
-    _pair_gradients(_forward(seq, p), negatives, p, cfg, buf)
+    _pair_gradients(seq, negatives, p, cfg, buf)
     return buf
 
 
@@ -222,7 +215,7 @@ def sequence_loss(seq: UserSequence, negatives: np.ndarray, p: ModelParams) -> f
     """Summed pair loss of the given negatives under the current parameters,
     scored by ``_pair_gradients`` itself; its scoring-path gradients go to a
     scratch buffer and nothing is back-propagated."""
-    return _pair_gradients(_forward(seq, p), negatives, p, TrainConfig(bptt_window=0),
+    return _pair_gradients(seq, negatives, p, TrainConfig(bptt_window=0),
                            GradientBuffer(p))
 
 
@@ -244,9 +237,9 @@ def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams
     l2 = cfg.l2
 
     def apply(theta, grad, touched, name):
-        if not touched:
+        idx = np.flatnonzero(touched)
+        if not idx.size:  # first_non_finite cannot reshape an empty block
             return
-        idx = sorted(touched)
         block = grad[idx]
         if (bad := first_non_finite(block)) is not None:
             raise NumericalError(f"non-finite gradient in {name}[{idx[bad]}]")
@@ -288,7 +281,7 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
                 continue
             view = _train_view(seqs[si], n_tr)
             negatives = make_examples(view, n_items, neg_rng, cfg.negatives_per_positive)
-            loss_sum += _pair_gradients(_forward(view, p), negatives, p, cfg, buf)
+            loss_sum += _pair_gradients(view, negatives, p, cfg, buf)
             loss_count += negatives.size
             try:
                 sgd_step(p, buf, cfg)

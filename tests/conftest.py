@@ -23,18 +23,18 @@ ml1m_required = pytest.mark.skipif(
 
 
 def patch_cache(path: str, field: str, value: int) -> None:
-    """Overwrite one u32 of the first user's record in a cache that
+    """Overwrite one value of the first user's record in a cache that
     ``store.write_cache`` wrote: its ``n_train``, or the first entry of its
-    ``items``, ``input_ctxs`` or ``trans_bins``."""
+    ``items``, ``timestamps`` (i64), ``input_ctxs`` or ``trans_bins`` (u32)."""
     seqs = store.read_cache(path).sequences.sequences
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
     # the user records end the file: length and n_train, then 4+8+4+4 bytes an event
     start = len(blob) - sum(8 + 20 * len(s) for s in seqs)
     n = len(seqs[0])
-    offset = start + {"n_train": 4, "items": 8, "input_ctxs": 8 + 12 * n,
-                      "trans_bins": 8 + 16 * n}[field]
-    blob[offset:offset + 4] = struct.pack("<I", value)
+    offset = start + {"n_train": 4, "items": 8, "timestamps": 8 + 4 * n,
+                      "input_ctxs": 8 + 12 * n, "trans_bins": 8 + 16 * n}[field]
+    struct.pack_into("<q" if field == "timestamps" else "<I", blob, offset, value)
     with open(path, "wb") as fh:
         fh.write(blob)
 

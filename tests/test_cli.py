@@ -9,7 +9,7 @@ from carnn import store
 from carnn.cli import cli, config_text, load_run_config
 from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatError,
                           InputOutputError, NumericalError)
-from carnn.evaluate import generate_synthetic, report_from_json, write_interactions_csv
+from carnn.evaluate import generate_synthetic, write_interactions_csv
 from carnn.model import load_params, save_params
 from conftest import patch_cache
 
@@ -81,9 +81,11 @@ class TestRunConfig:
         again = load_run_config(str(path))
         assert again == cfg
 
-    def test_unsorted_ks_rejected(self):
-        with pytest.raises(ConfigError):
-            load_run_config(None, ks=(5, 1))
+    @pytest.mark.parametrize("ks", [(5, 1), (1, 1, 5)])
+    def test_unsorted_or_repeated_ks_rejected(self, ks):
+        # a repeated cutoff would give sweep.csv a column that metrics.json lacks
+        with pytest.raises(ConfigError, match="increasing"):
+            load_run_config(None, ks=ks)
 
 
 class TestPrepare:
@@ -196,8 +198,13 @@ class TestTrain:
                         "--cache", str(tmp_path / "none.bin"), "--out", str(tmp_path / "o"))
         assert result.exit_code == InputOutputError.exit_code
 
-    @pytest.mark.parametrize("field,value", [("n_train", 99), ("input_ctxs", 500)])
-    def test_corrupt_cache_is_format_error(self, workdir, tmp_path, field, value):
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_train", 99, "n_train=99"),
+        ("input_ctxs", 500, "input context id 500"),
+        ("timestamps", 2**40, f"before the previous {2**40}"),
+        ("trans_bins", 0, "event 0 has gap bin 0, not the start bin"),
+    ])
+    def test_corrupt_cache_is_format_error(self, workdir, tmp_path, field, value, message):
         cache = str(tmp_path / "cache.bin")
         with open(workdir["cache"], "rb") as src, open(cache, "wb") as dst:
             dst.write(src.read())
@@ -205,6 +212,7 @@ class TestTrain:
         result = invoke("train", "--config", workdir["cfg"], "--cache", cache,
                         "--out", str(tmp_path / "o"))
         assert result.exit_code == FormatError.exit_code, result.output
+        assert message in result.output
         assert not os.path.exists(tmp_path / "o" / "model.carn")
 
 
@@ -231,8 +239,9 @@ class TestEval:
         split = store.read_cache(workdir["cache"])
         rep = evaluate(split, load_params(workdir["models"]["carnn"]),
                        split.sequences.scheme)
-        reloaded = report_from_json(open(os.path.join(out, "metrics.json")).read())
-        assert reloaded == rep
+        assert raw == {**{f"recall@{k}": v for k, v in rep.recall_at.items()},
+                       **{f"f1@{k}": v for k, v in rep.f1_at.items()},
+                       "map": rep.map_score, "ndcg": rep.ndcg, "n_positions": rep.n_positions}
 
     def test_pop_baseline_needs_no_model(self, workdir, tmp_path):
         _, raw, _ = self.eval_variant(workdir, tmp_path, "pop")
@@ -422,6 +431,7 @@ class TestSweep:
         lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
         assert len(lines) == 3
         assert all("error:NumericalError" in line for line in lines[1:])
+        assert all(line.count(",") == lines[0].count(",") for line in lines[1:])
 
     def test_bad_grid_rejected(self, workdir, tmp_path):
         result = invoke("sweep", "--config", workdir["cfg"], "--cache", workdir["cache"],

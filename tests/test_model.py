@@ -134,7 +134,6 @@ BLOCK_VARIANTS = [
     dict(use_input_contexts=False),
     dict(use_transition_contexts=False),
     dict(use_input_contexts=False, use_transition_contexts=False),
-    dict(activation="identity"),
 ]
 
 

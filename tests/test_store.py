@@ -1,12 +1,15 @@
 import datetime as dt
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carnn import store
-from carnn.context import ContextScheme, annotate_sequences
-from carnn.data import split_sequences
+from carnn.context import FACTOR_CARDINALITIES, ContextScheme, annotate_sequences
+from carnn.data import MAX_TZ_OFFSET_SECONDS, SequenceSet, SplitSet, UserSequence, split_sequences
 from carnn.errors import FormatError, InputOutputError
 from carnn.evaluate import generate_synthetic
 from conftest import patch_cache
@@ -82,9 +85,10 @@ class TestCache:
         ("input_ctxs", 500, r"input context id 500 out of range \[0, 24\)"),
         ("input_ctxs", 24, r"input context id 24 out of range \[0, 24\)"),
         ("trans_bins", 32, r"gap bin id 32 out of range \[0, 32\)"),
+        ("trans_bins", 0, "user 'u0' event 0 has gap bin 0, not the start bin 31"),
+        ("timestamps", 2**40, f"user 'u0' event 1 has timestamp .*, before the previous {2**40}"),
     ])
-    def test_fields_outside_the_stored_vocabulary_and_scheme_rejected(self, tmp_path, field,
-                                                                      value, message):
+    def test_corrupt_fields_rejected(self, tmp_path, field, value, message):
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, make_split())
         patch_cache(path, field, value)
@@ -105,6 +109,15 @@ class TestCache:
         with pytest.raises(FormatError, match=f"invalid context scheme.*{message}"):
             store.read_cache(str(path))
 
+    def test_start_bin_after_the_first_event_rejected(self, tmp_path):
+        split = make_split()
+        split.sequences.sequences[2].trans_bins[3] = 31
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, split)
+        with pytest.raises(FormatError, match="user 'u2' event 3 has the start bin 31 "
+                                              "after its first event"):
+            store.read_cache(path)
+
     def test_largest_stored_ids_accepted(self, tmp_path):
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, make_split())
@@ -115,6 +128,41 @@ class TestCache:
         first = split.sequences.sequences[0]
         assert split.n_train[0] == 12
         assert (first.items[0], first.input_ctxs[0], first.trans_bins[0]) == (9, 23, 31)
+
+
+@st.composite
+def annotated_splits(draw):
+    """Small annotated splits under drawn schemes; ids are arbitrary text."""
+    scheme = ContextScheme(
+        tuple(draw(st.lists(st.sampled_from(list(FACTOR_CARDINALITIES)), min_size=1,
+                            unique=True))),
+        draw(st.frozensets(st.dates(dt.date(1970, 1, 1), dt.date(2100, 1, 1)), max_size=3)),
+        draw(st.integers(1, 40)),
+        draw(st.integers(-MAX_TZ_OFFSET_SECONDS, MAX_TZ_OFFSET_SECONDS)))
+    users = draw(st.lists(st.text(max_size=4), max_size=4, unique=True))
+    items = draw(st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True))
+    sequences, n_train = [], []
+    for user in users:
+        gaps = draw(st.lists(st.integers(0, 45 * 86400), min_size=1, max_size=6))
+        timestamps = draw(st.integers(0, 4 * 10**9)) + np.cumsum(gaps, dtype=np.int64)
+        ids = draw(st.lists(st.integers(0, len(items) - 1), min_size=len(gaps),
+                            max_size=len(gaps)))
+        sequences.append(UserSequence(user, np.array(ids, dtype=np.int64), timestamps))
+        n_train.append(draw(st.integers(0, len(gaps))))
+    seqs = SequenceSet(sequences, {it: i for i, it in enumerate(items)},
+                       {u: i for i, u in enumerate(users)})
+    return SplitSet(annotate_sequences(seqs, scheme), np.array(n_train, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(annotated_splits())
+def test_write_read_write_is_byte_identical(split):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.bin"), os.path.join(tmp, "b.bin")
+        store.write_cache(first, split)
+        store.write_cache(second, store.read_cache(first))
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
 
 class _FailingFile:

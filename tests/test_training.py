@@ -8,19 +8,17 @@ from hypothesis import given, strategies as st
 from carnn.data import UserSequence, split_sequences
 from carnn.errors import ConfigError, NumericalError
 from carnn.evaluate import generate_synthetic
-from carnn.model import (ModelConfig, ModelParams, activation_grad, forward_states, init_params,
-                         load_params, save_params)
+from carnn.model import (ModelConfig, ModelParams, forward_states, init_params, load_params,
+                         save_params)
 from carnn.seeding import named_rng
-from carnn.training import (EpochStats, GradientBuffer, TrainConfig, _forward, _pair_gradients,
+from carnn.training import (EpochStats, GradientBuffer, TrainConfig, _pair_gradients,
                             backprop_sequence, bpr_pair_loss, gradient_check, make_examples,
                             sample_negative, sequence_loss, sgd_step, train, write_loss_trace)
 
 
-def tiny_fixture(seed=0, activation="sigmoid", init_scale=0.1, d=3, n_items=5,
-                 n_ctx=2, n_bins=3, length=6):
+def tiny_fixture(seed=0, init_scale=0.1, d=3, n_items=5, n_ctx=2, n_bins=3, length=6):
     config = ModelConfig(d=d, n_items=n_items, n_input_contexts=n_ctx,
-                         n_transition_bins=n_bins, seed=seed,
-                         init_scale=init_scale, activation=activation)
+                         n_transition_bins=n_bins, seed=seed, init_scale=init_scale)
     params = init_params(config)
     rng = named_rng(seed, "synthetic")
     seq = UserSequence(
@@ -149,14 +147,6 @@ class TestBackprop:
         report = gradient_check(params, seq, TrainConfig(seed=5, negatives_per_positive=3))
         assert report.max_rel_error < 1e-4
 
-    def test_identity_activation_near_exact(self):
-        # no squashing: every nonzero gradient is large enough that central
-        # differences agree to ~1e-10 at this epsilon
-        params, seq = tiny_fixture(0, activation="identity", init_scale=0.7,
-                                   d=2, n_items=3, n_ctx=2, n_bins=2, length=3)
-        report = gradient_check(params, seq, TrainConfig(seed=0), epsilon=1e-4)
-        assert report.max_rel_error < 1e-9
-
     def test_epsilon_shrinks_truncation_error(self):
         # in the truncation-dominated regime the error drops ~4x per halving
         params, seq = tiny_fixture(0)
@@ -188,7 +178,9 @@ class TestBackprop:
         negatives = make_examples(seq, 5, named_rng(3, "negatives"))
         buf = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=0))
         # without unrolling, only the positives and their negatives carry gradient
-        assert buf.touched_items == set(seq.items.tolist()) | set(negatives.ravel().tolist())
+        expected = np.zeros(5, dtype=bool)
+        expected[seq.items] = expected[negatives] = True
+        assert np.array_equal(buf.touched_items, expected)
 
     def test_example_requires_distinct_items(self):
         params, seq = tiny_fixture(0)
@@ -247,7 +239,7 @@ def reference_pair_gradients(seq, negatives, p, cfg):
     buf = GradientBuffer(p)
     R, M, W = p.R, p.M_bank, p.W_bank
     H = forward_states(seq, p)
-    act = activation_grad(H, p.config)
+    act = H * (1.0 - H)
     L = len(seq)
     items = seq.items.tolist()
     m_slots = seq.input_ctxs.tolist() if p.config.use_input_contexts else [0] * L
@@ -259,9 +251,7 @@ def reference_pair_gradients(seq, negatives, p, cfg):
         buf.dR[v] += dz @ M[ms].T
         buf.dM_bank[ms] += np.outer(R[v], dz)
         buf.dW_bank[ws] += np.outer(H[j], dz)
-        buf.touched_items.add(v)
-        buf.touched_m.add(ms)
-        buf.touched_w.add(ws)
+        buf.touched_items[v] = buf.touched_m[ms] = buf.touched_w[ws] = True
         return dz @ W[ws].T
 
     dh = np.zeros_like(H)
@@ -282,12 +272,12 @@ def reference_pair_gradients(seq, negatives, p, cfg):
             u = g * (q @ M[ms].T)
             buf.dR[pos] += u
             buf.dR[neg] -= u
-            buf.touched_items.update((pos, neg))
+            buf.touched_items[[pos, neg]] = True
             diff = p_pos - p_neg
             buf.dW_bank[ws] += np.outer(h, g * diff)
-            buf.touched_w.add(ws)
+            buf.touched_w[ws] = True
             buf.dM_bank[ms] += np.outer(g * (r_pos - R[neg]), q)
-            buf.touched_m.add(ms)
+            buf.touched_m[ms] = True
             dh[j] += g * (diff @ W[ws].T)
     if cfg.bptt_window is None:
         for j in range(L - 1, -1, -1):
@@ -312,30 +302,29 @@ GRADIENT_ULPS = 16
 def assert_matches_reference(seq, negatives, p, cfg):
     loss, ref = reference_pair_gradients(seq, negatives, p, cfg)
     buf = GradientBuffer(p)
-    got = _pair_gradients(_forward(seq, p), negatives, p, cfg, buf)
+    got = _pair_gradients(seq, negatives, p, cfg, buf)
     eps = np.finfo(np.float64).eps
     assert abs(got - loss) <= GRADIENT_ULPS * eps * loss
     for name in ("dR", "dM_bank", "dW_bank"):
         want = getattr(ref, name)
         assert np.all(np.abs(getattr(buf, name) - want)
                       <= GRADIENT_ULPS * eps * np.abs(want).max()), name
-    assert buf.touched_items == ref.touched_items
-    assert buf.touched_m == ref.touched_m
-    assert buf.touched_w == ref.touched_w
+    assert np.array_equal(buf.touched_items, ref.touched_items)
+    assert np.array_equal(buf.touched_m, ref.touched_m)
+    assert np.array_equal(buf.touched_w, ref.touched_w)
     return ref
 
 
 class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("window", [None, 0, 1, 3])
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("activation", ["sigmoid", "identity"])
     @pytest.mark.parametrize("use_in,use_tr", [(True, True), (True, False), (False, True),
                                                (False, False)])
-    def test_gradients_loss_and_touched_sets(self, use_in, use_tr, activation, k, window):
+    def test_gradients_loss_and_touched_masks(self, use_in, use_tr, k, window):
         for length in (0, 1, 2, 9, 40):
             config = ModelConfig(d=4, n_items=7, n_input_contexts=3, n_transition_bins=4,
                                  use_input_contexts=use_in, use_transition_contexts=use_tr,
-                                 seed=length, init_scale=0.5, activation=activation)
+                                 seed=length, init_scale=0.5)
             p = init_params(config)
             rng = named_rng(length, "synthetic")
             seq = UserSequence("u", rng.integers(0, 7, size=length),
@@ -345,18 +334,18 @@ class TestAgainstReferenceLoop:
             assert_matches_reference(seq, negatives, p, TrainConfig(bptt_window=window))
 
     def test_underflowed_pairs_touch_nothing(self):
-        # d=1, identity: the state grows with every event, so each pair after
-        # the first has a margin of thousands and a derivative of exactly 0
-        config = ModelConfig(d=1, n_items=4, n_input_contexts=1, n_transition_bins=1,
-                             activation="identity")
-        p = ModelParams(config, np.array([[30.0], [30.0], [-30.0], [-30.0]]),
+        # d=1, |R| = 500: every state after the zero state saturates to exactly
+        # 1.0, so each pair after the first has a margin of 1000, past where
+        # e^-x underflows, and a derivative of exactly 0
+        config = ModelConfig(d=1, n_items=4, n_input_contexts=1, n_transition_bins=1)
+        p = ModelParams(config, np.array([[500.0], [500.0], [-500.0], [-500.0]]),
                         np.ones((1, 1, 1)), np.ones((1, 1, 1)))
         seq = UserSequence("u", np.array([0, 1, 0, 1]), np.arange(4) * 60,
                            np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
         negatives = np.array([[2], [3], [3], [3]])
         ref = assert_matches_reference(seq, negatives, p, TrainConfig())
         # only position 0, scored from the zero state, has a live pair
-        assert ref.touched_items == {0, 2}
+        assert np.flatnonzero(ref.touched_items).tolist() == [0, 2]
         assert not ref.dR[3].any()
 
 
@@ -371,18 +360,36 @@ class TestSgdStep:
         sgd_step(p, buf, TrainConfig(learning_rate=0.1, l2=0.0))
         assert p.R[0, 0] == 1.0
 
+    def test_fresh_buffer_changes_nothing(self):
+        # nothing touched: no bank is decayed, whatever the rates
+        params, _ = tiny_fixture(0)
+        before = copy.deepcopy(params)
+        sgd_step(params, GradientBuffer(params), TrainConfig(learning_rate=0.5, l2=0.5))
+        assert np.array_equal(params.R, before.R)
+        assert np.array_equal(params.M_bank, before.M_bank)
+        assert np.array_equal(params.W_bank, before.W_bank)
+
+    def test_clear_zeroes_touched_groups_and_masks(self):
+        params, seq = tiny_fixture(2)
+        buf = backprop_sequence(seq, make_examples(seq, 5, named_rng(2, "negatives")), params,
+                                TrainConfig())
+        assert buf.touched_items.any() and buf.touched_m.any() and buf.touched_w.any()
+        buf.clear()
+        for name in ("dR", "dM_bank", "dW_bank", "touched_items", "touched_m", "touched_w"):
+            assert not getattr(buf, name).any(), name
+
     def test_plain_arithmetic(self):
         p = self.scalar_params(1.0)
         buf = GradientBuffer(p)
         buf.dR[0, 0] = 2.0
-        buf.touched_items.add(0)
+        buf.touched_items[0] = True
         sgd_step(p, buf, TrainConfig(learning_rate=0.1, l2=0.0))
         assert p.R[0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_touched_zero_gradient_still_decays(self):
         p = self.scalar_params(1.0)
         buf = GradientBuffer(p)
-        buf.touched_items.add(0)  # touched, gradient value zero
+        buf.touched_items[0] = True  # touched, gradient value zero
         sgd_step(p, buf, TrainConfig(learning_rate=0.1, l2=0.01))
         assert p.R[0, 0] == pytest.approx(0.999, abs=1e-15)
 
@@ -392,7 +399,7 @@ class TestSgdStep:
                         np.zeros((1, 1, 1)))
         buf = GradientBuffer(p)
         buf.dR[0, 0] = 1.0
-        buf.touched_items.add(0)
+        buf.touched_items[0] = True
         sgd_step(p, buf, TrainConfig(learning_rate=0.1, l2=0.5))
         assert p.R[0, 0] != 1.0
         assert p.R[1, 0] == 1.0  # untouched row: no lazy decay applied
@@ -401,9 +408,18 @@ class TestSgdStep:
         p = self.scalar_params(1.0)
         buf = GradientBuffer(p)
         buf.dM_bank[0, 0, 0] = float("nan")
-        buf.touched_m.add(0)
+        buf.touched_m[0] = True
         with pytest.raises(NumericalError, match=r"M_bank\[0\]"):
             sgd_step(p, buf, TrainConfig())
+
+    def test_non_finite_gradient_names_its_row(self):
+        # the row is named in the bank, not by its place among the touched rows
+        params, _ = tiny_fixture(0)
+        buf = GradientBuffer(params)
+        buf.touched_items[[1, 3]] = True
+        buf.dR[3, 2] = float("inf")
+        with pytest.raises(NumericalError, match=r"non-finite gradient in R\[3\]"):
+            sgd_step(params, buf, TrainConfig())
 
 
 def planted_split(seed=9, n_users=20, n_items=20, seq_len=30, n_ctx=4):
