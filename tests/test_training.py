@@ -318,13 +318,16 @@ def assert_matches_reference(seq, negatives, p, cfg):
 class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("window", [None, 0, 1, 3])
     @pytest.mark.parametrize("k", [1, 3])
+    # 0.5 keeps the states inside the logistic's slope; at 3.0 most of them
+    # saturate, so H * (1 - H) is tiny and many pair derivatives are near 0
+    @pytest.mark.parametrize("init_scale", [0.5, 3.0])
     @pytest.mark.parametrize("use_in,use_tr", [(True, True), (True, False), (False, True),
                                                (False, False)])
-    def test_gradients_loss_and_touched_masks(self, use_in, use_tr, k, window):
+    def test_gradients_loss_and_touched_masks(self, use_in, use_tr, init_scale, k, window):
         for length in (0, 1, 2, 9, 40):
             config = ModelConfig(d=4, n_items=7, n_input_contexts=3, n_transition_bins=4,
                                  use_input_contexts=use_in, use_transition_contexts=use_tr,
-                                 seed=length, init_scale=0.5)
+                                 seed=length, init_scale=init_scale)
             p = init_params(config)
             rng = named_rng(length, "synthetic")
             seq = UserSequence("u", rng.integers(0, 7, size=length),
