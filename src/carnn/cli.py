@@ -25,8 +25,8 @@ from .errors import CarnnError, ConfigError, DataError, InputOutputError, Numeri
 from .estimator import query_context
 from .evaluate import (evaluate, format_report_table, metric_keys, metric_pairs, pop_baseline,
                        report_to_json)
-from .model import (ModelConfig, ModelParams, check_vocab_compatibility, forward_states,
-                    init_params, load_params, save_params, score_all)
+from .model import (ModelConfig, ModelParams, check_vocab_compatibility, init_params,
+                    load_params, save_params, score_all, states_at)
 from .seeding import named_rng
 from .training import (TrainConfig, gradient_check, train, write_loss_trace)
 
@@ -371,8 +371,10 @@ def predict_cmd(config_path, seed, out, user, timestamp, k, cache, model):
         raise DataError(f"unknown user {user!r}")
     seq = seqs.sequences[uidx]
     n_tr = int(split.n_train[uidx])
-    ctx, bin_ = query_context(timestamp, int(seq.timestamps[n_tr - 1]), seqs.scheme)
-    scores = score_all(forward_states(seq, params, n_tr)[-1], ctx, bin_, params)
+    # with no training history the query is the user's first step: start bin, zero state
+    last_t = int(seq.timestamps[n_tr - 1]) if n_tr else None
+    ctx, bin_ = query_context(timestamp, last_t, seqs.scheme)
+    scores = score_all(states_at([seq], [[n_tr]], params)[0], ctx, bin_, params)
     item_ids = seqs.item_ids()
     top = np.argsort(-scores, kind="stable")[: min(k, len(item_ids))]
     click.echo(f"user={user} timestamp={timestamp} input_context={ctx} transition_bin={bin_}")

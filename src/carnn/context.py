@@ -131,7 +131,7 @@ def annotate_sequences(seqs: "_data.SequenceSet", scheme: ContextScheme) -> "_da
     for seq in seqs.sequences:
         ts = seq.timestamps
         ctx = [input_context(t, scheme) for t in ts]
-        bins = [scheme.start_bin]
+        bins = [scheme.start_bin] if len(ts) else []  # an empty user gets empty arrays
         for k in range(1, len(ts)):
             bins.append(transition_bin(ts[k], ts[k - 1], scheme))
         annotated.append(seq.with_annotations(ctx, bins))

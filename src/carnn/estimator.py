@@ -16,13 +16,14 @@ from .base import ParamsMixin, as_interactions, as_query_rows, as_timestamp, che
 from .context import ContextScheme, annotate_sequences, input_context, transition_bin
 from .data import InteractionLog, build_sequences, full_train_split
 from .errors import DataError
-from .model import ModelConfig, forward_states, init_params, score_all
+from .model import ModelConfig, init_params, score_all, states_at
 from .training import TrainConfig, train
 
 
-def query_context(timestamp, last_t: int, scheme: ContextScheme) -> tuple[int, int]:
+def query_context(timestamp, last_t: int | None, scheme: ContextScheme) -> tuple[int, int]:
     """Input context and gap bin of a query at ``timestamp`` after a last
-    event at ``last_t``; shared by the estimator and ``carnn predict``.
+    event at ``last_t``, or the start bin if ``last_t`` is None; shared by
+    the estimator and ``carnn predict``.
 
     Raises ConfigError unless ``base.as_timestamp`` accepts the timestamp,
     as parsed logs and ``fit`` do, and DataError if it precedes ``last_t``.
@@ -103,24 +104,24 @@ class CARNNRecommender(ParamsMixin):
         self.item_ids_ = seqs.item_ids()
         self.n_items_ = seqs.n_items
         self.loss_trace_ = trace
-        self._state_cache: dict[str, tuple[np.ndarray, int]] = {}
+        self._state_table: np.ndarray | None = None  # built by the first query
         return self
 
     # -- inference ---------------------------------------------------------
 
     def _user_state(self, user: str) -> tuple[np.ndarray, int]:
-        """Hidden state after the user's fitted history, plus their last timestamp."""
-        cached = self._state_cache.get(user)
-        if cached is not None:
-            return cached
+        """Hidden state after the user's fitted history, plus their last timestamp.
+
+        The first call after ``fit`` replays every fitted user in lockstep
+        into a (users, d) state table; later calls index it.
+        """
         idx = self.sequences_.user_vocab.get(user)
         if idx is None:
             raise DataError(f"unknown user {user!r}")
-        seq = self.sequences_.sequences[idx]
-        # a copy, so the cache keeps one state and not the whole trajectory
-        state = (forward_states(seq, self.params_)[-1].copy(), int(seq.timestamps[-1]))
-        self._state_cache[user] = state
-        return state
+        seqs = self.sequences_.sequences
+        if self._state_table is None:
+            self._state_table = states_at(seqs, [[len(seq)] for seq in seqs], self.params_)
+        return self._state_table[idx], int(seqs[idx].timestamps[-1])
 
     def _scores_for(self, user: str, timestamp) -> np.ndarray:
         h, last_t = self._user_state(user)

@@ -20,7 +20,7 @@ import numpy as np
 from .context import SECONDS_PER_DAY, ContextScheme, annotate_sequences
 from .data import SequenceSet, SplitSet, UserSequence
 from .errors import ConfigError, DataError
-from .model import ModelParams, hidden_step, score_all
+from .model import ModelParams, score_all, states_at
 from .seeding import named_rng
 from .store import write_atomic
 
@@ -89,50 +89,20 @@ def _records(heldout: list[tuple[UserSequence, int]], ranks) -> list[RankRecord]
 def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> list[int]:
     """Rank of the true item at every held-out position, in report order.
 
-    Every user advances in lockstep: rows are sorted by sequence length,
-    longest first, so the users still stepping at step k are a prefix of
-    the (users, d) state block and each step is one block ``hidden_step``.
-    Step k reads the concatenated sequences at each row's offset plus k, so
-    no (users x longest sequence) array is built. The state before each
-    held-out position is copied out as the block reaches it; the queries
-    are then scored in blocks of at most SCORE_BLOCK_BYTES.
+    ``states_at`` replays every held-out user in lockstep to the state
+    before each held-out position; the queries are then scored in blocks of
+    at most SCORE_BLOCK_BYTES.
     """
-    lengths = np.array([len(seq) for seq, _ in heldout], dtype=np.int64)
-    items = np.concatenate([seq.items for seq, _ in heldout])
-    ctxs = np.concatenate([seq.input_ctxs for seq, _ in heldout])
-    bins = np.concatenate([seq.trans_bins for seq, _ in heldout])
-    p.check_ids(items, ctxs, bins)
-    starts = np.cumsum(lengths) - lengths
-
-    order = np.argsort(-lengths, kind="stable")
-    row_start = starts[order]
-    row_of = np.empty_like(order)
-    row_of[order] = np.arange(len(order))
-    active = len(lengths) - np.cumsum(np.bincount(lengths))  # users longer than k
-
-    # held-out positions in report order, and their order by step
-    pos = np.arange(len(items)) - np.repeat(starts, lengths)
-    query = np.flatnonzero(pos >= np.repeat([n for _, n in heldout], lengths))
-    q_pos = pos[query]
-    q_row = np.repeat(row_of, lengths)[query]
-    by_step = np.argsort(q_pos, kind="stable")
-    step_bounds = np.concatenate(([0], np.cumsum(np.bincount(q_pos, minlength=len(active)))))
-
-    states = np.empty((len(query), p.config.d), dtype=np.float64)
-    H = np.zeros((len(order), p.config.d), dtype=np.float64)
-    for k in range(len(active) - 1):
-        taken = by_step[step_bounds[k]:step_bounds[k + 1]]
-        states[taken] = H[q_row[taken]]
-        B = active[k + 1]
-        if B:
-            at = row_start[:B] + k
-            H[:B] = hidden_step(H[:B], items[at], ctxs[at], bins[at], p)
+    states = states_at([seq for seq, _ in heldout],
+                       [np.arange(n_tr, len(seq)) for seq, n_tr in heldout], p)
+    items, ctxs, bins = (np.concatenate([getattr(seq, name)[n_tr:] for seq, n_tr in heldout])
+                         for name in ("items", "input_ctxs", "trans_bins"))
 
     block = max(1, SCORE_BLOCK_BYTES // (8 * p.config.n_items))
     ranks = []
-    for lo in range(0, len(query), block):
-        at = query[lo:lo + block]
-        scores = score_all(states[lo:lo + block], ctxs[at], bins[at], p)
+    for lo in range(0, len(states), block):
+        at = slice(lo, lo + block)
+        scores = score_all(states[at], ctxs[at], bins[at], p)
         ranks.extend(rank_target(row, int(v)) for row, v in zip(scores, items[at]))
         del scores  # free this block before the next one is made
     return ranks

@@ -11,13 +11,14 @@ h @ W[bin] @ (r_item @ M[ctx])^T, with the same two banks.
 With a context switch off the corresponding bank collapses to a single
 shared matrix, which reproduces a conventional recurrent model.
 
-``hidden_step`` is the only code that computes a recurrence step: training,
-``carnn predict`` and the estimator step through it via ``forward_states``,
-evaluation through its block form. It and ``score_all`` take either one
-state of shape (d,) or a block of states of shape (B, d) with one item,
-context and bin per row. A block row goes through the same vector-matrix
-BLAS call as the one-state form (a stacked ``np.matmul``), so its state has
-the same bits.
+``hidden_step`` is the only code that computes a recurrence step. Training
+steps through it one state at a time via ``forward_states``; evaluation,
+``carnn predict`` and the estimator's state table take their states from
+``states_at``, which steps all users in lockstep through its block form.
+It and ``score_all`` take either one state of shape (d,) or a block of
+states of shape (B, d) with one item, context and bin per row. A block row
+goes through the same vector-matrix BLAS call as the one-state form (a
+stacked ``np.matmul``), so its state has the same bits.
 """
 
 from __future__ import annotations
@@ -160,20 +161,78 @@ def hidden_step(h_prev: np.ndarray, item_index: int | np.ndarray, ctx: int | np.
     return sigmoid_vec(r @ m + h_prev @ w)
 
 
-def forward_states(seq, p: ModelParams, n: int | None = None) -> np.ndarray:
-    """States of an annotated sequence, or of its first ``n`` events.
+def forward_states(seq, p: ModelParams) -> np.ndarray:
+    """States of an annotated sequence, one one-state ``hidden_step`` call
+    per event.
 
-    Returns an (n+1, d) array: row 0 is the zero state h_0 and row k the
-    state after k events, each from one one-state ``hidden_step`` call.
+    Returns an (len(seq)+1, d) array: row 0 is the zero state h_0 and row k
+    the state after k events.
     """
-    n = len(seq) if n is None else n
+    n = len(seq)
     if n and not seq.annotated:
         raise ConfigError("sequence must be annotated with contexts before the forward pass")
     H = np.zeros((n + 1, p.config.d), dtype=np.float64)
-    steps = zip(seq.items[:n].tolist(), seq.input_ctxs[:n].tolist(), seq.trans_bins[:n].tolist())
+    if not n:
+        return H
+    steps = zip(seq.items.tolist(), seq.input_ctxs.tolist(), seq.trans_bins.tolist())
     for k, (item, ctx, bin_) in enumerate(steps):
         H[k + 1] = hidden_step(H[k], item, ctx, bin_, p)
     return H
+
+
+def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
+    """States of annotated sequences at the wanted positions, in lockstep.
+
+    ``positions[u]`` lists the positions of ``seqs[u]`` whose states are
+    wanted; position j is the state after j events, so 0 is the zero state
+    and ``len(seqs[u])`` the state after the last event. Returns one row per
+    wanted position: user by user, each user's positions in the given order.
+
+    Every user advances at once: rows are sorted by the last position they
+    need, longest first, so the users still stepping at step k are a prefix
+    of the (users, d) state block and each step is one block ``hidden_step``.
+    Step k reads the concatenated sequences at each row's offset plus k, so
+    no (users x longest sequence) array is built. Each wanted state is
+    copied out as the block reaches its position.
+    """
+    if any(len(seq) and not seq.annotated for seq in seqs):
+        raise ConfigError("sequence must be annotated with contexts before the forward pass")
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    user = np.repeat(np.arange(len(seqs)), [len(q) for q in positions])
+    want = np.concatenate([np.zeros(0, dtype=np.int64), *positions]).astype(np.int64)
+    bad = (want < 0) | (want > lengths[user])
+    if bad.any():
+        u = user[np.argmax(bad)]
+        raise ConfigError(f"position {want[np.argmax(bad)]} outside [0, {lengths[u]}] "
+                          f"for user {seqs[u].user!r}")
+    items, ctxs, bins = (np.concatenate([np.zeros(0, dtype=np.int64)]
+                                        + [getattr(seq, name) for seq in seqs if len(seq)])
+                         for name in ("items", "input_ctxs", "trans_bins"))
+    p.check_ids(items, ctxs, bins)
+    starts = np.cumsum(lengths) - lengths
+
+    need = np.zeros(len(seqs), dtype=np.int64)  # the last position each user wants
+    np.maximum.at(need, user, want)
+    order = np.argsort(-need, kind="stable")
+    row_start = starts[order]
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(len(order))
+    active = len(need) - np.cumsum(np.bincount(need))  # users needing more than k steps
+
+    w_row = row_of[user]
+    by_step = np.argsort(want, kind="stable")
+    step_bounds = np.concatenate(([0], np.cumsum(np.bincount(want, minlength=len(active)))))
+
+    out = np.empty((len(want), p.config.d), dtype=np.float64)
+    H = np.zeros((len(order), p.config.d), dtype=np.float64)
+    for k in range(len(active)):
+        taken = by_step[step_bounds[k]:step_bounds[k + 1]]
+        out[taken] = H[w_row[taken]]
+        B = active[k]
+        if B:
+            at = row_start[:B] + k
+            H[:B] = hidden_step(H[:B], items[at], ctxs[at], bins[at], p)
+    return out
 
 
 def score(h: np.ndarray, item_index: int, next_ctx: int, next_bin: int, p: ModelParams) -> float:

@@ -337,6 +337,59 @@ class TestPredict:
                            transition_bin(t, int(seq.timestamps[n_tr - 1]), scheme), params)
         assert top_item == split.sequences.item_ids()[int(np.argmax(scores))]
 
+    @staticmethod
+    def predicted(workdir, cache, model, user, t, k):
+        result = invoke("predict", "--config", workdir["cfg"], "--cache", cache,
+                        "--model", model, "--user", user, "--timestamp", str(t), "--k", str(k))
+        assert result.exit_code == 0, result.output
+        return result.output.splitlines()
+
+    @staticmethod
+    def expected_lines(split, scores, k):
+        item_ids = split.sequences.item_ids()
+        top = np.argsort(-scores, kind="stable")[:k]
+        return [f"{rank}\t{item_ids[i]}\t{scores[i]:.6f}" for rank, i in enumerate(top, 1)]
+
+    @pytest.mark.parametrize("variant", ["carnn", "rnn"])
+    def test_every_score_is_the_one_state_replay(self, workdir, variant):
+        from carnn.context import input_context, transition_bin
+        from carnn.model import forward_states, score_all
+
+        split = store.read_cache(workdir["cache"])
+        params = load_params(workdir["models"][variant])
+        scheme = split.sequences.scheme
+        for u in (0, 7):
+            seq = split.sequences.sequences[u]
+            n_tr = int(split.n_train[u])
+            t = int(seq.timestamps[n_tr - 1]) + 3 * 86400 + 5000
+            lines = self.predicted(workdir, workdir["cache"], workdir["models"][variant],
+                                   seq.user, t, 40)
+            h = forward_states(seq, params)[n_tr]
+            scores = score_all(h, input_context(t, scheme),
+                               transition_bin(t, int(seq.timestamps[n_tr - 1]), scheme), params)
+            assert lines[1:] == self.expected_lines(split, scores, 40)
+
+    def test_no_training_history_starts_from_the_zero_state(self, workdir, tmp_path):
+        from carnn.context import input_context
+        from carnn.model import score_all
+
+        cache = str(tmp_path / "cache.bin")
+        with open(workdir["cache"], "rb") as src, open(cache, "wb") as dst:
+            dst.write(src.read())
+        patch_cache(cache, "n_train", 0)
+        split = store.read_cache(cache)
+        seq = split.sequences.sequences[0]
+        scheme = split.sequences.scheme
+        params = load_params(workdir["models"]["carnn"])
+        # before the first held-out event, and after the last one
+        for t in (int(seq.timestamps[0]) - 3600, int(seq.timestamps[-1]) + 86400):
+            lines = self.predicted(workdir, cache, workdir["models"]["carnn"], seq.user, t, 5)
+            ctx = input_context(t, scheme)
+            assert lines[0] == (f"user={seq.user} timestamp={t} input_context={ctx} "
+                                f"transition_bin={scheme.start_bin}")
+            scores = score_all(np.zeros(params.config.d), ctx, scheme.start_bin, params)
+            assert lines[1:] == self.expected_lines(split, scores, 5)
+
     def test_identical_context_cells_identical_rankings(self, workdir):
         split = store.read_cache(workdir["cache"])
         seq = split.sequences.sequences[0]

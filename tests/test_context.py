@@ -138,6 +138,14 @@ class TestAnnotate:
         out = annotate_sequences(self.make_set([MONDAY]), scheme)
         assert out.sequences[0].trans_bins.tolist() == [scheme.start_bin]
 
+    def test_empty_user_gets_empty_arrays(self):
+        scheme = ContextScheme(factors=("hour_of_day",))
+        out = annotate_sequences(self.make_set([]), scheme)
+        seq = out.sequences[0]
+        assert seq.annotated
+        assert seq.input_ctxs.shape == seq.trans_bins.shape == (0,)
+        assert seq.input_ctxs.dtype == seq.trans_bins.dtype == np.int64
+
     def test_one_hour_apart_is_bin_zero(self):
         scheme = ContextScheme(factors=("hour_of_day",))
         out = annotate_sequences(self.make_set([MONDAY, MONDAY + 3600]), scheme)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from carnn import estimator as estimator_module
 from carnn.context import SECONDS_PER_DAY
 from carnn.errors import ConfigError, DataError
-from carnn.estimator import CARNNRecommender
+from carnn.estimator import CARNNRecommender, query_context
 from carnn.evaluate import generate_synthetic
+from carnn.model import forward_states, score_all
 
 
 def interaction_rows(n_users=8, n_items=16, seq_len=15, seed=2):
@@ -162,3 +164,80 @@ class TestFitPredict:
         est = self.fitted(use_input_contexts=False, use_transition_contexts=False)
         assert est.params_.M_bank.shape[0] == 1
         assert est.params_.W_bank.shape[0] == 1
+
+
+class TestStateTable:
+    """The estimator serves each user's state from one lockstep replay."""
+
+    T = 946857600 + 400 * SECONDS_PER_DAY
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        calls = []
+        real = estimator_module.states_at
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(estimator_module, "states_at", counted)
+        return calls
+
+    @staticmethod
+    def one_by_one(est, user):
+        """State and scores as one user's own one-state replay gives them."""
+        seq = est.sequences_.sequences[est.sequences_.user_vocab[user]]
+        h = forward_states(seq, est.params_)[-1]
+        ctx, bin_ = query_context(TestStateTable.T, int(seq.timestamps[-1]), est.scheme_)
+        return h, int(seq.timestamps[-1]), score_all(h, ctx, bin_, est.params_)
+
+    @pytest.mark.parametrize("variant", [dict(), dict(use_input_contexts=False),
+                                         dict(use_transition_contexts=False),
+                                         dict(use_input_contexts=False,
+                                              use_transition_contexts=False)])
+    def test_states_and_outputs_are_the_per_user_replay(self, variant):
+        est = CARNNRecommender(d=4, epochs=2, context_factors=("hour_of_day",), **variant)
+        est.fit(interaction_rows())
+        users = list(est.sequences_.user_vocab)
+        scores = est.predict_scores([[u, self.T] for u in users])
+        for u, row in zip(users, scores):
+            h, last_t, expected = self.one_by_one(est, u)
+            state, got_t = est._user_state(u)
+            assert np.array_equal(state.view(np.uint64), h.view(np.uint64))
+            assert got_t == last_t
+            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
+            top = np.argsort(-expected, kind="stable")[:5]
+            assert est.recommend(u, self.T, n=5) == [(est.item_ids_[i], float(expected[i]))
+                                                    for i in top]
+
+    def test_fit_builds_nothing_and_the_first_query_builds_once(self, replays):
+        est = CARNNRecommender(d=4, epochs=1, context_factors=("hour_of_day",))
+        est.fit(interaction_rows())
+        assert replays == []
+        est.recommend("u0", self.T)
+        est.predict_scores([["u1", self.T], ["u0", self.T]])
+        assert len(replays) == 1
+        seqs, positions, _ = replays[0]
+        assert positions == [[len(seq)] for seq in seqs]
+
+    def test_refit_serves_the_new_fit(self, replays):
+        est = CARNNRecommender(d=4, epochs=1, context_factors=("hour_of_day",))
+        est.fit(interaction_rows(seed=2))
+        first = est.predict_scores([["u0", self.T]])
+        est.fit(interaction_rows(n_users=5, seed=3))
+        assert np.array_equal(est.predict_scores([["u0", self.T]])[0],
+                              self.one_by_one(est, "u0")[2])
+        assert not np.array_equal(est.predict_scores([["u0", self.T]]), first)
+        assert len(replays) == 2
+        with pytest.raises(DataError, match="u5"):
+            est.recommend("u5", self.T)
+
+    def test_unknown_user_rejected_before_and_after_the_table(self, replays):
+        est = CARNNRecommender(d=4, epochs=1, context_factors=("hour_of_day",))
+        est.fit(interaction_rows())
+        with pytest.raises(DataError, match="unknown user 'ghost'"):
+            est.recommend("ghost", self.T)
+        assert replays == []
+        est.recommend("u0", self.T)
+        with pytest.raises(DataError, match="unknown user 'ghost'"):
+            est.predict_scores([["ghost", self.T]])
+        assert len(replays) == 1

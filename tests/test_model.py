@@ -6,7 +6,7 @@ from carnn.errors import CompatibilityError, ConfigError, FormatError, Numerical
 from carnn.linalg import sigmoid_vec
 from carnn.model import (ModelConfig, ModelParams, check_vocab_compatibility,
                          forward_states, hidden_step, init_params, load_params,
-                         save_params, score, score_all)
+                         save_params, score, score_all, states_at)
 
 
 def manual_params(R, M_bank, W_bank, use_input=True, use_trans=True):
@@ -201,14 +201,17 @@ class TestForward:
             for k in range(length):
                 h = hidden_step(h, seq.items[k], seq.input_ctxs[k], seq.trans_bins[k], p)
                 assert np.array_equal(H[k + 1].view(np.uint64), h.view(np.uint64))
-            for n in range(length + 1):  # a train prefix is a prefix of the rows
-                assert np.array_equal(forward_states(seq, p, n), H[:n + 1])
+            # the lockstep replay gives every row, the zero state included
+            assert np.array_equal(states_at([seq], [np.arange(length + 1)], p).view(np.uint64),
+                                  H.view(np.uint64))
 
     def test_empty_sequence(self):
         p = manual_params(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
         seq = UserSequence("u", np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                            np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert np.array_equal(forward_states(seq, p), np.zeros((1, 2)))
+        unannotated = UserSequence("u", seq.items, seq.timestamps)
+        assert np.array_equal(forward_states(unannotated, p), np.zeros((1, 2)))
 
     def test_unannotated_sequence_rejected(self):
         p = manual_params(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
@@ -244,6 +247,56 @@ class TestForward:
                                      seq.input_ctxs, seq.trans_bins)
         changed_early.items[0] = (changed_early.items[0] + 1) % 6
         assert not np.array_equal(forward_states(changed_early, p)[3], base[3])
+
+
+class TestStatesAt:
+    @pytest.mark.parametrize("variant", BLOCK_VARIANTS)
+    def test_bits_of_forward_states_on_ragged_users(self, variant):
+        rng = np.random.default_rng(8)
+        config = ModelConfig(d=5, n_items=11, n_input_contexts=3, n_transition_bins=4,
+                             seed=8, init_scale=0.5, **variant)
+        p = init_params(config)
+        seqs = [random_annotated_sequence(rng, n, 11, 3, 4) for n in (9, 0, 300, 1, 2, 9)]
+        n_train = [int(rng.integers(0, len(seq) + 1)) for seq in seqs]
+        # positions 0, n_train and len, in either order
+        positions = [[0, n, len(seq)] if u % 2 else [len(seq), n, 0]
+                     for u, (seq, n) in enumerate(zip(seqs, n_train))]
+        got = states_at(seqs, positions, p)
+        expected = np.concatenate([forward_states(seq, p)[q] for seq, q in zip(seqs, positions)])
+        assert got.shape == (3 * len(seqs), 5)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_users_without_positions_add_no_rows(self):
+        rng = np.random.default_rng(9)
+        p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3))
+        seqs = [random_annotated_sequence(rng, n, 6, 2, 3) for n in (4, 7, 2)]
+        got = states_at(seqs, [[], [7, 3], []], p)
+        assert np.array_equal(got, forward_states(seqs[1], p)[[7, 3]])
+        assert states_at(seqs, [[], [], []], p).shape == (0, 3)
+        assert states_at([], [], p).shape == (0, 3)
+
+    def test_empty_user_has_the_zero_state(self):
+        p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3))
+        empty = random_annotated_sequence(np.random.default_rng(0), 0, 6, 2, 3)
+        assert np.array_equal(states_at([empty, empty], [[0], [0, 0]], p), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("position", [-1, 5])
+    def test_position_outside_the_sequence_rejected(self, position):
+        rng = np.random.default_rng(10)
+        p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3))
+        seqs = [random_annotated_sequence(rng, n, 6, 2, 3) for n in (6, 4)]
+        with pytest.raises(ConfigError, match=f"position {position} outside \\[0, 4\\]"):
+            states_at(seqs, [[6], [position]], p)
+
+    def test_bad_ids_and_unannotated_sequences_rejected(self):
+        rng = np.random.default_rng(11)
+        p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3))
+        seq = random_annotated_sequence(rng, 4, 6, 2, 3)
+        seq.trans_bins[2] = 3
+        with pytest.raises(ConfigError, match="transition bin 3 out of range"):
+            states_at([seq], [[1]], p)
+        with pytest.raises(ConfigError, match="annotated"):
+            states_at([UserSequence("u", np.array([0, 1]), np.array([0, 5]))], [[1]], p)
 
 
 class TestScore:

@@ -143,7 +143,7 @@ def annotated_splits(draw):
     items = draw(st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True))
     sequences, n_train = [], []
     for user in users:
-        gaps = draw(st.lists(st.integers(0, 45 * 86400), min_size=1, max_size=6))
+        gaps = draw(st.lists(st.integers(0, 45 * 86400), max_size=6))
         timestamps = draw(st.integers(0, 4 * 10**9)) + np.cumsum(gaps, dtype=np.int64)
         ids = draw(st.lists(st.integers(0, len(items) - 1), min_size=len(gaps),
                             max_size=len(gaps)))
