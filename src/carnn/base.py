@@ -81,15 +81,22 @@ def as_query_rows(X) -> list[tuple[str, int]]:
     return [(str(u), as_timestamp(t)) for u, t in arr]
 
 
+def as_whole(value, what: str) -> int:
+    """``value`` as an int if it is a whole number or a string of one;
+    ConfigError naming ``what`` for anything else, a fraction included."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} {value!r} is not a whole number") from exc
+    if not isinstance(value, (str, bytes)) and whole != value:
+        raise ConfigError(f"{what} {value!r} is not a whole number")
+    return whole
+
+
 def as_timestamp(value) -> int:
     """``value`` as whole Unix seconds in [0, data.TIMESTAMP_LIMIT), the range
     parsed logs accept; ConfigError for anything else, a fraction included."""
-    try:
-        t = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"timestamp {value!r} is not a whole number") from exc
-    if not isinstance(value, (str, bytes)) and t != value:
-        raise ConfigError(f"timestamp {value!r} is not a whole number")
+    t = as_whole(value, "timestamp")
     if not 0 <= t < TIMESTAMP_LIMIT:
         raise ConfigError(f"timestamp {t} is outside [0, {TIMESTAMP_LIMIT})")
     return t

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import store
 from .context import ContextScheme, annotate_sequences, parse_holiday_file
-from .data import FORMATS, InteractionLog, build_sequences, parse_interactions, split_sequences
+from .data import FORMATS, build_sequences, parse_interactions, split_sequences
 from .errors import CarnnError, ConfigError, DataError, InputOutputError, NumericalError
 from .estimator import query_context
 from .evaluate import (evaluate, format_report_table, metric_keys, metric_pairs, pop_baseline,
@@ -127,6 +127,8 @@ def load_run_config(config_path: str | None = None, **overrides) -> RunConfig:
                 lines = fh.readlines()
         except OSError as exc:
             raise InputOutputError(f"cannot read config {config_path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {config_path} is not UTF-8 text: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -259,8 +261,7 @@ def prepare(config_path, seed, out, dataset, fmt):
         raise ConfigError("prepare needs a dataset (config key 'dataset' or --dataset)")
     os.makedirs(cfg.out, exist_ok=True)
     log = parse_interactions(cfg.dataset, cfg.format)
-    users_before = len({it.user for it in log.interactions})
-    items_before = len({it.item for it in log.interactions})
+    users_before, items_before = len(set(log.users)), len(set(log.items))
     seqs = build_sequences(log, cfg.min_user, cfg.min_item)
     seqs = annotate_sequences(seqs, _scheme_from(cfg))
     split = split_sequences(seqs, cfg.split_ratio)

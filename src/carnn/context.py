@@ -7,7 +7,9 @@ to the previous event into whole days, capped at ``max_interval_days``,
 with one reserved bin for sequence starts that have no predecessor.
 
 Civil time uses a fixed UTC offset; there are no daylight-saving rules,
-which keeps annotation deterministic across machines.
+which keeps annotation deterministic across machines. Calendar factors are
+read from day and second counts in integer arithmetic alone, by one kernel
+that takes an int or a whole int64 array of timestamps.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
+from .base import as_whole
 from .errors import ConfigError, DataError
 from . import data as _data
 
@@ -27,8 +32,6 @@ FACTOR_CARDINALITIES = {
     "ten_day_period": 3,   # day 1-10 -> 0, 11-20 -> 1, 21.. -> 2
     "is_holiday": 2,       # 1 iff the civil date is in holiday_dates
 }
-
-_UTC = _dt.timezone.utc
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,13 @@ class ContextScheme:
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "holiday_dates", frozenset(self.holiday_dates))
+        for name in ("max_interval_days", "timezone_offset_seconds"):
+            object.__setattr__(self, name, as_whole(getattr(self, name), name))
+        for day in self.holiday_dates:
+            if not isinstance(day, _dt.date):
+                raise ConfigError(f"holiday dates must be dates, got {day!r}")
+        object.__setattr__(self, "_holiday_days", frozenset(  # days since 1970-01-01
+            day.toordinal() - 719163 for day in self.holiday_dates))
         if not self.factors:
             raise ConfigError("context scheme needs at least one factor")
         unknown = [f for f in self.factors if f not in FACTOR_CARDINALITIES]
@@ -83,33 +93,36 @@ class ContextScheme:
         return self.max_interval_days + 1
 
 
-def _civil(t: int, scheme: ContextScheme) -> _dt.datetime:
-    return _dt.datetime.fromtimestamp(int(t) + scheme.timezone_offset_seconds, tz=_UTC)
+def _day_of_month(days):
+    """Day of the month (1..31) of a day count since 1970-01-01, by Hinnant's
+    civil_from_days."""
+    doe = (days + 719468) % 146097  # day of the 400-year era starting 0000-03-01
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # day of the year starting 1 March
+    return doy - (153 * ((5 * doy + 2) // 153) + 2) // 5 + 1
 
 
-def _factor_value(name: str, civil: _dt.datetime, scheme: ContextScheme) -> int:
-    if name == "day_of_week":
-        return civil.weekday()
-    if name == "hour_of_day":
-        return civil.hour
-    if name == "ten_day_period":
-        if civil.day <= 10:
-            return 0
-        if civil.day <= 20:
-            return 1
-        return 2
-    if name == "is_holiday":
-        return 1 if civil.date() in scheme.holiday_dates else 0
-    raise ConfigError(f"unknown context factor: {name}")
+def input_context(t, scheme: ContextScheme):
+    """Input-context id of a timestamp: mixed-radix over the scheme's factors.
 
-
-def input_context(t: int, scheme: ContextScheme) -> int:
-    """Input-context id of a timestamp: mixed-radix over the scheme's factors."""
-    civil = _civil(t, scheme)
+    ``t`` is Unix seconds: an int, giving an int, or an int64 array, giving
+    an int64 array of the same shape.
+    """
+    days, secs = divmod(t + scheme.timezone_offset_seconds, SECONDS_PER_DAY)
     cid = 0
     for name in scheme.factors:
-        cid = cid * FACTOR_CARDINALITIES[name] + _factor_value(name, civil, scheme)
-    return cid
+        if name == "day_of_week":
+            value = (days + 3) % 7  # 1970-01-01 was a Thursday, Monday is 0
+        elif name == "hour_of_day":
+            value = secs // 3600
+        elif name == "ten_day_period":
+            mday = _day_of_month(days)
+            value = (mday - 1) // 10 - mday // 31  # day 31 stays in the third period
+        else:  # a set lookup for one day, where np.isin would take ~30 us
+            hdays = scheme._holiday_days
+            value = np.isin(days, list(hdays)) if isinstance(days, np.ndarray) else days in hdays
+        cid = cid * FACTOR_CARDINALITIES[name] + value
+    return cid if isinstance(cid, np.ndarray) else int(cid)
 
 
 def transition_bin(t_curr: int, t_prev: int | None, scheme: ContextScheme) -> int:
@@ -127,13 +140,14 @@ def annotate_sequences(seqs: "_data.SequenceSet", scheme: ContextScheme) -> "_da
     The first step of each sequence gets the reserved start bin. Annotation
     recomputes everything from timestamps, so re-annotating is idempotent.
     """
+    ctxs = input_context(np.concatenate([np.zeros(0, dtype=np.int64)]
+                                        + [seq.timestamps for seq in seqs.sequences]), scheme)
+    ends = np.cumsum([len(seq) for seq in seqs.sequences], dtype=np.int64)
     annotated = []
-    for seq in seqs.sequences:
-        ts = seq.timestamps
-        ctx = [input_context(t, scheme) for t in ts]
-        bins = [scheme.start_bin] if len(ts) else []  # an empty user gets empty arrays
-        for k in range(1, len(ts)):
-            bins.append(transition_bin(ts[k], ts[k - 1], scheme))
+    for seq, ctx in zip(seqs.sequences, np.split(ctxs, ends[:-1])):
+        ts = seq.timestamps.tolist()
+        bins = [scheme.start_bin] if ts else []  # an empty user gets empty arrays
+        bins += [transition_bin(t, prev, scheme) for prev, t in zip(ts, ts[1:])]
         annotated.append(seq.with_annotations(ctx, bins))
     return replace(seqs, sequences=annotated, scheme=scheme)
 
@@ -151,6 +165,6 @@ def parse_holiday_file(path: str) -> frozenset[_dt.date]:
                     dates.add(_dt.date.fromisoformat(text))
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: not an ISO date: {text!r}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read holiday file {path}: {exc}") from exc
     return frozenset(dates)

@@ -5,14 +5,17 @@ Items occurring fewer than ``min_item`` times are dropped first, then users
 left with fewer than ``min_user`` events, in a single pass (no fixpoint
 iteration). Each surviving user's events are sorted by timestamp with file
 order breaking ties, which makes every downstream artifact reproducible.
+
+A log is held as columns (user ids, item ids, int64 timestamps) and each
+stage works on whole columns; no per-event object is made.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -39,15 +42,24 @@ class Interaction:
     timestamp: int
 
 
-@dataclass
 class InteractionLog:
-    interactions: list[Interaction]
-    path: str = ""
-    format: str = ""
-    rejects: int = 0
+    """A log as columns in file order: ``users`` and ``items`` (lists of id
+    strings) and ``timestamps`` (int64 Unix seconds UTC)."""
+
+    def __init__(self, interactions: Iterable[Interaction] = (), path: str = "",
+                 format: str = "", rejects: int = 0):
+        rows = list(interactions)
+        self.users = [it.user for it in rows]
+        self.items = [it.item for it in rows]
+        self.timestamps = np.array([it.timestamp for it in rows], dtype=np.int64)
+        self.path, self.format, self.rejects = path, format, rejects
+
+    @property
+    def interactions(self) -> list[Interaction]:
+        return list(map(Interaction, self.users, self.items, self.timestamps.tolist()))
 
     def __len__(self) -> int:
-        return len(self.interactions)
+        return len(self.users)
 
 
 @dataclass
@@ -124,76 +136,71 @@ class SplitSet:
         return int(np.sum(lengths - self.n_train))
 
 
-def _parse_line(line: str, fmt: str) -> Interaction | None:
-    if fmt == "movielens_dat":
-        parts = line.split("::")
-        if len(parts) != 4:
-            return None
-        user, item, _rating, ts = parts
-    else:
-        parts = line.split("\t" if fmt == "tsv" else ",")
-        if len(parts) != 3:
-            return None
-        user, item, ts = parts
-    user = user.strip()
-    item = item.strip()
+def _timestamp(field: str) -> int:
+    """The integer in a timestamp field if it is in [0, TIMESTAMP_LIMIT); else
+    -1, or TIMESTAMP_LIMIT if the field holds no integer at all."""
     try:
-        timestamp = int(ts.strip())
+        t = int(field.strip())
     except ValueError:
-        return None
-    if not user or not item or not 0 <= timestamp < TIMESTAMP_LIMIT:
-        return None
-    return Interaction(user, item, timestamp)
-
-
-def _looks_like_header(line: str, fmt: str) -> bool:
-    """A header has the right column count but a non-numeric timestamp field."""
-    parts = line.split("\t" if fmt == "tsv" else ",")
-    if len(parts) != 3:
-        return False
-    try:
-        int(parts[2].strip())
-    except ValueError:
-        return True
-    return False
+        return TIMESTAMP_LIMIT
+    return t if 0 <= t < TIMESTAMP_LIMIT else -1
 
 
 def parse_interactions(path: str, fmt: str) -> InteractionLog:
-    """Parse a log file into interactions.
+    """Parse a log file into an InteractionLog.
 
+    Lines stream into three columns (user, item, raw timestamp field); the
+    timestamps and the keep mask are then made in whole-column passes.
     Malformed lines, and lines whose timestamp is negative or not below
     TIMESTAMP_LIMIT, are counted as rejects and skipped; if more than half of
     the non-blank lines reject, the file is considered to be in the wrong
-    format. A leading header line in tsv/csv is tolerated.
+    format, as it is if it is not UTF-8. A leading tsv/csv header line, one
+    whose timestamp field is no integer, is skipped.
     """
     if fmt not in FORMATS:
         raise ConfigError(f"unknown input format {fmt!r}; expected one of {FORMATS}")
-    interactions: list[Interaction] = []
+    sep, n_fields = {"movielens_dat": ("::", 4), "tsv": ("\t", 3), "csv": (",", 3)}[fmt]
+    users, items, fields = [], [], []  # ids, and raw timestamp fields
     rejects = 0
-    first_data_line = True
+    first = True
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                text = line.rstrip("\n").rstrip("\r")
-                if not text.strip():
+            for line in fh:  # ends in "\n" at most: the newline is stripped with each field
+                if not line.strip():
                     continue
-                record = _parse_line(text, fmt)
-                if record is None:
-                    if first_data_line and fmt in ("tsv", "csv") and _looks_like_header(text, fmt):
-                        first_data_line = False
-                        continue
+                parts = line.split(sep)
+                if len(parts) != n_fields:
                     rejects += 1
-                else:
-                    interactions.append(record)
-                first_data_line = False
+                # a first csv/tsv line whose timestamp field holds no integer is a header
+                elif not first or fmt == "movielens_dat" or _timestamp(parts[2]) != TIMESTAMP_LIMIT:
+                    users.append(parts[0].strip())
+                    items.append(parts[1].strip())
+                    fields.append(parts[-1])
+                first = False
     except OSError as exc:
         raise InputOutputError(f"cannot read {path}: {exc}") from exc
-    total = len(interactions) + rejects
-    if total > 0 and rejects * 2 > total:
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    n = len(fields)
+    ts = np.fromiter(map(_timestamp, fields), dtype=np.int64, count=n)
+    keep = ((ts >= 0) & (ts < TIMESTAMP_LIMIT)
+            & (np.fromiter(map(len, users), dtype=np.int64, count=n) > 0)
+            & (np.fromiter(map(len, items), dtype=np.int64, count=n) > 0))
+    log = InteractionLog(path=str(path), format=fmt, rejects=rejects + n - int(keep.sum()))
+    log.users, log.items = list(compress(users, keep)), list(compress(items, keep))
+    log.timestamps = ts[keep]
+    total = len(log) + log.rejects
+    if total > 0 and log.rejects * 2 > total:
         raise FormatError(
-            f"{path}: {rejects} of {total} records malformed; is the format really {fmt!r}?"
+            f"{path}: {log.rejects} of {total} records malformed; is the format really {fmt!r}?"
         )
-    return InteractionLog(interactions, path=str(path), format=fmt, rejects=rejects)
+    return log
+
+
+def _factorise(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
+    """Codes numbering ``ids`` by first appearance, and the {id: code} vocabulary."""
+    vocab = {x: k for k, x in enumerate(dict.fromkeys(ids))}
+    return np.fromiter(map(vocab.__getitem__, ids), dtype=np.int64, count=len(ids)), vocab
 
 
 def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) -> SequenceSet:
@@ -201,40 +208,30 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
 
     The user threshold is floored at 2 because a sequence needs at least two
     steps to carry any transition. Vocabularies index users/items by first
-    appearance among the surviving interactions, in file order.
+    appearance among the surviving interactions, in file order. Ids are
+    factorised, counted with ``np.bincount`` and sorted with one stable
+    ``np.lexsort`` on (user, timestamp), so file order breaks ties.
     """
     if len(log) == 0:
         raise DataError("interaction log is empty")
     min_user = max(int(min_user), 2)
     min_item = int(min_item)
 
-    item_counts = Counter(it.item for it in log.interactions)
-    kept = [it for it in log.interactions if item_counts[it.item] >= min_item]
-    user_counts = Counter(it.user for it in kept)
-    kept = [it for it in kept if user_counts[it.user] >= min_user]
-    if not kept:
+    item_codes, user_codes = _factorise(log.items)[0], _factorise(log.users)[0]
+    keep = np.bincount(item_codes)[item_codes] >= min_item
+    keep &= np.bincount(user_codes, weights=keep)[user_codes] >= min_user
+    if not keep.any():
         raise DataError(
             f"no interactions survive filtering (min_user={min_user}, min_item={min_item})"
         )
 
-    user_vocab: dict[str, int] = {}
-    item_vocab: dict[str, int] = {}
-    per_user: dict[str, list[Interaction]] = {}
-    for it in kept:
-        if it.user not in user_vocab:
-            user_vocab[it.user] = len(user_vocab)
-            per_user[it.user] = []
-        if it.item not in item_vocab:
-            item_vocab[it.item] = len(item_vocab)
-        per_user[it.user].append(it)
-
-    sequences = []
-    for user in user_vocab:
-        events = per_user[user]
-        events.sort(key=lambda it: it.timestamp)  # stable: ties keep file order
-        items = np.fromiter((item_vocab[it.item] for it in events), dtype=np.int64, count=len(events))
-        ts = np.fromiter((it.timestamp for it in events), dtype=np.int64, count=len(events))
-        sequences.append(UserSequence(user, items, ts))
+    items, item_vocab = _factorise(list(compress(log.items, keep)))
+    users, user_vocab = _factorise(list(compress(log.users, keep)))
+    ts = log.timestamps[keep]
+    order = np.lexsort((ts, users))
+    bounds = np.cumsum(np.bincount(users))[:-1]
+    sequences = [UserSequence(user, seq_items, seq_ts) for user, seq_items, seq_ts in
+                 zip(user_vocab, np.split(items[order], bounds), np.split(ts[order], bounds))]
     return SequenceSet(sequences, item_vocab, user_vocab)
 
 

@@ -146,6 +146,20 @@ class TestPrepare:
                         "--out", str(tmp_path / "o"))
         assert result.exit_code == FormatError.exit_code
 
+    @pytest.mark.parametrize("bad, error", [("events.csv", FormatError), ("run.cfg", ConfigError),
+                                            ("holidays.txt", ConfigError)])
+    def test_non_utf8_file_exits_through_the_contract(self, tmp_path, bad, error):
+        files = {"events.csv": b"u1,i1,100\nu1,i2,200\nu2,i1,300\nu2,i2,400\n",
+                 "run.cfg": b"min_user=2\nmin_item=1\nholidays=%s\n" % bytes(tmp_path / "holidays.txt"),
+                 "holidays.txt": b"2000-01-01\n"}
+        files[bad] += b"u\xff2,i2,200\n"
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        result = invoke("prepare", "--config", str(tmp_path / "run.cfg"),
+                        "--dataset", str(tmp_path / "events.csv"), "--out", str(tmp_path / "o"))
+        assert result.exit_code == error.exit_code, result.output
+        assert "UTF-8" in result.output or "utf-8" in result.output
+
 
 class TestTrain:
     def test_model_and_loss_trace_written(self, workdir):

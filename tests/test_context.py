@@ -2,10 +2,10 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from carnn.context import (SECONDS_PER_DAY, ContextScheme, annotate_sequences,
-                           input_context, parse_holiday_file, transition_bin)
+from carnn.context import (FACTOR_CARDINALITIES, SECONDS_PER_DAY, ContextScheme,
+                           annotate_sequences, input_context, parse_holiday_file, transition_bin)
 from carnn.data import MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT, SequenceSet, UserSequence
 from carnn.errors import ConfigError, DataError
 
@@ -45,11 +45,117 @@ class TestScheme:
             with pytest.raises(ConfigError, match="timezone offset"):
                 ContextScheme(timezone_offset_seconds=offset)
 
+    @pytest.mark.parametrize("field", ["max_interval_days", "timezone_offset_seconds"])
+    @pytest.mark.parametrize("value", [3.5, 1800.5, "2.5", float("nan"), float("inf"), None])
+    def test_value_that_is_not_a_whole_number_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ContextScheme(**{field: value})
+
+    def test_whole_values_are_stored_as_ints(self):
+        scheme = ContextScheme(max_interval_days=3.0, timezone_offset_seconds=np.int64(-3600))
+        assert type(scheme.max_interval_days) is int and scheme.n_transition_bins == 5
+        assert type(scheme.timezone_offset_seconds) is int
+
+    def test_holiday_that_is_not_a_date_rejected(self):
+        with pytest.raises(ConfigError, match="2000-01-01"):
+            ContextScheme(factors=("is_holiday",), holiday_dates={"2000-01-01"})
+
     def test_last_accepted_timestamp_converts_at_every_offset(self):
         for offset in (-MAX_TZ_OFFSET_SECONDS, 0, MAX_TZ_OFFSET_SECONDS):
             scheme = ContextScheme(timezone_offset_seconds=offset)
             assert 0 <= input_context(TIMESTAMP_LIMIT - 1, scheme) < scheme.n_input_contexts
             assert 0 <= input_context(0, scheme) < scheme.n_input_contexts
+
+
+def _civil(t, scheme):
+    return dt.datetime.fromtimestamp(int(t) + scheme.timezone_offset_seconds, tz=dt.timezone.utc)
+
+
+def _factor_value(name, civil, scheme):
+    if name == "day_of_week":
+        return civil.weekday()
+    if name == "hour_of_day":
+        return civil.hour
+    if name == "ten_day_period":
+        if civil.day <= 10:
+            return 0
+        if civil.day <= 20:
+            return 1
+        return 2
+    if name == "is_holiday":
+        return 1 if civil.date() in scheme.holiday_dates else 0
+    raise AssertionError(name)
+
+
+def reference_context(t, scheme):
+    """The id through datetime, as input_context computed it before its
+    integer kernel."""
+    civil = _civil(t, scheme)
+    cid = 0
+    for name in scheme.factors:
+        cid = cid * FACTOR_CARDINALITIES[name] + _factor_value(name, civil, scheme)
+    return cid
+
+
+LEAP_DAY = dt.date(2000, 2, 29)
+LAST_DAY = dt.date(9999, 12, 31)
+FACTOR_ORDERS = st.permutations(sorted(FACTOR_CARDINALITIES)).flatmap(
+    lambda names: st.integers(1, len(names)).map(lambda k: tuple(names[:k])))
+
+
+class TestCalendarKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(0, TIMESTAMP_LIMIT - 1), min_size=1, max_size=6),
+           st.integers(-MAX_TZ_OFFSET_SECONDS, MAX_TZ_OFFSET_SECONDS), FACTOR_ORDERS,
+           st.sets(st.dates(), max_size=3), st.booleans())
+    @example([951782400, 951868799, TIMESTAMP_LIMIT - 1, 0], -MAX_TZ_OFFSET_SECONDS,
+             ("is_holiday", "ten_day_period", "hour_of_day", "day_of_week"), set(), False)
+    @example([TIMESTAMP_LIMIT - 1, 0], MAX_TZ_OFFSET_SECONDS, ("ten_day_period", "is_holiday"),
+             set(), False)
+    def test_matches_the_datetime_reference(self, stamps, offset, factors, holidays, own_day):
+        holidays |= {LEAP_DAY, LAST_DAY}
+        if own_day:  # a random date is rarely one of the stamps' own
+            holidays.add(_civil(stamps[0], ContextScheme(timezone_offset_seconds=offset)).date())
+        scheme = ContextScheme(factors=factors, holiday_dates=holidays,
+                               timezone_offset_seconds=offset)
+        expected = [reference_context(t, scheme) for t in stamps]
+        for t, want in zip(stamps, expected):
+            got = input_context(t, scheme)
+            assert type(got) is int and got == want
+        ids = input_context(np.array(stamps, dtype=np.int64), scheme)
+        assert ids.dtype == np.int64 and ids.shape == (len(stamps),)
+        assert ids.tolist() == expected
+        column = input_context(np.array(stamps, dtype=np.int64).reshape(-1, 1), scheme)
+        assert column.dtype == np.int64 and column.shape == (len(stamps), 1)
+        assert column.ravel().tolist() == expected
+
+    def test_every_day_around_century_ends_and_a_stride_of_days(self):
+        # the days where Hinnant's century and leap-year terms change the date
+        starts = [dt.datetime(year, 2, 20, 12, tzinfo=dt.timezone.utc).timestamp()
+                  for year in range(2000, 10000, 100)]
+        stamps = [int(start) + k * SECONDS_PER_DAY for start in starts for k in range(21)]
+        stamps += list(range(0, TIMESTAMP_LIMIT, 997 * SECONDS_PER_DAY + 3607))
+        scheme = ContextScheme(factors=("ten_day_period", "day_of_week", "hour_of_day"))
+        ids = input_context(np.array(stamps, dtype=np.int64), scheme)
+        assert ids.tolist() == [reference_context(t, scheme) for t in stamps]
+
+    @pytest.mark.parametrize("factors", [("hour_of_day",), ("is_holiday", "ten_day_period")])
+    def test_empty_array_gives_empty_ids(self, factors):
+        ids = input_context(np.zeros(0, dtype=np.int64), ContextScheme(factors=factors))
+        assert ids.dtype == np.int64 and ids.shape == (0,)
+
+    def test_leap_day_and_last_day_are_holidays(self):
+        scheme = ContextScheme(factors=("is_holiday", "ten_day_period"),
+                               holiday_dates={LEAP_DAY, LAST_DAY})
+        leap_noon = 951825600  # 2000-02-29T12:00Z
+        assert input_context(leap_noon, scheme) == 1 * 3 + 2
+        assert input_context(leap_noon + SECONDS_PER_DAY, scheme) == 0  # 1 March
+        assert input_context(TIMESTAMP_LIMIT - 1, scheme) == 1 * 3 + 2
+        for offset, holiday in ((MAX_TZ_OFFSET_SECONDS, 1), (-MAX_TZ_OFFSET_SECONDS, 0)):
+            # 9999-12-31T23:59:59 and 9999-12-30T19:59:59 in civil time
+            shifted = ContextScheme(factors=scheme.factors, holiday_dates=scheme.holiday_dates,
+                                    timezone_offset_seconds=offset)
+            assert input_context(TIMESTAMP_LIMIT - 1, shifted) == holiday * 3 + 2
 
 
 class TestInputContext:

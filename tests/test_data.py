@@ -1,9 +1,14 @@
+import os
+import tempfile
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, build_sequences,
-                        full_train_split, parse_interactions, split_sequences, train_length)
+from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, SequenceSet, UserSequence,
+                        build_sequences, full_train_split, parse_interactions, split_sequences,
+                        train_length)
 from carnn.errors import ConfigError, DataError, FormatError, InputOutputError
 
 
@@ -73,8 +78,205 @@ class TestParse:
             parse_interactions(path, "json")
 
 
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"u1,i1,100\nu\xff2,i2,200\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            parse_interactions(str(path), "csv")
+
+    def test_log_keeps_columns_and_derives_interactions(self, tmp_path):
+        path = write(tmp_path, "r.csv", "u1,i1,100\nbad\nu2, i2 ,7\n")
+        log = parse_interactions(path, "csv")
+        assert (log.users, log.items) == (["u1", "u2"], ["i1", "i2"])
+        assert log.timestamps.dtype == np.int64 and log.timestamps.tolist() == [100, 7]
+        assert log.interactions == [Interaction("u1", "i1", 100), Interaction("u2", "i2", 7)]
+        assert (len(log), log.rejects, log.format) == (2, 1, "csv")
+
+
 def log_of(rows):
     return InteractionLog([Interaction(u, i, t) for u, i, t in rows])
+
+
+# --- the per-line parser and the Counter-based sequence builder that the
+# columnar data path replaced, kept as references ---------------------------
+
+def _parse_line_reference(line, fmt):
+    if fmt == "movielens_dat":
+        parts = line.split("::")
+        if len(parts) != 4:
+            return None
+        user, item, _rating, ts = parts
+    else:
+        parts = line.split("\t" if fmt == "tsv" else ",")
+        if len(parts) != 3:
+            return None
+        user, item, ts = parts
+    user = user.strip()
+    item = item.strip()
+    try:
+        timestamp = int(ts.strip())
+    except ValueError:
+        return None
+    if not user or not item or not 0 <= timestamp < TIMESTAMP_LIMIT:
+        return None
+    return Interaction(user, item, timestamp)
+
+
+def _looks_like_header_reference(line, fmt):
+    parts = line.split("\t" if fmt == "tsv" else ",")
+    if len(parts) != 3:
+        return False
+    try:
+        int(parts[2].strip())
+    except ValueError:
+        return True
+    return False
+
+
+def parse_reference(path, fmt):
+    """(interactions, rejects), or FormatError when more than half reject."""
+    interactions = []
+    rejects = 0
+    first_data_line = True
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            text = line.rstrip("\n").rstrip("\r")
+            if not text.strip():
+                continue
+            record = _parse_line_reference(text, fmt)
+            if record is None:
+                if (first_data_line and fmt in ("tsv", "csv")
+                        and _looks_like_header_reference(text, fmt)):
+                    first_data_line = False
+                    continue
+                rejects += 1
+            else:
+                interactions.append(record)
+            first_data_line = False
+    total = len(interactions) + rejects
+    if total > 0 and rejects * 2 > total:
+        raise FormatError(f"{rejects} of {total}")
+    return interactions, rejects
+
+
+def build_reference(interactions, min_user, min_item):
+    if not interactions:
+        raise DataError("interaction log is empty")
+    min_user = max(int(min_user), 2)
+    item_counts = Counter(it.item for it in interactions)
+    kept = [it for it in interactions if item_counts[it.item] >= min_item]
+    user_counts = Counter(it.user for it in kept)
+    kept = [it for it in kept if user_counts[it.user] >= min_user]
+    if not kept:
+        raise DataError("no interactions survive filtering")
+    user_vocab, item_vocab, per_user = {}, {}, {}
+    for it in kept:
+        if it.user not in user_vocab:
+            user_vocab[it.user] = len(user_vocab)
+            per_user[it.user] = []
+        if it.item not in item_vocab:
+            item_vocab[it.item] = len(item_vocab)
+        per_user[it.user].append(it)
+    sequences = []
+    for user in user_vocab:
+        events = sorted(per_user[user], key=lambda it: it.timestamp)
+        sequences.append(UserSequence(user, np.array([item_vocab[it.item] for it in events],
+                                                     dtype=np.int64),
+                                      np.array([it.timestamp for it in events], dtype=np.int64)))
+    return SequenceSet(sequences, item_vocab, user_vocab)
+
+
+def outcome(fn, *args):
+    """fn's result, or the class of the carnn error it raised."""
+    try:
+        return fn(*args)
+    except (DataError, FormatError) as exc:
+        return type(exc)
+
+
+SEPARATORS = {"csv": ",", "tsv": "\t", "movielens_dat": "::"}
+# valid values outnumber the rest, so that most logs pass the half-rejected cut-off
+TIMESTAMP_FIELDS = st.sampled_from(
+    ["0", "1", "2", "3", "4"] * 6  # small, so that users repeat timestamps
+    + [" 7 ", "+5", "1_000", str(TIMESTAMP_LIMIT - 1), str(TIMESTAMP_LIMIT), "-5", "12.5", "abc",
+       "", "100000000000000000000"])
+IDS = st.sampled_from(["a", "b", " c ", "d", "e", "f", "g"] * 3 + ["", " "])
+
+
+@st.composite
+def log_files(draw):
+    """(format, text) of a log with malformed, blank and header lines."""
+    fmt = draw(st.sampled_from(sorted(SEPARATORS)))
+    sep = SEPARATORS[fmt]
+    record = st.builds(lambda u, i, t: [u, i, "4", t] if fmt == "movielens_dat" else [u, i, t],
+                       IDS, IDS, TIMESTAMP_FIELDS).map(sep.join)
+    junk = st.sampled_from(["", "   ", "\t", "garbage", sep.join("xy"), sep.join("wxyzv"),
+                            "user,item,timestamp"])
+    lines = draw(st.permutations(draw(st.lists(record, max_size=40))
+                                 + draw(st.lists(junk, max_size=8))))
+    if fmt != "movielens_dat" and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, min(2, len(lines)))),
+                     sep.join(["user", "item", draw(st.sampled_from(["timestamp", " ts", "1"]))]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    tail = draw(st.sampled_from(["", "\n"]))
+    return fmt, "".join(text + end for text, end in zip(lines, ends)) + tail
+
+
+class TestColumnarPathMatchesReference:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(log_files(), st.integers(0, 4), st.integers(0, 3))
+    def test_parse_and_build(self, log_file, min_user, min_item):
+        fmt, text = log_file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            expected = outcome(parse_reference, path, fmt)
+            log = outcome(parse_interactions, path, fmt)
+        if expected is FormatError or log is FormatError:
+            assert log is expected
+            return
+        interactions, rejects = expected
+        assert log.interactions == interactions and log.rejects == rejects
+        assert log.timestamps.dtype == np.int64
+        want = outcome(build_reference, interactions, min_user, min_item)
+        got = outcome(build_sequences, log, min_user, min_item)
+        if want is DataError or got is DataError:
+            assert got is want
+            return
+        assert list(got.user_vocab.items()) == list(want.user_vocab.items())
+        assert list(got.item_vocab.items()) == list(want.item_vocab.items())
+        assert len(got.sequences) == len(want.sequences)
+        for g, w in zip(got.sequences, want.sequences):
+            assert g.user == w.user
+            assert g.items.dtype == g.timestamps.dtype == np.int64
+            assert g.items.tolist() == w.items.tolist()
+            assert g.timestamps.tolist() == w.timestamps.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("uvwx"), st.sampled_from("abcdef"),
+                              st.integers(0, 3)), max_size=40),
+           st.integers(0, 6), st.integers(0, 6))
+    def test_build_on_equal_timestamps_and_thresholds(self, rows, min_user, min_item):
+        log = log_of(rows)
+        want = outcome(build_reference, log.interactions, min_user, min_item)
+        got = outcome(build_sequences, log, min_user, min_item)
+        if want is DataError or got is DataError:
+            assert got is want
+            return
+        assert got.user_ids() == want.user_ids() and got.item_ids() == want.item_ids()
+        for g, w in zip(got.sequences, want.sequences):
+            assert g.items.tolist() == w.items.tolist()
+            assert g.timestamps.tolist() == w.timestamps.tolist()
+
+    def test_counts_exactly_at_the_thresholds_survive(self):
+        # "i" occurs exactly min_item times and "u" keeps exactly min_user events
+        rows = [("u", "i", 3), ("u", "i", 3), ("u", "j", 1), ("v", "j", 2), ("v", "j", 2),
+                ("u", "rare", 0)]
+        seqs = build_sequences(log_of(rows), min_user=3, min_item=2)
+        assert seqs.user_ids() == ["u"] and seqs.item_ids() == ["i", "j"]
+        assert seqs.sequences[0].items.tolist() == [1, 0, 0]
 
 
 class TestBuildSequences:

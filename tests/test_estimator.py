@@ -121,6 +121,12 @@ class TestFitPredict:
         with pytest.raises(ConfigError, match="is not a whole number"):
             CARNNRecommender(d=4, epochs=1).fit(rows)
 
+    @pytest.mark.parametrize("param", [dict(max_interval_days=2.5),
+                                       dict(timezone_offset_seconds=1800.5)])
+    def test_scheme_value_not_a_whole_number_rejected(self, param):
+        with pytest.raises(ConfigError, match="is not a whole number"):
+            CARNNRecommender(d=4, epochs=1, **param).fit(interaction_rows())
+
     def test_whole_number_timestamps_of_any_type_accepted(self):
         est = self.fitted()
         t = 946857600 + 400 * SECONDS_PER_DAY
