@@ -16,7 +16,8 @@ from .estimator import CARNNRecommender
 from .evaluate import (MetricsReport, RankRecord, evaluate, generate_synthetic,
                        pop_baseline, rank_target)
 from .model import (ModelConfig, ModelParams, forward_states, hidden_step,
-                    init_params, load_params, save_params, score, score_all, states_at)
+                    init_params, load_params, save_params, score, score_all, states_at,
+                    top_n)
 from .training import (EpochStats, GradientBuffer, TrainConfig,
                        backprop_sequence, bpr_pair_loss, gradient_check,
                        sample_negative, sgd_step, train)
@@ -32,6 +33,7 @@ __all__ = [
     "build_sequences", "full_train_split", "parse_interactions", "split_sequences",
     "ModelConfig", "ModelParams", "forward_states", "hidden_step",
     "init_params", "load_params", "save_params", "score", "score_all", "states_at",
+    "top_n",
     "EpochStats", "GradientBuffer", "TrainConfig",
     "backprop_sequence", "bpr_pair_loss", "gradient_check",
     "sample_negative", "sgd_step", "train",

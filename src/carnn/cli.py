@@ -26,7 +26,7 @@ from .estimator import query_context
 from .evaluate import (evaluate, format_report_table, metric_keys, metric_pairs, pop_baseline,
                        report_to_json)
 from .model import (ModelConfig, ModelParams, check_vocab_compatibility, init_params,
-                    load_params, save_params, score_all, states_at)
+                    load_params, save_params, score_all, states_at, top_n)
 from .seeding import named_rng
 from .training import (TrainConfig, gradient_check, train, write_loss_trace)
 
@@ -356,7 +356,8 @@ def eval_cmd(config_path, seed, out, variant, cache, model):
 @click.option("--timestamp", type=int, required=True,
               help="Prediction time (Unix seconds, >= the user's last training event "
                    "and before 10000-01-01 UTC less 14 h).")
-@click.option("--k", type=int, default=10, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), default=10, show_default=True,
+              help="Number of items to print (at least 1; past the vocabulary, all).")
 @click.option("--cache", default=None)
 @click.option("--model", default=None)
 @handle_errors
@@ -377,10 +378,9 @@ def predict_cmd(config_path, seed, out, user, timestamp, k, cache, model):
     ctx, bin_ = query_context(timestamp, last_t, seqs.scheme)
     scores = score_all(states_at([seq], [[n_tr]], params)[0], ctx, bin_, params)
     item_ids = seqs.item_ids()
-    top = np.argsort(-scores, kind="stable")[: min(k, len(item_ids))]
     click.echo(f"user={user} timestamp={timestamp} input_context={ctx} transition_bin={bin_}")
-    for rank, idx in enumerate(top, start=1):
-        click.echo(f"{rank}\t{item_ids[int(idx)]}\t{scores[int(idx)]:.6f}")
+    for rank, idx in enumerate(top_n(scores, k).tolist(), start=1):
+        click.echo(f"{rank}\t{item_ids[idx]}\t{scores[idx]:.6f}")
 
 
 def _gradcheck_fixture(seed: int):

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ParamsMixin, as_interactions, as_query_rows, as_timestamp, check_is_fitted
+from .base import (ParamsMixin, as_interactions, as_query_rows, as_timestamp, as_whole,
+                   check_is_fitted)
 from .context import ContextScheme, annotate_sequences, input_context, transition_bin
 from .data import InteractionLog, build_sequences, full_train_split
-from .errors import DataError
-from .model import ModelConfig, init_params, score_all, states_at
+from .errors import ConfigError, DataError
+from .model import ModelConfig, init_params, score_all, states_at, top_n
 from .training import TrainConfig, train
 
 
@@ -143,9 +144,16 @@ class CARNNRecommender(ParamsMixin):
         return np.array([self.item_ids_[i] for i in best], dtype=object)
 
     def recommend(self, user, timestamp, n: int = 10) -> list[tuple[str, float]]:
-        """Top-n (item id, score) pairs for one user at one timestamp."""
+        """Top-n (item id, score) pairs for one user at one timestamp, best
+        first, from ``model.top_n``: equal scores list the lower item index
+        first, and ``n`` past the vocabulary gives every item.
+
+        Raises ConfigError unless ``n`` is a whole number of at least 1.
+        """
         check_is_fitted(self, "params_")
+        n = as_whole(n, "n")
+        if n < 1:
+            raise ConfigError(f"n must be at least 1, got {n}")
         scores = self._scores_for(str(user), timestamp)
-        n = min(n, self.n_items_)
-        top = np.argsort(-scores, kind="stable")[:n]
-        return [(self.item_ids_[i], float(scores[i])) for i in top]
+        top = top_n(scores, n)
+        return list(zip([self.item_ids_[i] for i in top.tolist()], scores[top].tolist()))

@@ -248,7 +248,8 @@ def score_all(h: np.ndarray, next_ctx: int | np.ndarray, next_bin: int | np.ndar
     """Scores for every item: one projected vector, then a single R @ q product.
 
     A (B, d) block of states, with checked length-B context and bin arrays,
-    gives (B, n_items) scores from one Q @ R.T product.
+    gives (B, n_items) scores from one Q @ R.T product. ``top_n`` turns one
+    state's scores into a ranked list.
     """
     if np.ndim(h) == 2:
         m, w = _block_banks(p.M_bank, p.W_bank, next_ctx, next_bin, p.config)
@@ -258,6 +259,22 @@ def score_all(h: np.ndarray, next_ctx: int | np.ndarray, next_bin: int | np.ndar
     w = p.W_bank[p.trans_slot(next_bin)]
     q = (h @ w) @ m.T
     return p.R @ q
+
+
+def top_n(scores: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the ``n`` (at least 1) highest ``scores``, best first:
+    exactly ``np.argsort(-scores, kind="stable")[:n]``, so equal scores keep
+    the lower index first and NaN ranks last.
+
+    A partition finds the n-th best score; only the entries not worse than it
+    are sorted. Ties at that score stay candidates in index order, and a NaN
+    n-th score makes every entry one.
+    """
+    neg = -scores
+    n = min(n, len(neg))
+    kth = np.partition(neg, n - 1)[n - 1]
+    cand = np.flatnonzero(~(neg > kth))
+    return cand[np.argsort(neg[cand], kind="stable")][:n]
 
 
 # --- model file format -------------------------------------------------------

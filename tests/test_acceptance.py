@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ def test_repeated_commands_are_byte_identical(tmp_path):
             result = runner.invoke(cli, args)
             assert result.exit_code == 0, result.output
         outputs[tag] = {
-            name: open(os.path.join(out, name), "rb").read()
+            name: Path(os.path.join(out, name)).read_bytes()
             for name in ("cache.bin", "model.carn", "metrics.json")
         }
     assert outputs["a"] == outputs["b"]

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ class TestRunConfig:
 
 class TestPrepare:
     def test_stats_reported(self, workdir):
-        stats = open(os.path.join(workdir["out"], "prepare_stats.txt")).read()
+        stats = Path(os.path.join(workdir["out"], "prepare_stats.txt")).read_text()
         assert "records_parsed=1200" in stats
         assert "users_after_filtering=30" in stats
         assert "items_after_filtering=40" in stats
@@ -101,8 +102,8 @@ class TestPrepare:
         out2 = str(tmp_path / "again")
         result = invoke("prepare", "--config", workdir["cfg"], "--out", out2)
         assert result.exit_code == 0, result.output
-        a = open(workdir["cache"], "rb").read()
-        b = open(os.path.join(out2, "cache.bin"), "rb").read()
+        a = Path(workdir["cache"]).read_bytes()
+        b = Path(os.path.join(out2, "cache.bin")).read_bytes()
         assert a == b
 
     def test_cache_round_trips_through_reader(self, workdir):
@@ -165,7 +166,7 @@ class TestTrain:
     def test_model_and_loss_trace_written(self, workdir):
         model = workdir["models"]["carnn"]
         assert os.path.exists(model)
-        loss = open(os.path.join(os.path.dirname(model), "loss.csv")).read().splitlines()
+        loss = Path(os.path.join(os.path.dirname(model), "loss.csv")).read_text().splitlines()
         assert loss[0] == "epoch,mean_pair_loss,wall_seconds"
         assert len(loss) == 11
 
@@ -179,8 +180,8 @@ class TestTrain:
         result = invoke("train", "--config", workdir["cfg"], "--variant", "carnn",
                         "--out", out2, "--cache", workdir["cache"])
         assert result.exit_code == 0, result.output
-        a = open(workdir["models"]["carnn"], "rb").read()
-        b = open(os.path.join(out2, "model.carn"), "rb").read()
+        a = Path(workdir["models"]["carnn"]).read_bytes()
+        b = Path(os.path.join(out2, "model.carn")).read_bytes()
         assert a == b
 
     def test_effective_config_reproduces_run(self, workdir, tmp_path):
@@ -189,8 +190,8 @@ class TestTrain:
         out2 = str(tmp_path / "refed")
         result = invoke("train", "--config", echoed, "--out", out2)
         assert result.exit_code == 0, result.output
-        a = open(workdir["models"]["carnn"], "rb").read()
-        b = open(os.path.join(out2, "model.carn"), "rb").read()
+        a = Path(workdir["models"]["carnn"]).read_bytes()
+        b = Path(os.path.join(out2, "model.carn")).read_bytes()
         assert a == b
 
     def test_echoed_config_pins_derived_cache_path(self, workdir, tmp_path):
@@ -199,12 +200,12 @@ class TestTrain:
         result = invoke("train", "--config", workdir["cfg"], "--variant", "carnn")
         assert result.exit_code == 0, result.output
         echoed = os.path.join(workdir["out"], "train.effective.cfg")
-        assert f"cache={workdir['cache']}" in open(echoed).read()
+        assert f"cache={workdir['cache']}" in Path(echoed).read_text()
         out2 = str(tmp_path / "elsewhere")
         result = invoke("train", "--config", echoed, "--out", out2)
         assert result.exit_code == 0, result.output
-        a = open(os.path.join(workdir["out"], "model.carn"), "rb").read()
-        b = open(os.path.join(out2, "model.carn"), "rb").read()
+        a = Path(os.path.join(workdir["out"], "model.carn")).read_bytes()
+        b = Path(os.path.join(out2, "model.carn")).read_bytes()
         assert a == b
 
     def test_missing_cache_is_io_error(self, workdir, tmp_path):
@@ -239,7 +240,7 @@ class TestEval:
             args += ["--model", model]
         result = invoke(*args)
         assert result.exit_code == 0, result.output
-        return result, json.load(open(os.path.join(out, "metrics.json"))), out
+        return result, json.loads(Path(os.path.join(out, "metrics.json")).read_text()), out
 
     def test_console_table_columns(self, workdir, tmp_path):
         result, _, _ = self.eval_variant(workdir, tmp_path, "carnn",
@@ -309,8 +310,8 @@ class TestEval:
                         "--out", out_b, "--cache", workdir["cache"],
                         "--model", workdir["models"]["carnn"])
         assert result.exit_code == 0
-        a = open(os.path.join(out_a, "metrics.json"), "rb").read()
-        b = open(os.path.join(out_b, "metrics.json"), "rb").read()
+        a = Path(os.path.join(out_a, "metrics.json")).read_bytes()
+        b = Path(os.path.join(out_b, "metrics.json")).read_bytes()
         assert a == b
 
 
@@ -372,16 +373,25 @@ class TestPredict:
         split = store.read_cache(workdir["cache"])
         params = load_params(workdir["models"][variant])
         scheme = split.sequences.scheme
-        for u in (0, 7):
-            seq = split.sequences.sequences[u]
-            n_tr = int(split.n_train[u])
+        n_items = split.sequences.n_items
+        for seq, n_tr in zip(split.sequences.sequences, split.n_train.tolist()):
             t = int(seq.timestamps[n_tr - 1]) + 3 * 86400 + 5000
-            lines = self.predicted(workdir, workdir["cache"], workdir["models"][variant],
-                                   seq.user, t, 40)
             h = forward_states(seq, params)[n_tr]
             scores = score_all(h, input_context(t, scheme),
                                transition_bin(t, int(seq.timestamps[n_tr - 1]), scheme), params)
-            assert lines[1:] == self.expected_lines(split, scores, 40)
+            for k in (1, 10, n_items):
+                lines = self.predicted(workdir, workdir["cache"], workdir["models"][variant],
+                                       seq.user, t, k)
+                assert lines[1:] == self.expected_lines(split, scores, k)
+
+    @pytest.mark.parametrize("k", ["0", "-38", "2.5", "ten"])
+    def test_k_not_a_whole_number_of_at_least_1_is_config_error(self, workdir, k):
+        seq = store.read_cache(workdir["cache"]).sequences.sequences[0]
+        result = invoke("predict", "--config", workdir["cfg"], "--cache", workdir["cache"],
+                        "--model", workdir["models"]["carnn"], "--user", seq.user,
+                        "--timestamp", str(int(seq.timestamps[-1]) + 3600), "--k", k)
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert "Invalid value for '--k'" in result.output
 
     def test_no_training_history_starts_from_the_zero_state(self, workdir, tmp_path):
         from carnn.context import input_context
@@ -475,7 +485,7 @@ class TestSweep:
         result = invoke("sweep", "--config", workdir["cfg"], "--cache", workdir["cache"],
                         "--out", out, "--d-values", "4,6", "--variants", "rnn,carnn")
         assert result.exit_code == 0, result.output
-        lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+        lines = Path(os.path.join(out, "sweep.csv")).read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + |variants| x |d_values|
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
@@ -495,7 +505,7 @@ class TestSweep:
         result = invoke("sweep", "--config", workdir["cfg"], "--cache", workdir["cache"],
                         "--out", out, "--d-values", "4", "--variants", "rnn,carnn")
         assert result.exit_code == 0, result.output
-        lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+        lines = Path(os.path.join(out, "sweep.csv")).read_text().strip().splitlines()
         assert len(lines) == 3
         assert all("error:NumericalError" in line for line in lines[1:])
         assert all(line.count(",") == lines[0].count(",") for line in lines[1:])

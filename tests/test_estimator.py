@@ -89,6 +89,38 @@ class TestFitPredict:
         t = 946857600 + 400 * SECONDS_PER_DAY
         assert est.recommend("u0", t, n=1)[0][0] == est.predict([["u0", t]])[0]
 
+    def test_recommend_is_the_stable_argsort_for_every_user(self):
+        est = self.fitted()
+        # items 8..15 copy the embeddings of 0..7, so every score has an exact tie
+        est.params_.R[8:] = est.params_.R[:8]
+        for u in est.sequences_.user_vocab:
+            for days in (0, 3, 400):
+                t = est._user_state(u)[1] + days * SECONDS_PER_DAY + 3600
+                scores = est.predict_scores([[u, t]])[0]
+                assert len(set(scores.tolist())) <= 8
+                order = np.argsort(-scores, kind="stable")
+                for n in (1, 5, est.n_items_, est.n_items_ + 4):
+                    assert est.recommend(u, t, n=n) == [(est.item_ids_[i], float(scores[i]))
+                                                        for i in order[:n]]
+
+    @pytest.mark.parametrize("n, message", [(0, "n must be at least 1, got 0"),
+                                            (-2, "n must be at least 1, got -2"),
+                                            (2.5, "n 2.5 is not a whole number"),
+                                            ("x", "n 'x' is not a whole number"),
+                                            (None, "n None is not a whole number")])
+    def test_n_below_1_or_not_whole_rejected(self, n, message):
+        est = self.fitted()
+        t = 946857600 + 400 * SECONDS_PER_DAY
+        with pytest.raises(ConfigError, match=message):
+            est.recommend("u0", t, n=n)
+
+    def test_whole_number_n_of_any_type_accepted(self):
+        est = self.fitted()
+        t = 946857600 + 400 * SECONDS_PER_DAY
+        expected = est.recommend("u0", t, n=3)
+        for same in (3.0, np.int64(3), "3"):
+            assert est.recommend("u0", t, n=same) == expected
+
     def test_unknown_user_rejected(self):
         est = self.fitted()
         with pytest.raises(DataError, match="ghost"):

@@ -1,12 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from carnn.data import UserSequence
 from carnn.errors import CompatibilityError, ConfigError, FormatError, NumericalError
 from carnn.linalg import sigmoid_vec
 from carnn.model import (ModelConfig, ModelParams, check_vocab_compatibility,
                          forward_states, hidden_step, init_params, load_params,
-                         save_params, score, score_all, states_at)
+                         save_params, score, score_all, states_at, top_n)
 
 
 def manual_params(R, M_bank, W_bank, use_input=True, use_trans=True):
@@ -329,6 +332,41 @@ class TestScore:
         assert int(np.argmax(vec)) == int(np.argmax(per_item))
 
 
+def reference_top_n(scores, n):
+    """The full stable sort that ``top_n`` replaces."""
+    return np.argsort(-scores, kind="stable")[:n]
+
+
+# few distinct values, so exact ties are common; NaN, both zeros and both infinities
+TIE_VALUES = [-1.5, -0.0, 0.0, 0.25, 1.0, 3.0, np.nan, np.inf, -np.inf]
+
+
+class TestTopN:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(TIE_VALUES), st.floats()), min_size=1, max_size=60),
+           st.integers(1, 70))
+    @example([1.0] * 40, 20)                        # a tie across the cut, past small-sort sizes
+    @example([2.0, np.nan, np.nan, 1.0, np.nan], 3)  # a NaN n-th score: every entry a candidate
+    @example([np.nan, 0.0, -0.0, np.nan], 2)
+    def test_is_the_stable_argsort_prefix(self, values, n):
+        scores = np.array(values, dtype=np.float64)
+        got = top_n(scores, n)
+        expected = reference_top_n(scores, n)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_ties_keep_the_lower_index_first(self):
+        scores = np.array([0.0, 2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0])
+        assert top_n(scores, 5).tolist() == [1, 3, 6, 2, 4]
+
+    def test_nan_ranks_last(self):
+        scores = np.array([np.nan, -np.inf, np.nan, 0.5])
+        assert top_n(scores, 4).tolist() == [3, 1, 0, 2]
+
+    def test_n_past_the_length_gives_every_index(self):
+        assert top_n(np.array([0.1, 0.3, 0.2]), 10).tolist() == [1, 2, 0]
+
+
 class TestPersistence:
     def make_params(self, **kwargs):
         config = ModelConfig(d=3, n_items=6, n_input_contexts=4, n_transition_bins=5,
@@ -365,8 +403,8 @@ class TestPersistence:
         p = self.make_params()
         path = str(tmp_path / "m.carn")
         save_params(p, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="length"):
             load_params(path)
 

@@ -2,6 +2,7 @@ import datetime as dt
 import os
 import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,8 +65,8 @@ class TestCache:
         split = make_split()
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, split)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-10])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-10])
         with pytest.raises(FormatError, match="truncated"):
             store.read_cache(path)
 
@@ -186,11 +187,11 @@ class TestAtomicWrite:
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, make_split())
-        old = open(path, "rb").read()
+        old = Path(path).read_bytes()
         monkeypatch.setattr(store, "open", _FailingFile, raising=False)
         with pytest.raises(InputOutputError, match="cannot write cache .*No space left"):
             store.write_cache(path, make_split())
-        assert open(path, "rb").read() == old
+        assert Path(path).read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.bin"]
 
     def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
@@ -203,7 +204,7 @@ class TestAtomicWrite:
         monkeypatch.setattr(store.os, "replace", no_replace)
         with pytest.raises(InputOutputError, match="cannot write text"):
             store.write_atomic(path, "new\n", "text")
-        assert open(path, "rb").read() == b"old\n"
+        assert Path(path).read_bytes() == b"old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
     def test_missing_directory_is_io_error(self, tmp_path):
@@ -213,5 +214,5 @@ class TestAtomicWrite:
     def test_text_is_written_as_utf8(self, tmp_path):
         path = str(tmp_path / "t.txt")
         store.write_atomic(path, "epoch\u00e9\n", "text")
-        assert open(path, "rb").read() == "epoch\u00e9\n".encode("utf-8")
+        assert Path(path).read_bytes() == "epoch\u00e9\n".encode("utf-8")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]

@@ -1,5 +1,6 @@
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,7 +511,7 @@ class TestTrain:
         trace = [EpochStats(1, 0.6931, 0.5), EpochStats(2, 0.5120, 0.4)]
         path = str(tmp_path / "loss.csv")
         write_loss_trace(trace, path)
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines[0] == "epoch,mean_pair_loss,wall_seconds"
         assert lines[1].startswith("1,0.6931,")
         assert len(lines) == 3
