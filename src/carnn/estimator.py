@@ -138,9 +138,9 @@ class CARNNRecommender(ParamsMixin):
         return out
 
     def predict(self, X) -> np.ndarray:
-        """Most likely next item id for each (user, timestamp) query row."""
-        scores = self.predict_scores(X)
-        best = np.argmax(scores, axis=1)
+        """Most likely next item id for each (user, timestamp) query row: the
+        item ``recommend(user, timestamp, n=1)`` lists, by ``model.top_n``'s rule."""
+        best = [top_n(row, 1)[0] for row in self.predict_scores(X)]
         return np.array([self.item_ids_[i] for i in best], dtype=object)
 
     def recommend(self, user, timestamp, n: int = 10) -> list[tuple[str, float]]:

@@ -56,9 +56,13 @@ def rank_target(scores: np.ndarray, target: int) -> int:
 
 def aggregate_ranks(records: list[RankRecord], ks=DEFAULT_KS) -> MetricsReport:
     """Fold rank records into the report; the reduction is order-independent."""
-    if not records:
+    return _report(np.array([r.rank for r in records], dtype=np.int64), ks)
+
+
+def _report(ranks: np.ndarray, ks) -> MetricsReport:
+    """The report of an int64 array of 1-based ranks, one per query."""
+    if not len(ranks):
         raise DataError("no test positions to evaluate")
-    ranks = np.array([r.rank for r in records], dtype=np.int64)
     n = len(ranks)
     recall = {k: float(np.count_nonzero(ranks <= k) / n) for k in ks}
     f1 = {k: 2.0 * recall[k] / (k + 1) for k in ks}
@@ -78,15 +82,7 @@ def _heldout(split: SplitSet) -> list[tuple[UserSequence, int]]:
             if n_tr < len(seq)]
 
 
-def _records(heldout: list[tuple[UserSequence, int]], ranks) -> list[RankRecord]:
-    """Pair ranks, given in report order (user by user, position by
-    position), with their user and position."""
-    ranks = iter(ranks)
-    return [RankRecord(seq.user, j, next(ranks))
-            for seq, n_tr in heldout for j in range(n_tr, len(seq))]
-
-
-def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> list[int]:
+def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> np.ndarray:
     """Rank of the true item at every held-out position, in report order.
 
     ``states_at`` replays every held-out user in lockstep to the state
@@ -99,11 +95,11 @@ def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> lis
                          for name in ("items", "input_ctxs", "trans_bins"))
 
     block = max(1, SCORE_BLOCK_BYTES // (8 * p.config.n_items))
-    ranks = []
+    ranks = np.empty(len(states), dtype=np.int64)
     for lo in range(0, len(states), block):
         at = slice(lo, lo + block)
         scores = score_all(states[at], ctxs[at], bins[at], p)
-        ranks.extend(rank_target(row, int(v)) for row, v in zip(scores, items[at]))
+        ranks[at] = [rank_target(row, v) for row, v in zip(scores, items[at].tolist())]
         del scores  # free this block before the next one is made
     return ranks
 
@@ -130,8 +126,7 @@ def evaluate(split: SplitSet, p: ModelParams, scheme: ContextScheme | None = Non
                 f"model expects {p.config.n_transition_bins}"
             )
     heldout = _heldout(split)
-    ranks = _model_ranks(heldout, p) if heldout else []
-    return aggregate_ranks(_records(heldout, ranks), ks)
+    return _report(_model_ranks(heldout, p) if heldout else np.zeros(0, np.int64), ks)
 
 
 def train_item_counts(split: SplitSet) -> np.ndarray:
@@ -145,9 +140,9 @@ def train_item_counts(split: SplitSet) -> np.ndarray:
 def pop_baseline(split: SplitSet, ks=DEFAULT_KS) -> MetricsReport:
     """Rank every item by its training-set frequency, constant across queries."""
     counts = train_item_counts(split)
-    heldout = _heldout(split)
-    ranks = (rank_target(counts, int(v)) for seq, n_tr in heldout for v in seq.items[n_tr:])
-    return aggregate_ranks(_records(heldout, ranks), ks)
+    ranks = [rank_target(counts, v) for seq, n_tr in _heldout(split)
+             for v in seq.items[n_tr:].tolist()]
+    return _report(np.array(ranks, dtype=np.int64), ks)
 
 
 # --- report serialization ----------------------------------------------------

@@ -19,6 +19,11 @@ It and ``score_all`` take either one state of shape (d,) or a block of
 states of shape (B, d) with one item, context and bin per row. A block row
 goes through the same vector-matrix BLAS call as the one-state form (a
 stacked ``np.matmul``), so its state has the same bits.
+
+``states_at`` works in time-major order: it gathers the events of every
+step into one contiguous run once, and keeps the states in a window of at
+most STATE_WINDOW_BYTES in which each step reads the previous step's rows
+and writes its own right after them.
 """
 
 from __future__ import annotations
@@ -138,9 +143,10 @@ def init_params(config: ModelConfig) -> ModelParams:
 def _block_banks(m_bank: np.ndarray, w_bank: np.ndarray, ctx: np.ndarray, bin_: np.ndarray,
                  config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-row input and transition matrices of a block; a bank whose switch
-    is off is its single matrix, broadcast over the rows."""
-    m = m_bank[ctx] if config.use_input_contexts else m_bank[0]
-    w = w_bank[bin_] if config.use_transition_contexts else w_bank[0]
+    is off is its single matrix, broadcast over the rows. ``take`` gathers
+    the same rows as fancy indexing with half its fixed cost."""
+    m = m_bank.take(ctx, axis=0) if config.use_input_contexts else m_bank[0]
+    w = w_bank.take(bin_, axis=0) if config.use_transition_contexts else w_bank[0]
     return m, w
 
 
@@ -153,7 +159,8 @@ def hidden_step(h_prev: np.ndarray, item_index: int | np.ndarray, ctx: int | np.
     """
     if h_prev.ndim == 2:
         m, w = _block_banks(p.M_bank, p.W_bank, ctx, bin_, p.config)
-        z = np.matmul(p.R[item_index][:, None, :], m) + np.matmul(h_prev[:, None, :], w)
+        r = p.R.take(item_index, axis=0)
+        z = np.matmul(r[:, None, :], m) + np.matmul(h_prev[:, None, :], w)
         return sigmoid_vec(z[:, 0, :])
     r = p.item_row(item_index)
     m = p.M_bank[p.input_slot(ctx)]
@@ -180,6 +187,11 @@ def forward_states(seq, p: ModelParams) -> np.ndarray:
     return H
 
 
+# Upper bound on the bytes of the state window of ``states_at``, unless two
+# states per user take more; at d=10 a window holds 26,214 states.
+STATE_WINDOW_BYTES = 1 << 21
+
+
 def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
     """States of annotated sequences at the wanted positions, in lockstep.
 
@@ -188,12 +200,20 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
     and ``len(seqs[u])`` the state after the last event. Returns one row per
     wanted position: user by user, each user's positions in the given order.
 
-    Every user advances at once: rows are sorted by the last position they
-    need, longest first, so the users still stepping at step k are a prefix
-    of the (users, d) state block and each step is one block ``hidden_step``.
-    Step k reads the concatenated sequences at each row's offset plus k, so
-    no (users x longest sequence) array is built. Each wanted state is
-    copied out as the block reaches its position.
+    Every user advances at once, in time-major order. Rows are sorted by the
+    last position they need, longest first, so the rows still stepping at
+    step k are a prefix of length ``active[k]``. The events are gathered
+    once into step order, so step k's items, contexts and bins are the
+    contiguous slice ``[off[k], off[k] + active[k])``. The states are laid
+    out the same way: block 0 holds every row's zero state and block k + 1
+    the states after step k. Each step is one block ``hidden_step`` that
+    reads a prefix of the previous block and writes its own block after it.
+
+    The state buffer is a window of at most STATE_WINDOW_BYTES, or two
+    states per row if that is more. When the next block does not fit,
+    the wanted states inside the window are gathered out in one indexing,
+    the last step's rows are carried to its head, and stepping goes on. So
+    memory is O(users·d + wanted·d + window) besides the event index.
     """
     if any(len(seq) and not seq.annotated for seq in seqs):
         raise ConfigError("sequence must be annotated with contexts before the forward pass")
@@ -209,29 +229,46 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
                                         + [getattr(seq, name) for seq in seqs if len(seq)])
                          for name in ("items", "input_ctxs", "trans_bins"))
     p.check_ids(items, ctxs, bins)
-    starts = np.cumsum(lengths) - lengths
 
-    need = np.zeros(len(seqs), dtype=np.int64)  # the last position each user wants
+    n_rows = len(seqs)
+    need = np.zeros(n_rows, dtype=np.int64)  # the last position each user wants
     np.maximum.at(need, user, want)
     order = np.argsort(-need, kind="stable")
-    row_start = starts[order]
     row_of = np.empty_like(order)
-    row_of[order] = np.arange(len(order))
-    active = len(need) - np.cumsum(np.bincount(need))  # users needing more than k steps
+    row_of[order] = np.arange(n_rows)
+    active = n_rows - np.cumsum(np.bincount(need))[:-1]  # rows needing more than k steps
+    off = np.concatenate(([0], np.cumsum(active)))
+    step = np.repeat(np.arange(len(active)), active)
+    ev = (np.cumsum(lengths) - lengths)[order][np.arange(off[-1]) - off[step]] + step
+    items, ctxs, bins = items[ev], ctxs[ev], bins[ev]
 
-    w_row = row_of[user]
-    by_step = np.argsort(want, kind="stable")
-    step_bounds = np.concatenate(([0], np.cumsum(np.bincount(want, minlength=len(active)))))
+    base = np.concatenate(([0], n_rows + off))  # block j starts at state base[j]
+    g = base[want] + row_of[user]  # each wanted state's index in the layout
+    by = np.argsort(g, kind="stable")
+    g = g[by]
+    d = p.config.d
+    cap = min(int(base[-1]), max(STATE_WINDOW_BYTES // (8 * d), 2 * n_rows))
+    S = np.empty((cap, d), dtype=np.float64)
+    S[:n_rows] = 0.0
+    out = np.empty((len(want), d), dtype=np.float64)
+    w0 = done = 0  # the layout index of S[0]; wanted states gathered so far
 
-    out = np.empty((len(want), p.config.d), dtype=np.float64)
-    H = np.zeros((len(order), p.config.d), dtype=np.float64)
-    for k in range(len(active)):
-        taken = by_step[step_bounds[k]:step_bounds[k + 1]]
-        out[taken] = H[w_row[taken]]
-        B = active[k]
-        if B:
-            at = row_start[:B] + k
-            H[:B] = hidden_step(H[:B], items[at], ctxs[at], bins[at], p)
+    def gather(end):
+        nonlocal done
+        stop = int(np.searchsorted(g, end))
+        out[by[done:stop]] = S[g[done:stop] - w0]
+        done = stop
+
+    base, off = base.tolist(), off.tolist()
+    for k, B in enumerate(active.tolist()):
+        src, dst, o = base[k] - w0, base[k + 1] - w0, off[k]
+        if dst + B > cap:
+            gather(base[k + 1])
+            S[:B] = S[src:src + B]
+            src, dst, w0 = 0, B, base[k + 1] - B
+        S[dst:dst + B] = hidden_step(S[src:src + B], items[o:o + B], ctxs[o:o + B],
+                                     bins[o:o + B], p)
+    gather(base[-1])
     return out
 
 

@@ -64,7 +64,11 @@ class _Reader:
         (n,) = self.take("<H")
         if self.off + n > len(self.blob):
             raise FormatError(f"{self.path}: truncated cache file")
-        s = self.blob[self.off:self.off + n].decode("utf-8")
+        try:
+            s = self.blob[self.off:self.off + n].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: identifier at byte {self.off} "
+                              f"is not UTF-8: {exc}") from exc
         self.off += n
         return s
 

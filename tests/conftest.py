@@ -39,6 +39,17 @@ def patch_cache(path: str, field: str, value: int) -> None:
         fh.write(blob)
 
 
+def corrupt_first_user_id(path: str) -> None:
+    """Overwrite the first byte of the first stored user id, in a cache that
+    ``store.write_cache`` wrote, with 0xff, a byte no UTF-8 text holds."""
+    user = store.read_cache(path).sequences.user_ids()[0].encode("utf-8")
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[blob.index(struct.pack("<H", len(user)) + user) + 2] = 0xFF
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
 # One summary line per acceptance criterion at the end of the run.
 _acceptance_outcomes: dict[str, str] = {}
 

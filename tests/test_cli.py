@@ -12,7 +12,7 @@ from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatErro
                           InputOutputError, NumericalError)
 from carnn.evaluate import generate_synthetic, write_interactions_csv
 from carnn.model import load_params, save_params
-from conftest import patch_cache
+from conftest import corrupt_first_user_id, patch_cache
 
 
 runner = CliRunner()
@@ -302,6 +302,17 @@ class TestEval:
         assert result.exit_code == NumericalError.exit_code
         assert "non-finite value in R[0]" in result.output
         assert not os.path.exists(os.path.join(out, "metrics.json"))
+
+    def test_non_utf8_user_id_in_cache_exits_format(self, workdir, tmp_path):
+        cache = str(tmp_path / "cache.bin")
+        with open(workdir["cache"], "rb") as src, open(cache, "wb") as dst:
+            dst.write(src.read())
+        corrupt_first_user_id(cache)
+        result = invoke("eval", "--config", workdir["cfg"], "--variant", "carnn",
+                        "--out", str(tmp_path / "o"), "--cache", cache,
+                        "--model", workdir["models"]["carnn"])
+        assert result.exit_code == FormatError.exit_code, result.output
+        assert "is not UTF-8" in result.output
 
     def test_byte_identical_reports(self, workdir, tmp_path):
         _, _, out_a = self.eval_variant(workdir, tmp_path, "carnn", workdir["models"]["carnn"])

@@ -89,6 +89,18 @@ class TestFitPredict:
         t = 946857600 + 400 * SECONDS_PER_DAY
         assert est.recommend("u0", t, n=1)[0][0] == est.predict([["u0", t]])[0]
 
+    def test_predict_is_recommend_n1_when_a_score_is_nan(self):
+        est = self.fitted(epochs=1)
+        history = set(est.sequences_.sequences[est.sequences_.user_vocab["u0"]].items.tolist())
+        j = min(set(range(est.n_items_)) - history)
+        est.params_.R[j] = np.nan  # u0's state stays finite; its score for j is NaN
+        t = 946857600 + 400 * SECONDS_PER_DAY
+        users = list(est.sequences_.user_vocab)
+        assert np.isnan(est.predict_scores([["u0", t]])[0, j])
+        predicted = est.predict([[u, t] for u in users])
+        assert predicted[users.index("u0")] != est.item_ids_[j]
+        assert predicted.tolist() == [est.recommend(u, t, n=1)[0][0] for u in users]
+
     def test_recommend_is_the_stable_argsort_for_every_user(self):
         est = self.fitted()
         # items 8..15 copy the embeddings of 0..7, so every score has an exact tie

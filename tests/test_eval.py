@@ -239,6 +239,14 @@ class TestPopBaseline:
         counts = np.full(5, 3.0)
         assert [rank_target(counts, v) for v in range(5)] == [1, 2, 3, 4, 5]
 
+    def test_equals_aggregate_ranks_of_its_per_query_records(self):
+        split, _ = ragged_split(1)
+        counts = train_item_counts(split)
+        records = [RankRecord(seq.user, j, rank_target(counts, int(seq.items[j])))
+                   for seq, n_tr in zip(split.sequences.sequences, split.n_train)
+                   for j in range(n_tr, len(seq))]
+        assert pop_baseline(split) == aggregate_ranks(records)
+
     def test_report_satisfies_f1_identity(self):
         split, _, _ = small_model_split(signal="none")
         rep = pop_baseline(split)

@@ -1,9 +1,12 @@
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from carnn import model
 from carnn.data import UserSequence
 from carnn.errors import CompatibilityError, ConfigError, FormatError, NumericalError
 from carnn.linalg import sigmoid_vec
@@ -252,6 +255,16 @@ class TestForward:
         assert not np.array_equal(forward_states(changed_early, p)[3], base[3])
 
 
+@st.composite
+def replay_cases(draw):
+    """Lengths of ragged users, empty ones among them and at times one long
+    outlier, with each user's wanted positions in any order, repeats allowed."""
+    lengths = draw(st.lists(st.integers(0, 6), max_size=7))
+    if draw(st.booleans()):
+        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(20, 60)))
+    return lengths, [draw(st.lists(st.integers(0, n), max_size=5)) for n in lengths]
+
+
 class TestStatesAt:
     @pytest.mark.parametrize("variant", BLOCK_VARIANTS)
     def test_bits_of_forward_states_on_ragged_users(self, variant):
@@ -268,6 +281,45 @@ class TestStatesAt:
         expected = np.concatenate([forward_states(seq, p)[q] for seq, q in zip(seqs, positions)])
         assert got.shape == (3 * len(seqs), 5)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(replay_cases(), st.sampled_from(range(len(BLOCK_VARIANTS))),
+           st.sampled_from([1, 3, 16, None]), st.integers(0, 2**16))
+    @example(([3, 0, 25, 1, 0], [[3, 0, 3], [0, 0], [25, 0, 7, 25, 1], [], [0]]), 0, 1, 0)
+    def test_bits_of_forward_states_under_any_window(self, case, variant, window_rows, seed):
+        """Any users and positions, under the default window and windows cut
+        down to 1, 3 and 16 rows, so window edges fall inside and between
+        the steps' blocks."""
+        lengths, positions = case
+        d = 3
+        rng = np.random.default_rng(seed)
+        p = init_params(ModelConfig(d=d, n_items=7, n_input_contexts=3, n_transition_bins=4,
+                                    seed=seed, init_scale=0.5, **BLOCK_VARIANTS[variant]))
+        seqs = [random_annotated_sequence(rng, n, 7, 3, 4) for n in lengths]
+        budget = model.STATE_WINDOW_BYTES if window_rows is None else 8 * d * window_rows
+        with mock.patch.object(model, "STATE_WINDOW_BYTES", budget):
+            got = states_at(seqs, positions, p)
+        expected = np.concatenate([np.zeros((0, d))] + [forward_states(seq, p)[q]
+                                                        for seq, q in zip(seqs, positions)])
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_window_bounds_the_state_buffer(self):
+        # twenty 500-event users at d=32: unwindowed, their states take 2.6 MB
+        rng = np.random.default_rng(12)
+        p = init_params(ModelConfig(d=32, n_items=6, n_input_contexts=2, n_transition_bins=3))
+        seqs = [random_annotated_sequence(rng, 500, 6, 2, 3) for _ in range(20)]
+        positions = [[500, 1, 250]] * 20
+        expected = np.concatenate([forward_states(seq, p)[q] for seq, q in zip(seqs, positions)])
+        with mock.patch.object(model, "STATE_WINDOW_BYTES", 1 << 16):
+            tracemalloc.start()
+            try:
+                got = states_at(seqs, positions, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert peak < 2**20
 
     def test_users_without_positions_add_no_rows(self):
         rng = np.random.default_rng(9)

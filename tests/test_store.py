@@ -13,7 +13,7 @@ from carnn.context import FACTOR_CARDINALITIES, ContextScheme, annotate_sequence
 from carnn.data import MAX_TZ_OFFSET_SECONDS, SequenceSet, SplitSet, UserSequence, split_sequences
 from carnn.errors import FormatError, InputOutputError
 from carnn.evaluate import generate_synthetic
-from conftest import patch_cache
+from conftest import corrupt_first_user_id, patch_cache
 
 
 def make_split(holidays=frozenset()):
@@ -94,6 +94,13 @@ class TestCache:
         store.write_cache(path, make_split())
         patch_cache(path, field, value)
         with pytest.raises(FormatError, match=message):
+            store.read_cache(path)
+
+    def test_non_utf8_identifier_rejected(self, tmp_path):
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, make_split())
+        corrupt_first_user_id(path)
+        with pytest.raises(FormatError, match="is not UTF-8"):
             store.read_cache(path)
 
     @pytest.mark.parametrize("offset,fmt,value,message", [
