@@ -15,12 +15,10 @@ from .errors import (CarnnError, CompatibilityError, ConfigError, DataError,
 from .estimator import CARNNRecommender
 from .evaluate import (MetricsReport, RankRecord, evaluate, generate_synthetic,
                        pop_baseline, rank_target)
-from .model import (ModelConfig, ModelParams, forward_states, hidden_step,
-                    init_params, load_params, save_params, score, score_all, states_at,
-                    top_n)
-from .training import (EpochStats, GradientBuffer, TrainConfig,
-                       backprop_sequence, bpr_pair_loss, gradient_check,
-                       sample_negative, sgd_step, train)
+from .model import (ModelConfig, ModelParams, forward_states, init_params, load_params,
+                    save_params, score_all, states_at, top_n)
+from .training import (EpochStats, GradientBuffer, TrainConfig, backprop_sequence,
+                       gradient_check, sgd_step, train)
 
 __version__ = "0.1.0"
 
@@ -31,12 +29,10 @@ __all__ = [
     "ContextScheme", "annotate_sequences", "input_context", "transition_bin",
     "Interaction", "InteractionLog", "SequenceSet", "SplitSet", "UserSequence",
     "build_sequences", "full_train_split", "parse_interactions", "split_sequences",
-    "ModelConfig", "ModelParams", "forward_states", "hidden_step",
-    "init_params", "load_params", "save_params", "score", "score_all", "states_at",
-    "top_n",
-    "EpochStats", "GradientBuffer", "TrainConfig",
-    "backprop_sequence", "bpr_pair_loss", "gradient_check",
-    "sample_negative", "sgd_step", "train",
+    "ModelConfig", "ModelParams", "forward_states", "init_params", "load_params",
+    "save_params", "score_all", "states_at", "top_n",
+    "EpochStats", "GradientBuffer", "TrainConfig", "backprop_sequence",
+    "gradient_check", "sgd_step", "train",
     "MetricsReport", "RankRecord", "evaluate", "generate_synthetic",
     "pop_baseline", "rank_target",
     "__version__",

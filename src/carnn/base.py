@@ -6,6 +6,7 @@ helpers, without depending on scikit-learn itself.
 from __future__ import annotations
 
 import inspect
+import math
 
 import numpy as np
 
@@ -91,6 +92,21 @@ def as_whole(value, what: str) -> int:
     if not isinstance(value, (str, bytes)) and whole != value:
         raise ConfigError(f"{what} {value!r} is not a whole number")
     return whole
+
+
+def as_real(value, what: str, lo: float) -> float:
+    """``value`` as a float if it is a finite number of at least ``lo``, or a
+    string of one; ConfigError naming ``what`` for anything else, NaN and
+    the infinities included."""
+    try:
+        real = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} {value!r} is not a number") from exc
+    if not math.isfinite(real):
+        raise ConfigError(f"{what} {value!r} is not a finite number")
+    if real < lo:
+        raise ConfigError(f"{what} must be >= {lo}, got {value!r}")
+    return real
 
 
 def as_timestamp(value) -> int:

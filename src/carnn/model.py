@@ -11,14 +11,15 @@ h @ W[bin] @ (r_item @ M[ctx])^T, with the same two banks.
 With a context switch off the corresponding bank collapses to a single
 shared matrix, which reproduces a conventional recurrent model.
 
-``hidden_step`` is the only code that computes a recurrence step. Training
-steps through it one state at a time via ``forward_states``; evaluation,
-``carnn predict`` and the estimator's state table take their states from
-``states_at``, which steps all users in lockstep through its block form.
-It and ``score_all`` take either one state of shape (d,) or a block of
-states of shape (B, d) with one item, context and bin per row. A block row
-goes through the same vector-matrix BLAS call as the one-state form (a
-stacked ``np.matmul``), so its state has the same bits.
+``hidden_step`` is the only code that computes a recurrence step, from
+the input projections r @ M[ctx] and transition matrices that
+``step_inputs`` gathers for a run of steps. Training takes its states from
+``forward_states``, one state at a time; evaluation, ``carnn predict`` and
+the estimator's state table from ``states_at``, which steps all users in
+lockstep as (B, d) blocks. A block row goes through the same vector-matrix
+BLAS call (a stacked ``np.matmul``) as one state, so both have the same
+bits. ``score_all`` takes one state (d,) or a block with one context and
+bin per row.
 
 ``states_at`` works in time-major order: it gathers the events of every
 step into one contiguous run once, and keeps the states in a window of at
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import as_real, as_whole
 from .errors import (CompatibilityError, ConfigError, FormatError, InputOutputError,
                      NumericalError)
 from .linalg import sigmoid_vec
@@ -55,14 +57,15 @@ class ModelConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
+        for name in ("d", "n_items", "n_input_contexts", "n_transition_bins", "seed"):
+            object.__setattr__(self, name, as_whole(getattr(self, name), name))
+        object.__setattr__(self, "init_scale", as_real(self.init_scale, "init_scale", 0.0))
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.n_items < 1:
             raise ConfigError(f"n_items must be >= 1, got {self.n_items}")
         if self.n_input_contexts < 1 or self.n_transition_bins < 1:
             raise ConfigError("context cardinalities must be >= 1")
-        if self.init_scale < 0:
-            raise ConfigError("init_scale must be >= 0")
 
     @property
     def m_slots(self) -> int:
@@ -101,8 +104,9 @@ class ModelParams:
         return int(bin_)
 
     def check_ids(self, items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray) -> None:
-        """Raise ConfigError unless every id is in range, as the one-state
-        calls check theirs; block calls index the banks unchecked."""
+        """Raise ConfigError unless every id is in range. ``step_inputs``
+        and block ``score_all`` calls index the banks unchecked, and ``take``
+        wraps a negative id, so this check is what stops one."""
         cfg = self.config
         for name, ids, n, used in (
             ("item index", items, cfg.n_items, True),
@@ -114,11 +118,6 @@ class ModelParams:
             bad = (ids < 0) | (ids >= n)
             if bad.any():
                 raise ConfigError(f"{name} {ids[np.argmax(bad)]} out of range [0, {n})")
-
-    def item_row(self, item: int) -> np.ndarray:
-        if not (0 <= item < self.config.n_items):
-            raise ConfigError(f"item index {item} out of range [0, {self.config.n_items})")
-        return self.R[int(item)]
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -150,27 +149,26 @@ def _block_banks(m_bank: np.ndarray, w_bank: np.ndarray, ctx: np.ndarray, bin_: 
     return m, w
 
 
-def hidden_step(h_prev: np.ndarray, item_index: int | np.ndarray, ctx: int | np.ndarray,
-                bin_: int | np.ndarray, p: ModelParams) -> np.ndarray:
-    """One recurrence step with context-selected input and transition matrices.
+def step_inputs(items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray,
+                p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Input projections r @ M[ctx] of a run of steps, from one stacked
+    ``np.matmul``, and their transition matrices from ``_block_banks``: a
+    (B, d, d) array, or one (d, d) matrix if transition contexts are off.
+    The ids must be ones ``ModelParams.check_ids`` has accepted."""
+    m, w = _block_banks(p.M_bank, p.W_bank, ctxs, bins, p.config)
+    return np.matmul(p.R.take(items, axis=0)[:, None, :], m)[:, 0, :], w
 
-    With a (B, d) block, ``item_index``, ``ctx`` and ``bin_`` are length-B
-    arrays that ``ModelParams.check_ids`` has accepted.
-    """
-    if h_prev.ndim == 2:
-        m, w = _block_banks(p.M_bank, p.W_bank, ctx, bin_, p.config)
-        r = p.R.take(item_index, axis=0)
-        z = np.matmul(r[:, None, :], m) + np.matmul(h_prev[:, None, :], w)
-        return sigmoid_vec(z[:, 0, :])
-    r = p.item_row(item_index)
-    m = p.M_bank[p.input_slot(ctx)]
-    w = p.W_bank[p.trans_slot(bin_)]
-    return sigmoid_vec(r @ m + h_prev @ w)
+
+def hidden_step(h_prev: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One recurrence step, f(u + h_prev @ w), of one state (d,) or a (B, d)
+    block, from the input projections and transition matrices that
+    ``step_inputs`` gives."""
+    return sigmoid_vec(u + np.matmul(h_prev[..., None, :], w)[..., 0, :])
 
 
 def forward_states(seq, p: ModelParams) -> np.ndarray:
-    """States of an annotated sequence, one one-state ``hidden_step`` call
-    per event.
+    """States of an annotated sequence: the ids are checked and the whole
+    sequence projected once, then one ``hidden_step`` per event.
 
     Returns an (len(seq)+1, d) array: row 0 is the zero state h_0 and row k
     the state after k events.
@@ -178,12 +176,15 @@ def forward_states(seq, p: ModelParams) -> np.ndarray:
     n = len(seq)
     if n and not seq.annotated:
         raise ConfigError("sequence must be annotated with contexts before the forward pass")
-    H = np.zeros((n + 1, p.config.d), dtype=np.float64)
+    d = p.config.d
+    H = np.zeros((n + 1, d), dtype=np.float64)
     if not n:
         return H
-    steps = zip(seq.items.tolist(), seq.input_ctxs.tolist(), seq.trans_bins.tolist())
-    for k, (item, ctx, bin_) in enumerate(steps):
-        H[k + 1] = hidden_step(H[k], item, ctx, bin_, p)
+    p.check_ids(seq.items, seq.input_ctxs, seq.trans_bins)
+    U, W = step_inputs(seq.items, seq.input_ctxs, seq.trans_bins, p)
+    W = np.broadcast_to(W, (n, d, d))
+    for k in range(n):
+        H[k + 1] = hidden_step(H[k], U[k], W[k])
     return H
 
 
@@ -206,8 +207,9 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
     once into step order, so step k's items, contexts and bins are the
     contiguous slice ``[off[k], off[k] + active[k])``. The states are laid
     out the same way: block 0 holds every row's zero state and block k + 1
-    the states after step k. Each step is one block ``hidden_step`` that
-    reads a prefix of the previous block and writes its own block after it.
+    the states after step k. Each step projects its slice with
+    ``step_inputs``, then one block ``hidden_step`` reads a prefix of the
+    previous block and writes its own block after it.
 
     The state buffer is a window of at most STATE_WINDOW_BYTES, or two
     states per row if that is more. When the next block does not fit,
@@ -266,18 +268,10 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
             gather(base[k + 1])
             S[:B] = S[src:src + B]
             src, dst, w0 = 0, B, base[k + 1] - B
-        S[dst:dst + B] = hidden_step(S[src:src + B], items[o:o + B], ctxs[o:o + B],
-                                     bins[o:o + B], p)
+        u, w = step_inputs(items[o:o + B], ctxs[o:o + B], bins[o:o + B], p)
+        S[dst:dst + B] = hidden_step(S[src:src + B], u, w)
     gather(base[-1])
     return out
-
-
-def score(h: np.ndarray, item_index: int, next_ctx: int, next_bin: int, p: ModelParams) -> float:
-    """Bilinear score of one item under the contexts of the predicted step."""
-    r = p.item_row(item_index)
-    m = p.M_bank[p.input_slot(next_ctx)]
-    w = p.W_bank[p.trans_slot(next_bin)]
-    return float((h @ w) @ (r @ m))
 
 
 def score_all(h: np.ndarray, next_ctx: int | np.ndarray, next_bin: int | np.ndarray,

@@ -11,12 +11,12 @@ L2 decay applied lazily to touched parameters only.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .base import as_real, as_whole
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
 from .model import ModelParams, first_non_finite, forward_states
@@ -35,10 +35,12 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
+        for name in ("learning_rate", "l2"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, 0.0))
+        for name in ("epochs", "negatives_per_positive", "seed"):
+            object.__setattr__(self, name, as_whole(getattr(self, name), name))
+        if self.bptt_window is not None:
+            object.__setattr__(self, "bptt_window", as_whole(self.bptt_window, "bptt_window"))
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.negatives_per_positive < 1:
@@ -52,22 +54,6 @@ class EpochStats:
     epoch: int
     mean_pair_loss: float
     wall_seconds: float
-
-
-def bpr_pair_loss(y_pos: float, y_neg: float) -> float:
-    """ln(1 + e^-(y_pos - y_neg)), safe against overflow for large margins."""
-    x = y_pos - y_neg
-    if x >= 0.0:
-        return math.log1p(math.exp(-x))
-    return -x + math.log1p(math.exp(x))
-
-
-def sample_negative(rng: np.random.Generator, positive: int, n_items: int) -> int:
-    """Uniform draw over all items except the positive one."""
-    if n_items < 2:
-        raise ConfigError("need at least 2 items to sample a negative")
-    j = int(rng.integers(0, n_items - 1))
-    return j + 1 if j >= positive else j
 
 
 class GradientBuffer:
@@ -222,9 +208,9 @@ def sequence_loss(seq: UserSequence, negatives: np.ndarray, p: ModelParams) -> f
 def make_examples(seq: UserSequence, n_items: int, rng: np.random.Generator,
                   negatives_per_positive: int = 1) -> np.ndarray:
     """Fresh uniform negatives for every predictable position: an int64
-    (len(seq), negatives_per_positive) array from one draw, which is the
-    stream of ``sample_negative`` called position by position, then
-    negative by negative."""
+    (len(seq), negatives_per_positive) array from one draw. Each is uniform
+    over the items other than its position's positive: a draw from
+    [0, n_items - 1) that skips the positive."""
     if n_items < 2:
         raise ConfigError("need at least 2 items to sample a negative")
     draws = rng.integers(0, n_items - 1, size=(len(seq), negatives_per_positive))

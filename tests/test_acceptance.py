@@ -22,8 +22,7 @@ from carnn.data import build_sequences, parse_interactions, split_sequences
 from carnn.evaluate import (evaluate, generate_synthetic, pop_baseline,
                             write_interactions_csv)
 from carnn.linalg import sigmoid_vec
-from carnn.model import (ModelConfig, ModelParams, forward_states, init_params,
-                         score)
+from carnn.model import ModelConfig, ModelParams, forward_states, init_params, score_all
 from carnn.seeding import named_rng
 from carnn.training import TrainConfig, gradient_check, train
 from conftest import ml1m_path, ml1m_required
@@ -113,9 +112,8 @@ def test_plain_variant_reduces_to_constant_matrix_recurrence():
         for k in range(length):
             h_ref = sigmoid_vec(R[seq.items[k]] @ M + h_ref @ W)
             assert np.array_equal(states[k + 1], h_ref), f"state mismatch at step {k}"
-        for v in range(n_items):
-            y_ref = (h_ref @ W) @ (R[v] @ M)
-            assert score(states[-1], v, 0, 0, params) == y_ref, f"score mismatch item {v}"
+        scores_ref = R @ ((h_ref @ W) @ M.T)
+        assert np.array_equal(score_all(states[-1], 0, 0, params), scores_ref), "score mismatch"
 
 
 def _planted_ratio(signal, use_input, use_trans):

@@ -13,6 +13,7 @@ from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatErro
 from carnn.evaluate import generate_synthetic, write_interactions_csv
 from carnn.model import load_params, save_params
 from conftest import corrupt_first_user_id, patch_cache
+from references import reference_step
 
 
 runner = CliRunner()
@@ -213,6 +214,15 @@ class TestTrain:
                         "--cache", str(tmp_path / "none.bin"), "--out", str(tmp_path / "o"))
         assert result.exit_code == InputOutputError.exit_code
 
+    @pytest.mark.parametrize("option,value", [("--lr", "nan"), ("--lr", "inf"),
+                                              ("--lambda", "inf"), ("--lr", "-0.5")])
+    def test_non_finite_or_negative_rate_is_config_error(self, workdir, tmp_path, option,
+                                                         value):
+        result = invoke("train", "--config", workdir["cfg"], "--cache", workdir["cache"],
+                        "--out", str(tmp_path / "o"), option, value)
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert not os.path.exists(tmp_path / "o" / "model.carn")
+
     @pytest.mark.parametrize("field,value,message", [
         ("n_train", 99, "n_train=99"),
         ("input_ctxs", 500, "input context id 500"),
@@ -342,7 +352,7 @@ class TestPredict:
 
     def test_k1_is_argmax_of_full_scoring(self, workdir):
         from carnn.context import input_context, transition_bin
-        from carnn.model import hidden_step, score_all
+        from carnn.model import score_all
 
         split = store.read_cache(workdir["cache"])
         params = load_params(workdir["models"]["carnn"])
@@ -357,7 +367,7 @@ class TestPredict:
 
         h = np.zeros(params.config.d)
         for j in range(n_tr):
-            h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], params)
+            h = reference_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], params)
         scheme = split.sequences.scheme
         scores = score_all(h, input_context(t, scheme),
                            transition_bin(t, int(seq.timestamps[n_tr - 1]), scheme), params)

@@ -171,6 +171,16 @@ class TestFitPredict:
         with pytest.raises(ConfigError, match="is not a whole number"):
             CARNNRecommender(d=4, epochs=1, **param).fit(interaction_rows())
 
+    @pytest.mark.parametrize("param,message", [
+        (dict(epochs=2.5), "epochs 2.5 is not a whole number"),
+        (dict(d=2.5), "d 2.5 is not a whole number"),
+        (dict(init_scale=float("nan")), "init_scale nan is not a finite number"),
+        (dict(learning_rate=float("inf")), "learning_rate inf is not a finite number"),
+    ])
+    def test_model_or_training_value_out_of_contract_rejected(self, param, message):
+        with pytest.raises(ConfigError, match=message):
+            CARNNRecommender(**{"d": 4, "epochs": 1, **param}).fit(interaction_rows())
+
     def test_whole_number_timestamps_of_any_type_accepted(self):
         est = self.fitted()
         t = 946857600 + 400 * SECONDS_PER_DAY

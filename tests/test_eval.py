@@ -14,7 +14,8 @@ from carnn.evaluate import (DEFAULT_KS, MetricsReport, RankRecord, aggregate_ran
                             evaluate, format_report_table, generate_synthetic,
                             pop_baseline, rank_target, report_to_json, synthetic_partition,
                             train_item_counts, write_interactions_csv)
-from carnn.model import ModelConfig, hidden_step, init_params, score_all
+from carnn.model import ModelConfig, init_params, score_all
+from references import reference_step
 
 
 class TestRankTarget:
@@ -105,17 +106,17 @@ def small_model_split(signal="input_ctx", seed=5, n_users=12, n_items=16, seq_le
 
 def walker_records(split, p) -> list[RankRecord]:
     """Replay the held-out walk one query at a time: score, rank, then
-    teacher-force the state with one-state calls."""
+    teacher-force the state with the textbook one-state step."""
     records = []
     for si, seq in enumerate(split.sequences.sequences):
         n_tr = int(split.n_train[si])
         h = np.zeros(p.config.d)
         for j in range(n_tr):
-            h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
+            h = reference_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
         for j in range(n_tr, len(seq)):
             scores = score_all(h, int(seq.input_ctxs[j]), int(seq.trans_bins[j]), p)
             records.append(RankRecord(seq.user, j, rank_target(scores, int(seq.items[j]))))
-            h = hidden_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
+            h = reference_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
     return records
 
 

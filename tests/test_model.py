@@ -12,7 +12,8 @@ from carnn.errors import CompatibilityError, ConfigError, FormatError, Numerical
 from carnn.linalg import sigmoid_vec
 from carnn.model import (ModelConfig, ModelParams, check_vocab_compatibility,
                          forward_states, hidden_step, init_params, load_params,
-                         save_params, score, score_all, states_at, top_n)
+                         save_params, score_all, states_at, step_inputs, top_n)
+from references import reference_score, reference_step, reference_top_n
 
 
 def manual_params(R, M_bank, W_bank, use_input=True, use_trans=True):
@@ -43,6 +44,31 @@ class TestConfig:
             ModelConfig(d=2, n_items=0, n_input_contexts=1, n_transition_bins=1)
         with pytest.raises(ConfigError):
             ModelConfig(d=2, n_items=5, n_input_contexts=0, n_transition_bins=1)
+
+    @pytest.mark.parametrize("field", ["d", "n_items", "n_input_contexts",
+                                       "n_transition_bins", "seed"])
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.inf, None, "x"])
+    def test_int_field_not_a_whole_number_rejected(self, field, value):
+        kw = dict(d=2, n_items=5, n_input_contexts=1, n_transition_bins=1)
+        with pytest.raises(ConfigError, match=f"{field} .* is not a whole number"):
+            ModelConfig(**{**kw, field: value})
+
+    @pytest.mark.parametrize("value,message", [
+        (np.nan, "is not a finite number"), (np.inf, "is not a finite number"),
+        (-np.inf, "is not a finite number"), (10**400, "is not a number"),
+        (None, "is not a number"), ("x", "is not a number"), (-0.1, "must be >= 0"),
+    ])
+    def test_init_scale_not_a_finite_non_negative_number_rejected(self, value, message):
+        with pytest.raises(ConfigError, match=f"init_scale .*{message}"):
+            ModelConfig(d=2, n_items=5, n_input_contexts=1, n_transition_bins=1,
+                        init_scale=value)
+
+    def test_numbers_are_coerced(self):
+        config = ModelConfig(d=4.0, n_items="5", n_input_contexts=np.int64(2),
+                             n_transition_bins=1, init_scale=1)
+        assert (config.d, config.n_items, config.n_input_contexts) == (4, 5, 2)
+        assert type(config.d) is type(config.n_input_contexts) is int
+        assert type(config.init_scale) is float
 
     def test_singleton_banks_when_switched_off(self):
         config = ModelConfig(d=2, n_items=3, n_input_contexts=42, n_transition_bins=32,
@@ -85,35 +111,29 @@ class TestInit:
             assert np.all(np.abs(bank) <= 0.1)
 
 
+def one_step_inputs(item, ctx, bin_, p):
+    """``step_inputs`` of a single step."""
+    return step_inputs(np.array([item]), np.array([ctx]), np.array([bin_]), p)
+
+
 class TestHiddenStep:
     def test_zero_inputs_give_half(self):
         p = manual_params(np.zeros((2, 3)), np.zeros((1, 3, 3)), np.zeros((1, 3, 3)))
-        h = hidden_step(np.zeros(3), 0, 0, 0, p)
-        assert np.allclose(h, 0.5)
+        u, w = one_step_inputs(0, 0, 0, p)
+        assert np.allclose(hidden_step(np.zeros(3), u[0], w[0]), 0.5)
 
     def test_scalar_hand_evaluation(self):
         p = manual_params([[1.0]], [[[2.0]]], [[[-1.0]]])
-        h = hidden_step(np.array([0.5]), 0, 0, 0, p)
+        u, w = one_step_inputs(0, 0, 0, p)
+        assert u.tolist() == [[2.0]] and w.tolist() == [[[-1.0]]]
+        h = hidden_step(np.array([0.5]), u[0], w[0])
         assert h[0] == pytest.approx(0.8175744761936437, abs=1e-12)
 
     def test_state_stays_in_open_unit_interval(self):
         rng = np.random.default_rng(3)
         config = ModelConfig(d=6, n_items=9, n_input_contexts=4, n_transition_bins=5, seed=3)
-        p = init_params(config)
-        h = np.zeros(config.d)
-        for _ in range(50):
-            h = hidden_step(h, int(rng.integers(9)), int(rng.integers(4)), int(rng.integers(5)), p)
-            assert np.all(h > 0.0) and np.all(h < 1.0)
-
-    def test_index_out_of_range(self):
-        p = manual_params(np.zeros((2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
-        h = np.zeros(2)
-        with pytest.raises(ConfigError):
-            hidden_step(h, 5, 0, 0, p)
-        with pytest.raises(ConfigError):
-            hidden_step(h, 0, 3, 0, p)
-        with pytest.raises(ConfigError):
-            hidden_step(h, 0, 0, 2, p)
+        H = forward_states(random_annotated_sequence(rng, 50, 9, 4, 5), init_params(config))
+        assert np.all(H[1:] > 0.0) and np.all(H[1:] < 1.0)
 
     def test_switched_off_contexts_reduce_to_constant_matrices(self):
         # context-blind run must match a directly coded constant-matrix recurrence
@@ -157,8 +177,8 @@ class TestBlockCalls:
         for d in (1, 4, 10, 17):
             p, H, ids = block_fixture(d, d, **variant)
             for _ in range(4):  # chained, as evaluation uses it
-                block = hidden_step(H, *ids, p)
-                rows = np.array([hidden_step(H[i], *(a[i] for a in ids), p)
+                block = hidden_step(H, *step_inputs(*ids, p))
+                rows = np.array([reference_step(H[i], *(a[i] for a in ids), p)
                                  for i in range(len(H))])
                 assert block.shape == H.shape
                 assert np.array_equal(block.view(np.uint64), rows.view(np.uint64))
@@ -205,7 +225,7 @@ class TestForward:
             h = np.zeros(4)
             assert np.array_equal(H[0].view(np.uint64), h.view(np.uint64))
             for k in range(length):
-                h = hidden_step(h, seq.items[k], seq.input_ctxs[k], seq.trans_bins[k], p)
+                h = reference_step(h, seq.items[k], seq.input_ctxs[k], seq.trans_bins[k], p)
                 assert np.array_equal(H[k + 1].view(np.uint64), h.view(np.uint64))
             # the lockstep replay gives every row, the zero state included
             assert np.array_equal(states_at([seq], [np.arange(length + 1)], p).view(np.uint64),
@@ -225,14 +245,23 @@ class TestForward:
         with pytest.raises(ConfigError, match="annotated"):
             forward_states(seq, p)
 
+    def test_index_out_of_range(self):
+        p = manual_params(np.zeros((2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
+        for k, bad in ((0, 5), (1, 3), (2, 2), (0, -1), (1, -1), (2, -1)):
+            ids = [np.zeros(3, dtype=np.int64) for _ in range(3)]
+            ids[k][1] = bad
+            seq = UserSequence("u", ids[0], np.arange(3, dtype=np.int64), ids[1], ids[2])
+            with pytest.raises(ConfigError, match=f" {bad} out of range"):
+                forward_states(seq, p)
+
     def test_single_step_matches_hidden_step(self):
         rng = np.random.default_rng(5)
         config = ModelConfig(d=3, n_items=5, n_input_contexts=2, n_transition_bins=3, seed=5)
         p = init_params(config)
         seq = random_annotated_sequence(rng, 1, 5, 2, 3)
         states = forward_states(seq, p)
-        expected = hidden_step(np.zeros(3), seq.items[0], seq.input_ctxs[0],
-                               seq.trans_bins[0], p)
+        expected = reference_step(np.zeros(3), seq.items[0], seq.input_ctxs[0],
+                                  seq.trans_bins[0], p)
         assert len(states) == 2
         assert np.array_equal(states[1], expected)
 
@@ -358,20 +387,18 @@ class TestScore:
     def test_zero_state_scores_zero(self):
         config = ModelConfig(d=3, n_items=4, n_input_contexts=2, n_transition_bins=2, seed=1)
         p = init_params(config)
-        h = np.zeros(config.d)
-        assert score(h, 2, 1, 1, p) == 0.0
-        assert not score_all(h, 1, 1, p).any()
+        assert not score_all(np.zeros(config.d), 1, 1, p).any()
 
     def test_scalar_hand_expansion(self):
         p = manual_params([[3.0]], [[[1.0]]], [[[2.0]]])
-        assert score(np.array([1.0]), 0, 0, 0, p) == pytest.approx(6.0)
+        assert score_all(np.array([1.0]), 0, 0, p).tolist() == [6.0]
 
     def test_identical_embeddings_identical_scores(self):
         R = np.array([[0.2, -0.1], [0.2, -0.1], [0.5, 0.5]])
         p = manual_params(R, np.random.default_rng(0).normal(size=(2, 2, 2)),
                           np.random.default_rng(1).normal(size=(2, 2, 2)))
-        h = np.array([0.3, 0.7])
-        assert score(h, 0, 1, 1, p) == score(h, 1, 1, 1, p)
+        scores = score_all(np.array([0.3, 0.7]), 1, 1, p)
+        assert scores[0] == scores[1]
 
     def test_score_all_matches_per_item_scores(self):
         rng = np.random.default_rng(7)
@@ -379,14 +406,9 @@ class TestScore:
         p = init_params(config)
         h = rng.uniform(0, 1, size=5)
         vec = score_all(h, 2, 3, p)
-        per_item = np.array([score(h, v, 2, 3, p) for v in range(11)])
+        per_item = np.array([reference_score(h, v, 2, 3, p) for v in range(11)])
         assert np.allclose(vec, per_item, atol=1e-9)
         assert int(np.argmax(vec)) == int(np.argmax(per_item))
-
-
-def reference_top_n(scores, n):
-    """The full stable sort that ``top_n`` replaces."""
-    return np.argsort(-scores, kind="stable")[:n]
 
 
 # few distinct values, so exact ties are common; NaN, both zeros and both infinities

@@ -13,8 +13,9 @@ from carnn.model import (ModelConfig, ModelParams, forward_states, init_params, 
                          save_params)
 from carnn.seeding import named_rng
 from carnn.training import (EpochStats, GradientBuffer, TrainConfig, _pair_gradients,
-                            backprop_sequence, bpr_pair_loss, gradient_check, make_examples,
-                            sample_negative, sequence_loss, sgd_step, train, write_loss_trace)
+                            backprop_sequence, gradient_check, make_examples, sequence_loss,
+                            sgd_step, train, write_loss_trace)
+from references import bpr_pair_loss, reference_score, sample_negative
 
 
 def tiny_fixture(seed=0, init_scale=0.1, d=3, n_items=5, n_ctx=2, n_bins=3, length=6):
@@ -47,6 +48,29 @@ class TestConfig:
             TrainConfig(negatives_per_positive=0)
         with pytest.raises(ConfigError):
             TrainConfig(bptt_window=-1)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("value,message", [
+        (np.nan, "is not a finite number"), (np.inf, "is not a finite number"),
+        (-np.inf, "is not a finite number"), (10**400, "is not a number"),
+        (None, "is not a number"), ("x", "is not a number"),
+    ])
+    def test_rate_not_a_finite_number_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"{field} .*{message}"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["epochs", "negatives_per_positive", "bptt_window",
+                                       "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.5, np.nan, np.inf, "x"])
+    def test_count_not_a_whole_number_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} .* is not a whole number"):
+            TrainConfig(**{field: value})
+
+    def test_numbers_are_coerced(self):
+        cfg = TrainConfig(learning_rate=0, l2="0.5", epochs=3.0, bptt_window="2")
+        assert (cfg.learning_rate, cfg.l2, cfg.epochs, cfg.bptt_window) == (0.0, 0.5, 3, 2)
+        assert type(cfg.learning_rate) is float and type(cfg.epochs) is int
+        assert TrainConfig(bptt_window=None).bptt_window is None
 
 
 class TestPairLoss:
@@ -433,10 +457,10 @@ def planted_split(seed=9, n_users=20, n_items=20, seq_len=30, n_ctx=4):
 
 
 class TestTrain:
-    def make_model(self, scheme, n_items, seed=1, d=4):
+    def make_model(self, scheme, n_items, seed=1, d=4, **variant):
         config = ModelConfig(d=d, n_items=n_items,
                              n_input_contexts=scheme.n_input_contexts,
-                             n_transition_bins=scheme.n_transition_bins, seed=seed)
+                             n_transition_bins=scheme.n_transition_bins, seed=seed, **variant)
         return init_params(config)
 
     def test_single_epoch_single_pass(self):
@@ -498,14 +522,31 @@ class TestTrain:
             train(split, p, TrainConfig(epochs=1))
 
     def test_out_of_range_items_are_config_errors(self):
-        # -1 would otherwise train R's last row; n_items would index past R
-        split, scheme = planted_split()
-        n_items = split.sequences.n_items
-        for bad in (-1, n_items):
-            split.sequences.sequences[3].items[5] = bad
-            p = self.make_model(scheme, n_items)
-            with pytest.raises(ConfigError, match=f"item index {bad} out of range"):
-                train(split, p, TrainConfig(epochs=1))
+        # the forward pass gathers rows with take, which wraps -1 to the last
+        # row of R or of a bank; n would index past it
+        _, scheme = planted_split()
+        fields = (("items", "item index", 20),
+                  ("input_ctxs", "input context", scheme.n_input_contexts),
+                  ("trans_bins", "transition bin", scheme.n_transition_bins))
+        for field, name, n in fields:
+            for bad in (-1, n):
+                split, _ = planted_split()
+                getattr(split.sequences.sequences[3], field)[5] = bad
+                with pytest.raises(ConfigError, match=f"{name} {bad} out of range"):
+                    train(split, self.make_model(scheme, 20), TrainConfig(epochs=1))
+        # a switched-off bank has one matrix and ignores the ids it would select by
+        for field, switch, n in (("input_ctxs", "use_input_contexts", scheme.n_input_contexts),
+                                 ("trans_bins", "use_transition_contexts",
+                                  scheme.n_transition_bins)):
+            expected, _ = train(planted_split()[0], self.make_model(scheme, 20, **{switch: False}),
+                                TrainConfig(epochs=1))
+            for bad in (-1, n):
+                split, _ = planted_split()
+                getattr(split.sequences.sequences[3], field)[5] = bad
+                got, _ = train(split, self.make_model(scheme, 20, **{switch: False}),
+                               TrainConfig(epochs=1))
+                for bank in ("R", "M_bank", "W_bank"):
+                    assert np.array_equal(getattr(got, bank), getattr(expected, bank))
 
     def test_loss_trace_csv_round_trip(self, tmp_path):
         trace = [EpochStats(1, 0.6931, 0.5), EpochStats(2, 0.5120, 0.4)]
@@ -521,13 +562,12 @@ class TestObjectiveHelpers:
     def test_sequence_loss_matches_pair_loss_sum(self):
         params, seq = tiny_fixture(2)
         negatives = make_examples(seq, 5, named_rng(2, "negatives"), 2)
-        from carnn.model import forward_states, score
-
         states = forward_states(seq, params)
         expected = 0.0
         for j, negs in enumerate(negatives):
             ctx, bin_ = seq.input_ctxs[j], seq.trans_bins[j]
-            y_pos = score(states[j], seq.items[j], ctx, bin_, params)
+            y_pos = reference_score(states[j], seq.items[j], ctx, bin_, params)
             for neg in negs:
-                expected += bpr_pair_loss(y_pos, score(states[j], neg, ctx, bin_, params))
+                expected += bpr_pair_loss(y_pos, reference_score(states[j], neg, ctx, bin_,
+                                                                 params))
         assert sequence_loss(seq, negatives, params) == pytest.approx(expected, rel=1e-12)
