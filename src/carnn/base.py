@@ -94,6 +94,15 @@ def as_whole(value, what: str) -> int:
     return whole
 
 
+def as_flag(value, what: str) -> bool:
+    """``value`` as a bool if it is a ``bool`` or a ``numpy.bool_``; ConfigError
+    naming ``what`` for anything else, 0, 1 and the strings "true" and
+    "false" included."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ConfigError(f"{what} {value!r} is not a boolean")
+
+
 def as_real(value, what: str, lo: float) -> float:
     """``value`` as a float if it is a finite number of at least ``lo``, or a
     string of one; ConfigError naming ``what`` for anything else, NaN and

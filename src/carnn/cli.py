@@ -19,6 +19,7 @@ import click
 import numpy as np
 
 from . import store
+from .base import as_whole
 from .context import ContextScheme, annotate_sequences, parse_holiday_file
 from .data import FORMATS, build_sequences, parse_interactions, split_sequences
 from .errors import CarnnError, ConfigError, DataError, InputOutputError, NumericalError
@@ -156,8 +157,12 @@ def _validate_run_config(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown format {cfg.format!r}; expected one of {FORMATS}")
     if cfg.variant not in ALL_VARIANTS:
         raise ConfigError(f"unknown variant {cfg.variant!r}; expected one of {ALL_VARIANTS}")
-    if not cfg.ks or list(cfg.ks) != sorted(set(cfg.ks)):
+    ks = tuple(as_whole(k, "ks entry") for k in cfg.ks)
+    if not ks or list(ks) != sorted(set(ks)):
         raise ConfigError(f"ks must be a non-empty increasing list, got {cfg.ks}")
+    if ks[0] < 1:
+        raise ConfigError(f"ks entries must be >= 1, got {cfg.ks}")
+    cfg.ks = ks
 
 
 def config_text(cfg: RunConfig) -> str:

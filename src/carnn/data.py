@@ -212,10 +212,12 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
     factorised, counted with ``np.bincount`` and sorted with one stable
     ``np.lexsort`` on (user, timestamp), so file order breaks ties.
     """
+    from .base import as_whole  # base imports this module
+
     if len(log) == 0:
         raise DataError("interaction log is empty")
-    min_user = max(int(min_user), 2)
-    min_item = int(min_item)
+    min_user = max(as_whole(min_user, "min_user"), 2)
+    min_item = as_whole(min_item, "min_item")
 
     item_codes, user_codes = _factorise(log.items)[0], _factorise(log.users)[0]
     keep = np.bincount(item_codes)[item_codes] >= min_item

@@ -6,7 +6,8 @@ item), which fixes the metric algebra: precision@k is hits/k, so
 F1@k = 2*Recall@k/(k+1); MAP reduces to the mean reciprocal rank and NDCG
 to the mean of 1/log2(rank+1). The candidate set is always the full item
 vocabulary. During testing the hidden state advances on the ground-truth
-item (teacher forcing).
+item (teacher forcing). The popularity baseline scores every query alike,
+so one stable sort of the counts ranks them all.
 """
 
 from __future__ import annotations
@@ -139,10 +140,19 @@ def train_item_counts(split: SplitSet) -> np.ndarray:
 
 def pop_baseline(split: SplitSet, ks=DEFAULT_KS) -> MetricsReport:
     """Rank every item by its training-set frequency, constant across queries."""
-    counts = train_item_counts(split)
-    ranks = [rank_target(counts, v) for seq, n_tr in _heldout(split)
-             for v in seq.items[n_tr:].tolist()]
-    return _report(np.array(ranks, dtype=np.int64), ks)
+    targets = [seq.items[n_tr:] for seq, n_tr in _heldout(split)]
+    return _report(shared_ranks(train_item_counts(split),
+                                np.concatenate([np.zeros(0, np.int64), *targets])), ks)
+
+
+def shared_ranks(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """1-based rank of each of ``targets`` under one vector of finite scores
+    that every query shares: ``rank_target(scores, v)`` for each v, read off
+    the inverse of one stable argsort, which puts equal scores in index
+    order as ``rank_target``'s tie rule does."""
+    rank = np.empty(len(scores), dtype=np.int64)
+    rank[np.argsort(-scores, kind="stable")] = np.arange(1, len(scores) + 1)
+    return rank[targets]
 
 
 # --- report serialization ----------------------------------------------------

@@ -13,9 +13,11 @@ shared matrix, which reproduces a conventional recurrent model.
 
 ``hidden_step`` is the only code that computes a recurrence step, from
 the input projections r @ M[ctx] and transition matrices that
-``step_inputs`` gathers for a run of steps. Training takes its states from
-``forward_states``, one state at a time; evaluation, ``carnn predict`` and
-the estimator's state table from ``states_at``, which steps all users in
+``step_inputs`` gathers for a run of steps; it writes the new state in
+place when given ``out``. ``unroll`` steps one user a state at a time,
+for ``forward_states`` and for training, which passes the gathers its
+scoring path shares; evaluation, ``carnn predict`` and the estimator's
+state table take theirs from ``states_at``, which steps all users in
 lockstep as (B, d) blocks. A block row goes through the same vector-matrix
 BLAS call (a stacked ``np.matmul``) as one state, so both have the same
 bits. ``score_all`` takes one state (d,) or a block with one context and
@@ -31,10 +33,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .base import as_real, as_whole
+from .base import as_flag, as_real, as_whole
 from .errors import (CompatibilityError, ConfigError, FormatError, InputOutputError,
                      NumericalError)
 from .linalg import sigmoid_vec
@@ -60,6 +63,8 @@ class ModelConfig:
         for name in ("d", "n_items", "n_input_contexts", "n_transition_bins", "seed"):
             object.__setattr__(self, name, as_whole(getattr(self, name), name))
         object.__setattr__(self, "init_scale", as_real(self.init_scale, "init_scale", 0.0))
+        for name in ("use_input_contexts", "use_transition_contexts"):
+            object.__setattr__(self, name, as_flag(getattr(self, name), name))
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.n_items < 1:
@@ -151,40 +156,62 @@ def _block_banks(m_bank: np.ndarray, w_bank: np.ndarray, ctx: np.ndarray, bin_: 
 
 def step_inputs(items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray,
                 p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Input projections r @ M[ctx] of a run of steps, from one stacked
-    ``np.matmul``, and their transition matrices from ``_block_banks``: a
-    (B, d, d) array, or one (d, d) matrix if transition contexts are off.
-    The ids must be ones ``ModelParams.check_ids`` has accepted."""
+    """Input projections r @ M[ctx] of a run of steps, from ``project``, and
+    their transition matrices from ``_block_banks``: a (B, d, d) array, or
+    one (d, d) matrix if transition contexts are off. The ids must be ones
+    ``ModelParams.check_ids`` has accepted."""
     m, w = _block_banks(p.M_bank, p.W_bank, ctxs, bins, p.config)
-    return np.matmul(p.R.take(items, axis=0)[:, None, :], m)[:, 0, :], w
+    return project(p.R.take(items, axis=0)[:, None, :], m), w
 
 
-def hidden_step(h_prev: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+def project(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Input projections of (B, 1, d) item rows through their (B, d, d) input
+    matrices, or one shared (d, d) matrix, from one stacked ``np.matmul``: a
+    (B, d) array whose row b is r[b, 0] @ m[b]."""
+    return np.matmul(r, m)[:, 0, :]
+
+
+def hidden_step(h_prev: np.ndarray, u: np.ndarray, w: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """One recurrence step, f(u + h_prev @ w), of one state (d,) or a (B, d)
     block, from the input projections and transition matrices that
-    ``step_inputs`` gives."""
-    return sigmoid_vec(u + np.matmul(h_prev[..., None, :], w)[..., 0, :])
+    ``step_inputs`` gives; the state is written to ``out`` if given."""
+    z = np.matmul(h_prev[..., None, :], w)[..., 0, :]
+    z += u
+    return sigmoid_vec(z, out=out)
 
 
 def forward_states(seq, p: ModelParams) -> np.ndarray:
     """States of an annotated sequence: the ids are checked and the whole
-    sequence projected once, then one ``hidden_step`` per event.
+    sequence projected once, then ``unroll`` steps through it.
 
     Returns an (len(seq)+1, d) array: row 0 is the zero state h_0 and row k
     the state after k events.
     """
-    n = len(seq)
-    if n and not seq.annotated:
-        raise ConfigError("sequence must be annotated with contexts before the forward pass")
-    d = p.config.d
+    check_sequence(seq, p)
+    if not len(seq):
+        return np.zeros((1, p.config.d), dtype=np.float64)
+    return unroll(*step_inputs(seq.items, seq.input_ctxs, seq.trans_bins, p))
+
+
+def check_sequence(seq, p: ModelParams) -> None:
+    """ConfigError unless ``seq`` is empty, or annotated with ids that
+    ``ModelParams.check_ids`` accepts."""
+    if len(seq):
+        if not seq.annotated:
+            raise ConfigError("sequence must be annotated with contexts before the forward pass")
+        p.check_ids(seq.items, seq.input_ctxs, seq.trans_bins)
+
+
+def unroll(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """States of n steps from the zero state, given their (n, d) input
+    projections and transition matrices, (n, d, d) or one shared (d, d):
+    an (n+1, d) array whose row k + 1 ``hidden_step`` writes in place from
+    row k."""
+    n, d = U.shape
     H = np.zeros((n + 1, d), dtype=np.float64)
-    if not n:
-        return H
-    p.check_ids(seq.items, seq.input_ctxs, seq.trans_bins)
-    U, W = step_inputs(seq.items, seq.input_ctxs, seq.trans_bins, p)
-    W = np.broadcast_to(W, (n, d, d))
-    for k in range(n):
-        H[k + 1] = hidden_step(H[k], U[k], W[k])
+    for h, u, w, out in zip(H, U, W if W.ndim == 3 else repeat(W, n), H[1:]):
+        hidden_step(h, u, w, out=out)
     return H
 
 
@@ -269,7 +296,7 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
             S[:B] = S[src:src + B]
             src, dst, w0 = 0, B, base[k + 1] - B
         u, w = step_inputs(items[o:o + B], ctxs[o:o + B], bins[o:o + B], p)
-        S[dst:dst + B] = hidden_step(S[src:src + B], u, w)
+        hidden_step(S[src:src + B], u, w, out=S[dst:dst + B])
     gather(base[-1])
     return out
 

@@ -7,6 +7,10 @@ matrix, transition matrix, and touched embedding row receives its exact
 contribution. Updates are per user sequence: one forward pass, one
 gradient accumulation over all predictable positions, one SGD step with
 L2 decay applied lazily to touched parameters only.
+
+The forward pass and the scoring path share one gather of the sequence's
+rows of R and of both banks; the backward sweep and the SGD step update
+their buffers in place. Each keeps the bits of its textbook form.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_real, as_whole
+from .base import as_flag, as_real, as_whole
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
-from .model import ModelParams, first_non_finite, forward_states
+from .model import ModelParams, check_sequence, first_non_finite, project, unroll
 from .seeding import named_rng
 from .store import write_atomic
 
@@ -41,6 +45,7 @@ class TrainConfig:
             object.__setattr__(self, name, as_whole(getattr(self, name), name))
         if self.bptt_window is not None:
             object.__setattr__(self, "bptt_window", as_whole(self.bptt_window, "bptt_window"))
+        object.__setattr__(self, "shuffle", as_flag(self.shuffle, "shuffle"))
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.negatives_per_positive < 1:
@@ -89,25 +94,32 @@ def _pair_gradients(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
     are reduced into the banks once, from per-position buffers. A pair whose
     derivative underflows to 0 touches nothing. Returns the summed loss.
     """
-    Hfull = forward_states(seq, p)
+    check_sequence(seq, p)
     items = seq.items
-    zeros = np.zeros(len(seq), dtype=np.int64)
+    negatives = _check_negatives(negatives, items, p.config.n_items)
+    if not len(items):  # an empty sequence may carry no annotations
+        return 0.0
+    zeros = np.zeros(len(items), dtype=np.int64)
     m_slots = seq.input_ctxs if p.config.use_input_contexts else zeros
     w_slots = seq.trans_bins if p.config.use_transition_contexts else zeros
-    negatives = _check_negatives(negatives, items, p.config.n_items)
-    H = Hfull[:-1]
-    Ms, Ws = p.M_bank[m_slots], p.W_bank[w_slots]
     # column 0 is each position's positive, the others its negatives
     rows = np.concatenate([items[:, None], negatives], axis=1)
-    Rr = p.R[rows]                                          # (L, 1+k, d)
+    Rr = p.R.take(rows, axis=0)                             # (L, 1+k, d)
+    Ms, Ws = p.M_bank.take(m_slots, axis=0), p.W_bank.take(w_slots, axis=0)
+    # the forward pass of forward_states, from the same gathers
+    Hfull = unroll(project(Rr[:, :1], Ms), Ws)
+    H = Hfull[:-1]
     Q = np.matmul(H[:, None, :], Ws)                        # (L, 1, d)
     P = np.matmul(Rr, Ms)                                   # (L, 1+k, d)
     y = np.matmul(P, np.swapaxes(Q, 1, 2))[:, :, 0]
     x = y[:, :1] - y[:, 1:]
-    # ln(1 + e^-x) and its derivative -sigmoid(-x), with e = exp(-|x|) <= 1
-    e = np.exp(-np.abs(x))
+    # ln(1 + e^-x) and its derivative -sigmoid(-x), with e = exp(-|x|) <= 1:
+    # the numerator is e for x >= 0 and 1 below, max(e, x < 0)
+    e = np.exp(np.copysign(x, -1.0))
     total_loss = float(np.sum(np.maximum(-x, 0.0) + np.log1p(e)))
-    g = -np.where(x >= 0.0, e, 1.0) / (1.0 + e)
+    num = np.maximum(e, x < 0.0)
+    e += 1.0
+    g = -num / e
     live = g != 0.0
     # d loss / d score of each row: the positive's sums its pairs' g, a negative's is -g
     coef = np.concatenate([g.sum(axis=1, keepdims=True), -g], axis=1)
@@ -172,11 +184,14 @@ def _recurrence_grads(dh: np.ndarray, act: np.ndarray, Ws: np.ndarray,
     # step j sends the error e on state j+1 back to state j as e @ K[j]
     K = act[1:, :, None] * np.swapaxes(Ws, 1, 2)
     E = np.zeros_like(dh)  # error on the state each step produces
+    # row views, so each step adds into its row with no indexing or copy-back
+    rows, Ks = list(E), list(K)
     if window is None:
         # state L is never scored, so step L-1 never runs
         E[:-1] = dh[1:]
+        back = np.empty(dh.shape[1:])
         for j in range(len(dh) - 3, -1, -1):
-            E[j] += E[j + 1] @ K[j + 1]
+            rows[j] += rows[j + 1].dot(Ks[j + 1], out=back)
         stepped = E.any(axis=1)
     else:
         stepped = np.zeros(len(dh), dtype=bool)
@@ -184,8 +199,8 @@ def _recurrence_grads(dh: np.ndarray, act: np.ndarray, Ws: np.ndarray,
             cur, lo = dh[j], max(j - window, 0)
             stepped[lo:j] = True
             for s in range(j - 1, lo - 1, -1):
-                E[s] += cur
-                cur = cur @ K[s]
+                rows[s] += cur
+                cur = cur.dot(Ks[s])
     return E * act[1:], stepped
 
 
@@ -218,18 +233,28 @@ def make_examples(seq: UserSequence, n_items: int, rng: np.random.Generator,
 
 
 def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams:
-    """theta <- theta - lr * (grad + l2 * theta) over touched groups only."""
+    """theta <- theta - lr * (grad + l2 * theta) over touched groups only.
+
+    Each bank's touched rows are gathered once, checked, updated in the
+    gathered copy and written back. A non-finite gradient raises
+    NumericalError naming its first row, and leaves that bank and the ones
+    after it untouched."""
     lr = cfg.learning_rate
     l2 = cfg.l2
 
     def apply(theta, grad, touched, name):
         idx = np.flatnonzero(touched)
-        if not idx.size:  # first_non_finite cannot reshape an empty block
-            return
-        block = grad[idx]
-        if (bad := first_non_finite(block)) is not None:
+        block = grad.take(idx, axis=0)
+        # isfinite cannot overflow, as a sum of large finite entries can
+        if not np.isfinite(block).all():
+            bad = first_non_finite(block)
             raise NumericalError(f"non-finite gradient in {name}[{idx[bad]}]")
-        theta[idx] -= lr * (block + l2 * theta[idx])
+        rows = theta.take(idx, axis=0)
+        step = rows * l2
+        step += block
+        step *= lr
+        rows -= step
+        theta[idx] = rows
 
     apply(p.R, g.dR, g.touched_items, "R")
     apply(p.M_bank, g.dM_bank, g.touched_m, "M_bank")

@@ -43,6 +43,31 @@ def sample_negative(rng, positive, n_items):
     return j + 1 if j >= positive else j
 
 
+def reference_recurrence_grads(dh, act, Ws, window):
+    """The reverse sweep of ``training._recurrence_grads`` as the textbook
+    loop, indexing a row of the error buffer at each step:
+    E[j] += E[j + 1] @ K[j + 1], or, with a window, each scored position's
+    error carried back at most ``window`` steps."""
+    K = act[1:, :, None] * np.swapaxes(Ws, 1, 2)
+    E = np.zeros_like(dh)
+    if window is None:
+        E[:-1] = dh[1:]
+        for j in range(len(dh) - 3, -1, -1):
+            E[j] += E[j + 1] @ K[j + 1]
+        stepped = E.any(axis=1)
+    else:
+        stepped = np.zeros(len(dh), dtype=bool)
+        for j in range(len(dh)):
+            if not dh[j].any():
+                continue
+            cur = dh[j]
+            for s in range(j - 1, max(j - window, 0) - 1, -1):
+                E[s] += cur
+                stepped[s] = True
+                cur = cur @ K[s]
+    return E * act[1:], stepped
+
+
 def reference_top_n(scores, n):
     """The full stable sort that ``top_n`` replaces."""
     return np.argsort(-scores, kind="stable")[:n]

@@ -89,6 +89,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="increasing"):
             load_run_config(None, ks=ks)
 
+    @pytest.mark.parametrize("ks,message", [((0, 5), "must be >= 1"), ((-1, 5), "must be >= 1"),
+                                            ((2.5, 5), "is not a whole number")])
+    def test_ks_entry_not_a_whole_number_of_at_least_1_rejected(self, ks, message):
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(None, ks=ks)
+
 
 class TestPrepare:
     def test_stats_reported(self, workdir):
@@ -267,6 +273,17 @@ class TestEval:
         assert raw == {**{f"recall@{k}": v for k, v in rep.recall_at.items()},
                        **{f"f1@{k}": v for k, v in rep.f1_at.items()},
                        "map": rep.map_score, "ndcg": rep.ndcg, "n_positions": rep.n_positions}
+
+    @pytest.mark.parametrize("ks", ["0,5", "-1,5"])
+    def test_ks_below_1_in_the_config_file_is_config_error(self, workdir, tmp_path, ks):
+        cfg = tmp_path / "ks.cfg"
+        cfg.write_text(Path(workdir["cfg"]).read_text() + f"ks={ks}\n")
+        out = tmp_path / "eval"
+        result = invoke("eval", "--config", str(cfg), "--variant", "carnn", "--out", str(out),
+                        "--cache", workdir["cache"], "--model", workdir["models"]["carnn"])
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert "must be >= 1" in result.output
+        assert not (out / "metrics.json").exists()
 
     def test_pop_baseline_needs_no_model(self, workdir, tmp_path):
         _, raw, _ = self.eval_variant(workdir, tmp_path, "pop")

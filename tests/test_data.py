@@ -307,6 +307,20 @@ class TestBuildSequences:
         with pytest.raises(DataError):
             build_sequences(log_of(rows), min_user=10, min_item=3)
 
+    @pytest.mark.parametrize("param", ["min_user", "min_item"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, None, "x"])
+    def test_threshold_not_a_whole_number_is_config_error(self, param, value):
+        rows = [(f"u{u}", f"i{k}", k) for u in range(3) for k in range(12)]
+        with pytest.raises(ConfigError, match=f"{param} .* is not a whole number"):
+            build_sequences(log_of(rows), **{param: value})
+
+    def test_whole_number_thresholds_of_any_type_accepted(self):
+        rows = [(f"u{u}", f"i{k % 4}", k) for u in range(3) for k in range(12)]
+        expected = build_sequences(log_of(rows), min_user=12, min_item=9)
+        for same in (12.0, np.int64(12), "12"):
+            got = build_sequences(log_of(rows), min_user=same, min_item=np.float64(9))
+            assert got.user_vocab == expected.user_vocab
+
     def test_empty_log_is_data_error(self):
         with pytest.raises(DataError):
             build_sequences(InteractionLog([]))

@@ -181,6 +181,19 @@ class TestFitPredict:
         with pytest.raises(ConfigError, match=message):
             CARNNRecommender(**{"d": 4, "epochs": 1, **param}).fit(interaction_rows())
 
+    @pytest.mark.parametrize("param", ["use_input_contexts", "use_transition_contexts",
+                                       "shuffle"])
+    def test_switch_not_a_boolean_rejected(self, param):
+        # "false" is a truthy string: it would train the context variant
+        with pytest.raises(ConfigError, match=f"{param} 'false' is not a boolean"):
+            CARNNRecommender(d=4, epochs=1, **{param: "false"}).fit(interaction_rows())
+
+    @pytest.mark.parametrize("param", ["min_user", "min_item"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5])
+    def test_filter_threshold_not_a_whole_number_rejected(self, param, value):
+        with pytest.raises(ConfigError, match=f"{param} .* is not a whole number"):
+            CARNNRecommender(d=4, epochs=1, **{param: value}).fit(interaction_rows())
+
     def test_whole_number_timestamps_of_any_type_accepted(self):
         est = self.fitted()
         t = 946857600 + 400 * SECONDS_PER_DAY

@@ -12,7 +12,8 @@ from carnn import store
 from carnn.errors import ConfigError, DataError, InputOutputError
 from carnn.evaluate import (DEFAULT_KS, MetricsReport, RankRecord, aggregate_ranks,
                             evaluate, format_report_table, generate_synthetic,
-                            pop_baseline, rank_target, report_to_json, synthetic_partition,
+                            pop_baseline, rank_target, report_to_json, shared_ranks,
+                            synthetic_partition,
                             train_item_counts, write_interactions_csv)
 from carnn.model import ModelConfig, init_params, score_all
 from references import reference_step
@@ -239,6 +240,16 @@ class TestPopBaseline:
     def test_uniform_frequencies_follow_index_tie_break(self):
         counts = np.full(5, 3.0)
         assert [rank_target(counts, v) for v in range(5)] == [1, 2, 3, 4, 5]
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.data())
+    def test_shared_ranks_are_per_query_rank_target(self, counts, data):
+        # few distinct counts, so most items tie with others
+        counts = np.array(counts, dtype=np.float64)
+        targets = np.array(data.draw(st.lists(st.integers(0, len(counts) - 1), max_size=60)),
+                           dtype=np.int64)
+        got = shared_ranks(counts, targets)
+        assert got.dtype == np.int64
+        assert got.tolist() == [rank_target(counts, v) for v in targets.tolist()]
 
     def test_equals_aggregate_ranks_of_its_per_query_records(self):
         split, _ = ragged_split(1)

@@ -60,13 +60,42 @@ def masked_logistic(x):
     return out
 
 
+EDGES = np.array([0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan])
+DRAWS = np.random.default_rng(0).normal(0.0, 30.0, size=100_000)
+
+
+def assert_bits_of_masked_formula(got, x):
+    want = masked_logistic(x)
+    assert got.shape == x.shape
+    # NaN maps to NaN; every other value keeps its exact bits
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+
+
+INPUTS = (EDGES, DRAWS, DRAWS.reshape(1000, 100))
+
+
 def test_sigmoid_vec_has_the_bits_of_the_masked_formula():
-    edges = np.array([0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan])
-    draws = np.random.default_rng(0).normal(0.0, 30.0, size=100_000)
-    for x in (edges, draws, draws.reshape(1000, 100)):
-        got, want = sigmoid_vec(x), masked_logistic(x)
-        assert got.shape == x.shape
-        # NaN maps to NaN; every other value keeps its exact bits
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        finite = ~np.isnan(want)
-        assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+    for x in INPUTS:
+        assert_bits_of_masked_formula(sigmoid_vec(x), x)
+
+
+def test_sigmoid_vec_into_out_has_the_bits_of_the_masked_formula():
+    for x in INPUTS:
+        buf = np.full_like(x, 7.0)
+        assert sigmoid_vec(x, out=buf) is buf
+        assert_bits_of_masked_formula(buf, x)
+        # out may be the input itself
+        inplace = x.copy()
+        assert sigmoid_vec(inplace, out=inplace) is inplace
+        assert_bits_of_masked_formula(inplace, x)
+
+
+def test_sigmoid_vec_into_a_row_view():
+    # a row of a state buffer, as the recurrence writes it
+    H = np.zeros((3, 4))
+    x = np.array([-2.0, -0.0, 0.5, 40.0])
+    sigmoid_vec(x, out=H[1])
+    assert_bits_of_masked_formula(H[1], x)
+    assert not H[0].any() and not H[2].any()

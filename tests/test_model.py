@@ -63,6 +63,20 @@ class TestConfig:
             ModelConfig(d=2, n_items=5, n_input_contexts=1, n_transition_bins=1,
                         init_scale=value)
 
+    @pytest.mark.parametrize("field", ["use_input_contexts", "use_transition_contexts"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, 2.5])
+    def test_switch_not_a_boolean_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} .* is not a boolean"):
+            ModelConfig(d=2, n_items=5, n_input_contexts=3, n_transition_bins=4,
+                        **{field: value})
+
+    def test_numpy_booleans_are_coerced(self):
+        config = ModelConfig(d=2, n_items=5, n_input_contexts=3, n_transition_bins=4,
+                             use_input_contexts=np.bool_(False),
+                             use_transition_contexts=np.bool_(True))
+        assert config.use_input_contexts is False and config.use_transition_contexts is True
+        assert (config.m_slots, config.w_slots) == (1, 4)
+
     def test_numbers_are_coerced(self):
         config = ModelConfig(d=4.0, n_items="5", n_input_contexts=np.int64(2),
                              n_transition_bins=1, init_scale=1)

@@ -1,11 +1,13 @@
 import copy
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from carnn import training as training_module
 from carnn.data import UserSequence, split_sequences
 from carnn.errors import ConfigError, NumericalError
 from carnn.evaluate import generate_synthetic
@@ -13,9 +15,10 @@ from carnn.model import (ModelConfig, ModelParams, forward_states, init_params, 
                          save_params)
 from carnn.seeding import named_rng
 from carnn.training import (EpochStats, GradientBuffer, TrainConfig, _pair_gradients,
-                            backprop_sequence, gradient_check, make_examples, sequence_loss,
-                            sgd_step, train, write_loss_trace)
-from references import bpr_pair_loss, reference_score, sample_negative
+                            _recurrence_grads, backprop_sequence, gradient_check, make_examples,
+                            sequence_loss, sgd_step, train, write_loss_trace)
+from references import (bpr_pair_loss, reference_recurrence_grads, reference_score,
+                        sample_negative)
 
 
 def tiny_fixture(seed=0, init_scale=0.1, d=3, n_items=5, n_ctx=2, n_bins=3, length=6):
@@ -65,6 +68,14 @@ class TestConfig:
     def test_count_not_a_whole_number_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} .* is not a whole number"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, 2.5])
+    def test_shuffle_not_a_boolean_rejected(self, value):
+        with pytest.raises(ConfigError, match="shuffle .* is not a boolean"):
+            TrainConfig(shuffle=value)
+
+    def test_numpy_boolean_shuffle_is_coerced(self):
+        assert TrainConfig(shuffle=np.bool_(False)).shuffle is False
 
     def test_numbers_are_coerced(self):
         cfg = TrainConfig(learning_rate=0, l2="0.5", epochs=3.0, bptt_window="2")
@@ -254,6 +265,10 @@ class TestBackprop:
         negatives = make_examples(seq, 5, named_rng(0, "negatives"), 2)
         assert negatives.shape == (0, 2) and negatives.dtype == np.int64
         assert sequence_loss(seq, negatives, params) == 0.0
+        # an empty sequence needs no annotations, as in forward_states
+        bare = UserSequence("u", seq.items, seq.timestamps)
+        assert sequence_loss(bare, negatives, params) == 0.0
+        assert not backprop_sequence(bare, negatives, params, TrainConfig()).touched_items.any()
 
 
 def reference_pair_gradients(seq, negatives, p, cfg):
@@ -361,6 +376,26 @@ class TestAgainstReferenceLoop:
             negatives = make_examples(seq, 7, named_rng(length, "negatives"), k)
             assert_matches_reference(seq, negatives, p, TrainConfig(bptt_window=window))
 
+    @pytest.mark.parametrize("use_in,use_tr", [(True, True), (True, False), (False, True),
+                                               (False, False)])
+    def test_scores_from_the_states_of_forward_states(self, monkeypatch, use_in, use_tr):
+        # training steps from the gathers its scoring path shares; a switched-off
+        # bank is gathered per position there and broadcast in forward_states
+        seen = []
+        real = training_module.unroll
+        monkeypatch.setattr(training_module, "unroll", lambda U, W: seen.append(real(U, W))
+                            or seen[-1])
+        config = ModelConfig(d=4, n_items=7, n_input_contexts=3, n_transition_bins=4,
+                             use_input_contexts=use_in, use_transition_contexts=use_tr,
+                             init_scale=2.0)
+        p = init_params(config)
+        rng = named_rng(5, "synthetic")
+        seq = UserSequence("u", rng.integers(0, 7, size=30), np.arange(30) * 86400,
+                           rng.integers(0, 3, size=30), rng.integers(0, 4, size=30))
+        _pair_gradients(seq, make_examples(seq, 7, rng, 2), p, TrainConfig(), GradientBuffer(p))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0].view(np.uint64), forward_states(seq, p).view(np.uint64))
+
     def test_underflowed_pairs_touch_nothing(self):
         # d=1, |R| = 500: every state after the zero state saturates to exactly
         # 1.0, so each pair after the first has a margin of 1000, past where
@@ -375,6 +410,23 @@ class TestAgainstReferenceLoop:
         # only position 0, scored from the zero state, has a live pair
         assert np.flatnonzero(ref.touched_items).tolist() == [0, 2]
         assert not ref.dR[3].any()
+
+
+class TestRecurrenceGrads:
+    @pytest.mark.parametrize("window", [None, 0, 1, 3, 100])
+    @pytest.mark.parametrize("d", [1, 4, 10])
+    def test_bits_of_the_textbook_loop(self, window, d):
+        rng = np.random.default_rng(d)
+        for length in (0, 1, 2, 3, 9, 40):
+            states = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, size=(length + 1, d))))
+            act = states * (1.0 - states)
+            Ws = rng.normal(0.0, 1.0, size=(length, d, d))
+            dh = rng.normal(0.0, 1.0, size=(length, d))
+            dh[rng.random(length) < 0.3] = 0.0  # positions with no live pair
+            got_e, got_stepped = _recurrence_grads(dh, act, Ws, window)
+            want_e, want_stepped = reference_recurrence_grads(dh, act, Ws, window)
+            assert np.array_equal(got_e.view(np.uint64), want_e.view(np.uint64))
+            assert np.array_equal(got_stepped, want_stepped)
 
 
 class TestSgdStep:
@@ -439,6 +491,41 @@ class TestSgdStep:
         buf.touched_m[0] = True
         with pytest.raises(NumericalError, match=r"M_bank\[0\]"):
             sgd_step(p, buf, TrainConfig())
+
+    def test_finite_gradient_whose_sum_overflows_updates_quietly(self):
+        config = ModelConfig(d=2, n_items=1, n_input_contexts=1, n_transition_bins=1)
+        p = ModelParams(config, np.array([[1.0, -2.0]]), np.zeros((1, 2, 2)),
+                        np.zeros((1, 2, 2)))
+        buf = GradientBuffer(p)
+        buf.dR[0] = [1e308, 1e308]
+        buf.touched_items[0] = True
+        with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+            assert not math.isfinite(buf.dR[0].sum())  # so a sum is no finiteness screen
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sgd_step(p, buf, TrainConfig(learning_rate=0.01, l2=0.5))
+        assert p.R[0].tolist() == [1.0 - 0.01 * (1e308 + 0.5 * 1.0),
+                                   -2.0 - 0.01 * (1e308 + 0.5 * -2.0)]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bank", ["R", "M_bank", "W_bank"])
+    def test_non_finite_gradient_leaves_its_bank_and_later_ones_untouched(self, bank, bad):
+        params, _ = tiny_fixture(0, n_ctx=3)  # three rows in every bank
+        buf = GradientBuffer(params)
+        for name in ("touched_items", "touched_m", "touched_w"):
+            getattr(buf, name)[:] = True
+        for name in ("dR", "dM_bank", "dW_bank"):
+            getattr(buf, name)[...] = 0.25
+        grad = {"R": buf.dR, "M_bank": buf.dM_bank, "W_bank": buf.dW_bank}[bank]
+        grad[1].flat[-1] = bad  # the first bad row is 1; row 2 is bad too
+        grad[2].flat[0] = float("nan")
+        before = copy.deepcopy(params)
+        with pytest.raises(NumericalError, match=rf"non-finite gradient in {bank}\[1\]"):
+            sgd_step(params, buf, TrainConfig(learning_rate=0.1, l2=0.01))
+        order = ["R", "M_bank", "W_bank"]
+        for name in order:
+            changed = not np.array_equal(getattr(params, name), getattr(before, name))
+            assert changed == (order.index(name) < order.index(bank)), name
 
     def test_non_finite_gradient_names_its_row(self):
         # the row is named in the bank, not by its place among the touched rows
