@@ -5,8 +5,10 @@ helpers, without depending on scikit-learn itself.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -47,6 +49,12 @@ class ParamsMixin:
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
+
+
+def pick(cls, values: Mapping) -> dict:
+    """The entries of ``values`` named after a field of the dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {name: value for name, value in values.items() if name in names}
 
 
 def check_is_fitted(estimator, attribute: str) -> None:

@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import store
-from .base import as_whole
+from .base import as_whole, pick
 from .context import ContextScheme, annotate_sequences, parse_holiday_file
 from .data import FORMATS, build_sequences, parse_interactions, split_sequences
 from .errors import CarnnError, ConfigError, DataError, InputOutputError, NumericalError
@@ -29,7 +29,7 @@ from .evaluate import (evaluate, format_report_table, metric_keys, metric_pairs,
 from .model import (ModelConfig, ModelParams, check_vocab_compatibility, init_params,
                     load_params, save_params, score_all, states_at, top_n)
 from .seeding import named_rng
-from .training import (TrainConfig, gradient_check, train, write_loss_trace)
+from .training import TrainConfig, configs, gradient_check, train, write_loss_trace
 
 VARIANTS = {
     "carnn": (True, True),
@@ -42,24 +42,27 @@ ALL_VARIANTS = tuple(VARIANTS) + ("pop",)
 
 @dataclass
 class RunConfig:
-    """Aggregated settings for one experiment run (key=value file keys match
-    the field names, except ``lambda`` which maps to ``l2``)."""
+    """Aggregated settings for one experiment run. Fields that configure a
+    ``ContextScheme``, ``ModelConfig`` or ``TrainConfig`` carry the field
+    name they have there; key=value file keys and flags match the field
+    names, except those that ``_KEYS`` spells otherwise. Each field's
+    annotation selects its parser and formatter in ``_KINDS``."""
 
     dataset: str | None = None
     format: str = "csv"
     factors: tuple[str, ...] = ("day_of_week", "hour_of_day")
     holidays: str | None = None
     max_interval_days: int = 30
-    tz_offset: int = 0
+    timezone_offset_seconds: int = 0
     min_user: int = 10
     min_item: int = 3
     split_ratio: float = 0.8
     d: int = 10
     variant: str = "carnn"
     epochs: int = 10
-    lr: float = 0.01
+    learning_rate: float = 0.01
     l2: float = 0.01
-    negatives: int = 1
+    negatives_per_positive: int = 1
     bptt_window: int | None = None
     init_scale: float = 0.1
     shuffle: bool = True
@@ -76,48 +79,37 @@ class RunConfig:
         return self.model or os.path.join(self.out, "model.carn")
 
 
-_KEY_TO_FIELD = {f.name: f.name for f in dataclasses.fields(RunConfig)}
-_KEY_TO_FIELD["lambda"] = "l2"
-del _KEY_TO_FIELD["l2"]
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+def _parse_flag(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not true/false: {raw!r}")
 
 
-def _parse_value(field: str, raw: str):
-    raw = raw.strip()
-    if field in ("dataset", "holidays", "cache", "model"):
-        return None if raw.lower() == "none" or raw == "" else raw
-    if field == "bptt_window":
-        return None if raw.lower() in ("none", "unlimited") else int(raw)
-    if field == "factors":
-        return tuple(x.strip() for x in raw.split(",") if x.strip())
-    if field == "ks":
-        return tuple(int(x) for x in raw.split(",") if x.strip())
-    if field == "shuffle":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key 'shuffle' must be true/false, got {raw!r}")
-    if field in ("max_interval_days", "tz_offset", "min_user", "min_item",
-                 "d", "epochs", "negatives", "seed"):
-        return int(raw)
-    if field in ("split_ratio", "lr", "l2", "init_scale"):
-        return float(raw)
-    return raw
+def _parse_list(parse):
+    return lambda raw: tuple(parse(x.strip()) for x in raw.split(",") if x.strip())
 
 
-def _format_value(field: str, value) -> str:
-    if value is None:
-        return "none"
-    if field in ("factors",):
-        return ",".join(value)
-    if field == "ks":
-        return ",".join(str(k) for k in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# annotation -> (parse the text of a key=value line, format a value other than None)
+_KINDS = {
+    "str": (str, str),
+    "str | None": (lambda raw: None if raw.lower() == "none" or raw == "" else raw, str),
+    "int": (int, str),
+    "int | None": (lambda raw: None if raw.lower() in ("none", "unlimited") else int(raw), str),
+    "float": (float, repr),
+    "bool": (_parse_flag, lambda v: "true" if v else "false"),
+    "tuple[str, ...]": (_parse_list(str), _join),
+    "tuple[int, ...]": (_parse_list(int), _join),
+}
+# file keys and flags that are not spelled like their RunConfig field
+_KEYS = {"timezone_offset_seconds": "tz_offset", "learning_rate": "lr", "l2": "lambda",
+         "negatives_per_positive": "negatives"}
+_FIELDS = {_KEYS.get(f.name, f.name): f for f in dataclasses.fields(RunConfig)}
 
 
 def load_run_config(config_path: str | None = None, **overrides) -> RunConfig:
@@ -138,16 +130,15 @@ def load_run_config(config_path: str | None = None, **overrides) -> RunConfig:
                 raise ConfigError(f"{config_path}:{lineno}: expected key=value, got {text!r}")
             key, _, raw = text.partition("=")
             key = key.strip()
-            if key not in _KEY_TO_FIELD:
+            if key not in _FIELDS:
                 raise ConfigError(f"{config_path}:{lineno}: unknown config key {key!r}")
-            field = _KEY_TO_FIELD[key]
+            field = _FIELDS[key]
             try:
-                setattr(cfg, field, _parse_value(field, raw))
+                setattr(cfg, field.name, _KINDS[field.type][0](raw.strip()))
             except ValueError as exc:
                 raise ConfigError(f"{config_path}:{lineno}: bad value for {key}: {raw!r}") from exc
-    for field, value in overrides.items():
-        if value is not None:
-            setattr(cfg, field, value)
+    # replace() refuses a name that is not a field, as a stale spelling would be
+    cfg = dataclasses.replace(cfg, **{f: v for f, v in overrides.items() if v is not None})
     _validate_run_config(cfg)
     return cfg
 
@@ -167,9 +158,9 @@ def _validate_run_config(cfg: RunConfig) -> None:
 
 def config_text(cfg: RunConfig) -> str:
     lines = ["# effective configuration; re-feed with --config to reproduce the run"]
-    for f in dataclasses.fields(RunConfig):
-        key = _FIELD_TO_KEY[f.name]
-        lines.append(f"{key}={_format_value(f.name, getattr(cfg, f.name))}")
+    for key, f in _FIELDS.items():
+        value = getattr(cfg, f.name)
+        lines.append(f"{key}={'none' if value is None else _KINDS[f.type][1](value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -179,52 +170,21 @@ def _echo_config(cfg: RunConfig, command: str) -> None:
                        "configuration echo")
 
 
-def _scheme_from(cfg: RunConfig) -> ContextScheme:
-    holiday_dates = parse_holiday_file(cfg.holidays) if cfg.holidays else frozenset()
-    return ContextScheme(
-        factors=cfg.factors,
-        holiday_dates=holiday_dates,
-        max_interval_days=cfg.max_interval_days,
-        timezone_offset_seconds=cfg.tz_offset,
-    )
-
-
-def _model_config(cfg: RunConfig, scheme: ContextScheme, n_items: int,
-                  variant: str | None = None, d: int | None = None) -> ModelConfig:
-    variant = variant or cfg.variant
-    if variant == "pop":
+def _configs(cfg: RunConfig, scheme: ContextScheme, n_items: int,
+             **cell) -> tuple[ModelConfig, TrainConfig]:
+    """``training.configs`` of ``cfg`` with the switches of its variant; a
+    sweep ``cell`` overrides ``variant`` and ``d``."""
+    settings = {**vars(cfg), **cell}
+    if settings["variant"] not in VARIANTS:
         raise ConfigError("the pop baseline has no trainable model")
-    use_in, use_tr = VARIANTS[variant]
-    return ModelConfig(
-        d=d or cfg.d,
-        n_items=n_items,
-        n_input_contexts=scheme.n_input_contexts,
-        n_transition_bins=scheme.n_transition_bins,
-        use_input_contexts=use_in,
-        use_transition_contexts=use_tr,
-        seed=cfg.seed,
-        init_scale=cfg.init_scale,
-    )
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg.lr,
-        l2=cfg.l2,
-        epochs=cfg.epochs,
-        negatives_per_positive=cfg.negatives,
-        bptt_window=cfg.bptt_window,
-        seed=cfg.seed,
-        shuffle=cfg.shuffle,
-    )
+    use_in, use_tr = VARIANTS[settings["variant"]]
+    return configs({**settings, "use_input_contexts": use_in, "use_transition_contexts": use_tr},
+                   scheme, n_items)
 
 
 def variant_of(p: ModelParams) -> str:
     flags = (p.config.use_input_contexts, p.config.use_transition_contexts)
-    for name, pair in VARIANTS.items():
-        if pair == flags:
-            return name
-    return "carnn"
+    return next(name for name, pair in VARIANTS.items() if pair == flags)
 
 
 def handle_errors(fn):
@@ -268,7 +228,9 @@ def prepare(config_path, seed, out, dataset, fmt):
     log = parse_interactions(cfg.dataset, cfg.format)
     users_before, items_before = len(set(log.users)), len(set(log.items))
     seqs = build_sequences(log, cfg.min_user, cfg.min_item)
-    seqs = annotate_sequences(seqs, _scheme_from(cfg))
+    holiday_dates = parse_holiday_file(cfg.holidays) if cfg.holidays else ()
+    scheme = ContextScheme(**pick(ContextScheme, vars(cfg)), holiday_dates=holiday_dates)
+    seqs = annotate_sequences(seqs, scheme)
     split = split_sequences(seqs, cfg.split_ratio)
     store.write_cache(cfg.cache_path(), split)
 
@@ -299,20 +261,19 @@ def prepare(config_path, seed, out, dataset, fmt):
 @click.option("--variant", type=click.Choice(list(VARIANTS)), default=None)
 @click.option("--d", type=int, default=None)
 @click.option("--epochs", type=int, default=None)
-@click.option("--lr", type=float, default=None)
+@click.option("--lr", "learning_rate", type=float, default=None)
 @click.option("--lambda", "l2", type=float, default=None)
 @click.option("--cache", default=None, help="Prepared cache path.")
 @click.option("--model", default=None, help="Where to write the model file.")
 @handle_errors
-def train_cmd(config_path, seed, out, variant, d, epochs, lr, l2, cache, model):
+def train_cmd(config_path, seed, out, variant, d, epochs, learning_rate, l2, cache, model):
     """Train the configured variant on a prepared cache."""
-    cfg = load_run_config(config_path, seed=seed, out=out, variant=variant, d=d,
-                          epochs=epochs, lr=lr, l2=l2, cache=cache, model=model)
+    cfg = load_run_config(config_path, seed=seed, out=out, variant=variant, d=d, epochs=epochs,
+                          learning_rate=learning_rate, l2=l2, cache=cache, model=model)
     cfg.cache = cfg.cache_path()  # pin the input so the echoed config is portable
     split = store.read_cache(cfg.cache_path())
-    scheme = split.sequences.scheme
-    params = init_params(_model_config(cfg, scheme, split.sequences.n_items))
-    params, trace = train(split, params, _train_config(cfg))
+    config, tcfg = _configs(cfg, split.sequences.scheme, split.sequences.n_items)
+    params, trace = train(split, init_params(config), tcfg)
     os.makedirs(cfg.out, exist_ok=True)
     save_params(params, cfg.model_path())
     write_loss_trace(trace, os.path.join(cfg.out, "loss.csv"))
@@ -389,8 +350,9 @@ def predict_cmd(config_path, seed, out, user, timestamp, k, cache, model):
 
 
 def _gradcheck_fixture(seed: int):
-    """Tiny model and sequence for gradient verification: d=3, 5 items,
-    2 input contexts, 3 transition bins, one length-6 sequence."""
+    """Tiny model, sequence and training config for gradient verification:
+    d=3, 5 items, 2 input contexts, 3 transition bins, one length-6
+    sequence, an unlimited BPTT window."""
     from .data import UserSequence
 
     config = ModelConfig(d=3, n_items=5, n_input_contexts=2, n_transition_bins=3,
@@ -404,28 +366,17 @@ def _gradcheck_fixture(seed: int):
     bins = rng.integers(0, config.n_transition_bins, size=length).astype(np.int64)
     bins[0] = config.n_transition_bins - 1  # reserved start slot
     seq = UserSequence("probe", items, ts, ctx, bins)
-    return params, seq
+    return params, seq, TrainConfig(seed=seed)
 
 
 @cli.command("gradcheck")
 @click.option("--epsilon", type=float, default=1e-5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tolerance", type=float, default=1e-4, show_default=True)
-@click.option("--corrupt", default=None, hidden=True,
-              help="Corrupt one gradient bank (negative control).")
 @handle_errors
-def gradcheck_cmd(epsilon, seed, tolerance, corrupt):
+def gradcheck_cmd(epsilon, seed, tolerance):
     """Verify analytic gradients against central finite differences."""
-    params, seq = _gradcheck_fixture(seed)
-    tcfg = TrainConfig(seed=seed)
-    perturb = None
-    if corrupt is not None:
-        def perturb(buf):
-            bank = getattr(buf, f"d{corrupt}", None)
-            if bank is None:
-                raise ConfigError(f"no gradient bank named {corrupt!r}")
-            bank.reshape(-1)[0] += 1.0
-    report = gradient_check(params, seq, tcfg, epsilon=epsilon, perturb=perturb)
+    report = gradient_check(*_gradcheck_fixture(seed), epsilon=epsilon)
     click.echo(f"checked {report.n_coordinates} coordinates at epsilon={report.epsilon:g}")
     click.echo(
         f"max relative error {report.max_rel_error:.3e} "
@@ -469,12 +420,11 @@ def sweep_cmd(config_path, seed, out, d_values, variants_opt, cache):
     for variant in variants:
         for d in ds:
             try:
-                params = init_params(_model_config(cfg, scheme, split.sequences.n_items,
-                                                   variant=variant, d=d))
-                params, _ = train(split, params, _train_config(cfg))
+                config, tcfg = _configs(cfg, scheme, split.sequences.n_items, variant=variant, d=d)
+                params, _ = train(split, init_params(config), tcfg)
                 report = evaluate(split, params, scheme, cfg.ks)
                 cells = [variant, str(d), "ok"] + [repr(v) for _, v in metric_pairs(report)]
-            except CarnnError as exc:
+            except NumericalError as exc:  # a bad setting fails every cell: it stops the sweep
                 cells = [variant, str(d), f"error:{type(exc).__name__}"] + [""] * len(metrics)
                 click.echo(f"sweep cell variant={variant} d={d} failed: {exc}", err=True)
             rows.append(",".join(cells))

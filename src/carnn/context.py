@@ -41,7 +41,8 @@ class ContextScheme:
     factors: ordered factor names; the input-context id is their
         mixed-radix composition, most significant first.
     holiday_dates: civil dates treated as holidays by the is_holiday factor.
-    max_interval_days: gaps of this many days or more share the top bin.
+    max_interval_days: gaps of this many days or more share the top bin;
+        at most 2**32 - 2, so that the start bin fits in a u32.
     timezone_offset_seconds: added to timestamps before reading civil time;
         at most 14 hours either way.
     """
@@ -52,8 +53,11 @@ class ContextScheme:
     timezone_offset_seconds: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "holiday_dates", frozenset(self.holiday_dates))
+        try:
+            object.__setattr__(self, "factors", tuple(self.factors))
+            object.__setattr__(self, "holiday_dates", frozenset(self.holiday_dates))
+        except TypeError as exc:
+            raise ConfigError(f"factors and holiday dates must be collections: {exc}") from exc
         for name in ("max_interval_days", "timezone_offset_seconds"):
             object.__setattr__(self, name, as_whole(getattr(self, name), name))
         for day in self.holiday_dates:
@@ -68,8 +72,10 @@ class ContextScheme:
             raise ConfigError(f"unknown context factors: {unknown}")
         if len(set(self.factors)) != len(self.factors):
             raise ConfigError(f"duplicate context factors: {self.factors}")
-        if self.max_interval_days < 1:
-            raise ConfigError("max_interval_days must be >= 1")
+        # the cache stores gap bins as u32, the start bin max_interval_days + 1 the largest
+        if not 1 <= self.max_interval_days <= 2**32 - 2:
+            raise ConfigError(f"max_interval_days must be in [1, {2**32 - 2}], "
+                              f"got {self.max_interval_days}")
         if abs(self.timezone_offset_seconds) > _data.MAX_TZ_OFFSET_SECONDS:
             raise ConfigError(
                 f"timezone offset {self.timezone_offset_seconds} s is beyond "

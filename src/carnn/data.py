@@ -243,7 +243,13 @@ def train_length(length: int, ratio: float) -> int:
 
 
 def split_sequences(seqs: SequenceSet, ratio: float = 0.8) -> SplitSet:
-    """Chronological split: first ceil(ratio*L) steps of each sequence train."""
+    """Chronological split: first ceil(ratio*L) steps of each sequence train.
+
+    ``ratio`` goes through ``base.as_real``, so a string of a number is
+    accepted; ConfigError unless it is a number in (0, 1)."""
+    from .base import as_real  # base imports this module
+
+    ratio = as_real(ratio, "split ratio", 0.0)
     if not (0.0 < ratio < 1.0):
         raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
     n_train = np.array([train_length(len(s), ratio) for s in seqs.sequences], dtype=np.int64)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (ParamsMixin, as_interactions, as_query_rows, as_timestamp, as_whole,
-                   check_is_fitted)
+                   check_is_fitted, pick)
 from .context import ContextScheme, annotate_sequences, input_context, transition_bin
 from .data import InteractionLog, build_sequences, full_train_split
 from .errors import ConfigError, DataError
-from .model import ModelConfig, init_params, score_all, states_at, top_n
-from .training import TrainConfig, train
+from .model import init_params, score_all, states_at, top_n
+from .training import configs, train
 
 
 def query_context(timestamp, last_t: int | None, scheme: ContextScheme) -> tuple[int, int]:
@@ -36,7 +36,9 @@ def query_context(timestamp, last_t: int | None, scheme: ContextScheme) -> tuple
 class CARNNRecommender(ParamsMixin):
     """Next-item recommender with context-selected input/transition matrices.
 
-    Parameters mirror the underlying model and training configurations.
+    Parameters mirror the underlying model and training configurations and
+    the context scheme, under their field names (``context_factors`` is the
+    scheme's ``factors``); ``fit`` builds each from ``get_params()``.
     ``X`` for :meth:`fit` is an (n, 3) array-like of (user, item, timestamp)
     rows; all given events are used for fitting (hold-out protocols live in
     the evaluation utilities, not here).
@@ -71,33 +73,11 @@ class CARNNRecommender(ParamsMixin):
 
     def fit(self, X, y=None):
         interactions = as_interactions(X)
-        scheme = ContextScheme(
-            factors=tuple(self.context_factors),
-            holiday_dates=frozenset(self.holiday_dates),
-            max_interval_days=self.max_interval_days,
-            timezone_offset_seconds=self.timezone_offset_seconds,
-        )
+        settings = self.get_params()
+        scheme = ContextScheme(**pick(ContextScheme, settings), factors=self.context_factors)
         seqs = build_sequences(InteractionLog(interactions), self.min_user, self.min_item)
         seqs = annotate_sequences(seqs, scheme)
-        config = ModelConfig(
-            d=self.d,
-            n_items=seqs.n_items,
-            n_input_contexts=scheme.n_input_contexts,
-            n_transition_bins=scheme.n_transition_bins,
-            use_input_contexts=self.use_input_contexts,
-            use_transition_contexts=self.use_transition_contexts,
-            seed=self.seed,
-            init_scale=self.init_scale,
-        )
-        tcfg = TrainConfig(
-            learning_rate=self.learning_rate,
-            l2=self.l2,
-            epochs=self.epochs,
-            negatives_per_positive=self.negatives_per_positive,
-            bptt_window=self.bptt_window,
-            seed=self.seed,
-            shuffle=self.shuffle,
-        )
+        config, tcfg = configs(settings, scheme, seqs.n_items)
         params, trace = train(full_train_split(seqs), init_params(config), tcfg)
         self.scheme_ = scheme
         self.sequences_ = seqs

@@ -71,6 +71,8 @@ class ModelConfig:
             raise ConfigError(f"n_items must be >= 1, got {self.n_items}")
         if self.n_input_contexts < 1 or self.n_transition_bins < 1:
             raise ConfigError("context cardinalities must be >= 1")
+        if not np.isfinite(2 * self.init_scale):  # init_params draws from a range that wide
+            raise ConfigError(f"init_scale {self.init_scale!r} is too large: twice it overflows")
 
     @property
     def m_slots(self) -> int:

@@ -16,16 +16,21 @@ their buffers in place. Each keeps the bits of its textbook form.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .base import as_flag, as_real, as_whole
+from .base import as_flag, as_real, as_whole, pick
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
-from .model import ModelParams, check_sequence, first_non_finite, project, unroll
+from .model import ModelConfig, ModelParams, check_sequence, first_non_finite, project, unroll
 from .seeding import named_rng
 from .store import write_atomic
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .context import ContextScheme
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,17 @@ class TrainConfig:
             raise ConfigError("negatives_per_positive must be >= 1")
         if self.bptt_window is not None and self.bptt_window < 0:
             raise ConfigError("bptt_window must be None or >= 0")
+
+
+def configs(settings: Mapping, scheme: ContextScheme,
+            n_items: int) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training configs of ``n_items`` items under ``scheme``,
+    with every other value taken from ``settings`` by field name; keys that
+    name no field of either are ignored."""
+    sizes = dict(n_items=n_items, n_input_contexts=scheme.n_input_contexts,
+                 n_transition_bins=scheme.n_transition_bins)
+    return (ModelConfig(**pick(ModelConfig, {**settings, **sizes})),
+            TrainConfig(**pick(TrainConfig, settings)))
 
 
 @dataclass
@@ -93,10 +109,12 @@ def _pair_gradients(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
     scored at once; the gradients of the scoring path and of the recurrence
     are reduced into the banks once, from per-position buffers. A pair whose
     derivative underflows to 0 touches nothing. Returns the summed loss.
+
+    Nothing is checked here: ``train`` checks its sequences once, before
+    the first epoch, and draws valid negatives; ``backprop_sequence`` and
+    ``sequence_loss`` check what they are given.
     """
-    check_sequence(seq, p)
     items = seq.items
-    negatives = _check_negatives(negatives, items, p.config.n_items)
     if not len(items):  # an empty sequence may carry no annotations
         return 0.0
     zeros = np.zeros(len(items), dtype=np.int64)
@@ -153,9 +171,12 @@ def _scatter_add(bank: np.ndarray, index: np.ndarray, values: np.ndarray) -> Non
     np.add.at(bank.reshape(-1), flat, values.ravel())
 
 
-def _check_negatives(negatives, items: np.ndarray, n_items: int) -> np.ndarray:
-    """``negatives`` as an array; ConfigError unless it has one row of item ids
-    per position, each in [0, n_items) and not that position's positive."""
+def _check_inputs(seq: UserSequence, negatives, p: ModelParams) -> np.ndarray:
+    """``negatives`` as an array; ConfigError unless ``model.check_sequence``
+    accepts ``seq`` and ``negatives`` has one row of item ids per position,
+    each in [0, n_items) and not that position's positive."""
+    check_sequence(seq, p)
+    items, n_items = seq.items, p.config.n_items
     negatives = np.asarray(negatives)
     if negatives.ndim != 2 or len(negatives) != len(items) or negatives.dtype.kind not in "iu":
         raise ConfigError(f"negatives must be integer ids with one row for each of the "
@@ -208,7 +229,7 @@ def backprop_sequence(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
                       cfg: TrainConfig) -> GradientBuffer:
     """Exact gradient of the summed pair losses (regularizer excluded)."""
     buf = GradientBuffer(p)
-    _pair_gradients(seq, negatives, p, cfg, buf)
+    _pair_gradients(seq, _check_inputs(seq, negatives, p), p, cfg, buf)
     return buf
 
 
@@ -216,7 +237,7 @@ def sequence_loss(seq: UserSequence, negatives: np.ndarray, p: ModelParams) -> f
     """Summed pair loss of the given negatives under the current parameters,
     scored by ``_pair_gradients`` itself; its scoring-path gradients go to a
     scratch buffer and nothing is back-propagated."""
-    return _pair_gradients(seq, negatives, p, TrainConfig(bptt_window=0),
+    return _pair_gradients(seq, _check_inputs(seq, negatives, p), p, TrainConfig(bptt_window=0),
                            GradientBuffer(p))
 
 
@@ -275,6 +296,11 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
     seqs = split.sequences.sequences
     if not all(s.annotated for s in seqs):
         raise ConfigError("training requires annotated sequences; run annotation first")
+    # None for a user with nothing to train on; every other view is checked once
+    views = [_train_view(s, int(n)) if n >= 1 else None for s, n in zip(seqs, split.n_train)]
+    for view in views:
+        if view is not None:
+            check_sequence(view, p)
     n_items = p.config.n_items
     shuffle_rng = named_rng(cfg.seed, "shuffle")
     neg_rng = named_rng(cfg.seed, "negatives")
@@ -287,10 +313,9 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
         loss_sum = 0.0
         loss_count = 0
         for si in order:
-            n_tr = int(split.n_train[si])
-            if n_tr < 1:
+            view = views[si]
+            if view is None:
                 continue
-            view = _train_view(seqs[si], n_tr)
             negatives = make_examples(view, n_items, neg_rng, cfg.negatives_per_positive)
             loss_sum += _pair_gradients(view, negatives, p, cfg, buf)
             loss_count += negatives.size
@@ -323,7 +348,7 @@ class GradCheckReport:
 
 
 def gradient_check(p: ModelParams, seq: UserSequence, cfg: TrainConfig,
-                   epsilon: float = 1e-5, negatives=None, perturb=None) -> GradCheckReport:
+                   epsilon: float = 1e-5, negatives=None) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Negatives are drawn once and reused for every evaluation.
@@ -335,8 +360,6 @@ def gradient_check(p: ModelParams, seq: UserSequence, cfg: TrainConfig,
         negatives = make_examples(seq, p.config.n_items, named_rng(cfg.seed, "negatives"),
                                   cfg.negatives_per_positive)
     buf = backprop_sequence(seq, negatives, p, cfg)
-    if perturb is not None:
-        perturb(buf)
 
     banks = [("R", p.R, buf.dR), ("M_bank", p.M_bank, buf.dM_bank),
              ("W_bank", p.W_bank, buf.dW_bank)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from carnn import store
+from carnn import store, training
 from carnn.cli import cli, config_text, load_run_config
 from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatError,
                           InputOutputError, NumericalError)
@@ -146,6 +146,17 @@ class TestPrepare:
         assert result.exit_code == 0, result.output
         assert "records_parsed=4" in result.output
         assert "records_rejected=1" in result.output
+
+    @pytest.mark.parametrize("days", [2**32 - 1, 2**32])
+    def test_start_bin_past_u32_is_config_error(self, workdir, tmp_path, days):
+        # 2**32 broke the cache writer; 2**32 - 1 wrote a start bin that wrapped to 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"min_user=2\nmin_item=1\nmax_interval_days={days}\n")
+        result = invoke("prepare", "--config", str(cfg), "--dataset", workdir["csv"],
+                        "--out", str(tmp_path / "o"))
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert "max_interval_days must be in" in result.output
+        assert not os.path.exists(tmp_path / "o" / "cache.bin")
 
     def test_wrong_format_is_format_error(self, tmp_path):
         src = tmp_path / "events.csv"
@@ -511,8 +522,16 @@ class TestGradcheck:
         assert result.exit_code == 0
         assert "epsilon=0.0001" in result.output
 
-    def test_corrupted_gradient_fails_naming_the_bank(self):
-        result = invoke("gradcheck", "--corrupt", "M_bank")
+    def test_corrupted_gradient_fails_naming_the_bank(self, monkeypatch):
+        backprop = training.backprop_sequence
+
+        def corrupted(*args):
+            buf = backprop(*args)
+            buf.dM_bank.reshape(-1)[0] += 1.0
+            return buf
+
+        monkeypatch.setattr(training, "backprop_sequence", corrupted)
+        result = invoke("gradcheck")
         assert result.exit_code == NumericalError.exit_code
         assert "M_bank" in result.output
 

@@ -45,6 +45,14 @@ class TestScheme:
             with pytest.raises(ConfigError, match="timezone offset"):
                 ContextScheme(timezone_offset_seconds=offset)
 
+    @pytest.mark.parametrize("days", [0, -1, 2**32 - 1, 2**32])
+    def test_max_interval_days_outside_the_u32_start_bin_rejected(self, days):
+        with pytest.raises(ConfigError, match=f"max_interval_days must be in .*got {days}"):
+            ContextScheme(max_interval_days=days)
+
+    def test_largest_max_interval_days_has_the_largest_u32_start_bin(self):
+        assert ContextScheme(max_interval_days=2**32 - 2).start_bin == 2**32 - 1
+
     @pytest.mark.parametrize("field", ["max_interval_days", "timezone_offset_seconds"])
     @pytest.mark.parametrize("value", [3.5, 1800.5, "2.5", float("nan"), float("inf"), None])
     def test_value_that_is_not_a_whole_number_rejected(self, field, value):

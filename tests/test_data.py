@@ -366,9 +366,10 @@ class TestSplit:
 
     def test_ratio_out_of_range_rejected(self):
         seqs = build_sequences(log_of([("u", "i", k) for k in range(10)]), 2, 1)
-        for ratio in (0.0, 1.0, -0.5, 2.0):
+        for ratio in (0.0, 1.0, -0.5, 2.0, None, "x", "", float("nan"), float("inf"), 1e308):
             with pytest.raises(ConfigError):
                 split_sequences(seqs, ratio)
+        assert split_sequences(seqs, "0.5").n_train.tolist() == [5]
 
     def test_split_counts(self):
         rows = [("u", f"i{k}", k) for k in range(10)]

@@ -57,11 +57,18 @@ class TestConfig:
         (np.nan, "is not a finite number"), (np.inf, "is not a finite number"),
         (-np.inf, "is not a finite number"), (10**400, "is not a number"),
         (None, "is not a number"), ("x", "is not a number"), (-0.1, "must be >= 0"),
+        (1e308, "twice it overflows"), (np.finfo(float).max, "twice it overflows"),
     ])
     def test_init_scale_not_a_finite_non_negative_number_rejected(self, value, message):
         with pytest.raises(ConfigError, match=f"init_scale .*{message}"):
             ModelConfig(d=2, n_items=5, n_input_contexts=1, n_transition_bins=1,
                         init_scale=value)
+
+    def test_largest_init_scale_initialises(self):
+        scale = np.finfo(float).max / 2
+        p = init_params(ModelConfig(d=2, n_items=5, n_input_contexts=1, n_transition_bins=1,
+                                    init_scale=scale))
+        assert np.all(np.abs(p.R) <= scale)
 
     @pytest.mark.parametrize("field", ["use_input_contexts", "use_transition_contexts"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, 2.5])

@@ -137,6 +137,17 @@ class TestCache:
         assert split.n_train[0] == 12
         assert (first.items[0], first.input_ctxs[0], first.trans_bins[0]) == (9, 23, 31)
 
+    def test_largest_max_interval_days_round_trips(self, tmp_path):
+        split = make_split()
+        scheme = ContextScheme(factors=split.sequences.scheme.factors,
+                               max_interval_days=2**32 - 2)
+        split = SplitSet(annotate_sequences(split.sequences, scheme), split.n_train)
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, split)
+        again = store.read_cache(path)
+        assert again.sequences.scheme == scheme
+        assert again.sequences.sequences[0].trans_bins[0] == 2**32 - 1
+
 
 @st.composite
 def annotated_splits(draw):
