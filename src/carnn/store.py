@@ -4,6 +4,13 @@ Holds the vocabularies, the annotated sequences, the context scheme, and
 the train/test boundary. A custom little-endian layout (rather than pickle
 or npz) keeps reruns byte-identical, which the reproducibility contract
 requires.
+
+Format 2 is columnar. After the magic, the version and the context scheme
+come ``n_users`` and ``n_items``; each vocabulary as a ``<u2`` column of
+UTF-8 byte lengths and one blob; a ``<u4`` length column and a ``<u4``
+``n_train`` column, one entry per user; the item (``<u4``), timestamp
+(``<i8``), input-context (``<u4``) and gap-bin (``<u4``) columns over every
+user's events in user order; and a CRC-32 of every byte before it.
 """
 
 from __future__ import annotations
@@ -11,17 +18,20 @@ from __future__ import annotations
 import datetime as _dt
 import os
 import struct
+import zlib
 
 import numpy as np
 
 from .context import FACTOR_CARDINALITIES, ContextScheme
 from .data import SequenceSet, SplitSet, UserSequence
-from .errors import ConfigError, FormatError, InputOutputError
+from .errors import CompatibilityError, ConfigError, FormatError, InputOutputError
 
 MAGIC = b"CASQ"
-VERSION = 1
+VERSION = 2
 
 _FACTOR_ORDER = list(FACTOR_CARDINALITIES)
+_EVENT_COLUMNS = (("items", "<u4"), ("timestamps", "<i8"), ("input_ctxs", "<u4"),
+                  ("trans_bins", "<u4"))
 
 
 def write_atomic(path: str, data: bytes | str, what: str) -> None:
@@ -39,46 +49,13 @@ def write_atomic(path: str, data: bytes | str, what: str) -> None:
             os.unlink(tmp)
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise FormatError(f"identifier too long to cache ({len(raw)} bytes)")
-    return struct.pack("<H", len(raw)) + raw
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.off = 0
-        self.path = path
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.off + size > len(self.blob):
-            raise FormatError(f"{self.path}: truncated cache file")
-        values = struct.unpack_from(fmt, self.blob, self.off)
-        self.off += size
-        return values
-
-    def take_str(self) -> str:
-        (n,) = self.take("<H")
-        if self.off + n > len(self.blob):
-            raise FormatError(f"{self.path}: truncated cache file")
-        try:
-            s = self.blob[self.off:self.off + n].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{self.path}: identifier at byte {self.off} "
-                              f"is not UTF-8: {exc}") from exc
-        self.off += n
-        return s
-
-    def take_array(self, dtype: str, count: int) -> np.ndarray:
-        size = np.dtype(dtype).itemsize * count
-        if self.off + size > len(self.blob):
-            raise FormatError(f"{self.path}: truncated cache file")
-        arr = np.frombuffer(self.blob, dtype=dtype, count=count, offset=self.off)
-        self.off += size
-        return np.ascontiguousarray(arr, dtype=np.int64)
+def _vocab_parts(ids: list[str]) -> list:
+    """A vocabulary as a ``<u2`` column of UTF-8 byte lengths and one blob."""
+    raw = [s.encode("utf-8") for s in ids]
+    lengths = np.fromiter(map(len, raw), np.int64, len(raw))
+    if (long := lengths > 0xFFFF).any():
+        raise FormatError(f"identifier too long to cache ({lengths[long.argmax()]} bytes)")
+    return [lengths.astype("<u2"), b"".join(raw)]
 
 
 def write_cache(path: str, split: SplitSet) -> None:
@@ -86,29 +63,72 @@ def write_cache(path: str, split: SplitSet) -> None:
     scheme = seqs.scheme
     if scheme is None:
         raise FormatError("only annotated splits can be cached")
-    parts = [MAGIC, struct.pack("<I", VERSION)]
-    parts.append(struct.pack("<qII", scheme.timezone_offset_seconds,
-                             scheme.max_interval_days, len(scheme.factors)))
-    for f in scheme.factors:
-        parts.append(struct.pack("<B", _FACTOR_ORDER.index(f)))
-    holidays = sorted(scheme.holiday_dates)
-    parts.append(struct.pack("<I", len(holidays)))
-    for day in holidays:
-        parts.append(struct.pack("<i", day.toordinal()))
-
-    parts.append(struct.pack("<II", seqs.n_users, seqs.n_items))
-    for user in seqs.user_ids():
-        parts.append(_pack_str(user))
-    for item in seqs.item_ids():
-        parts.append(_pack_str(item))
-
-    for i, seq in enumerate(seqs.sequences):
-        parts.append(struct.pack("<II", len(seq), int(split.n_train[i])))
-        parts.append(seq.items.astype("<u4").tobytes())
-        parts.append(seq.timestamps.astype("<i8").tobytes())
-        parts.append(seq.input_ctxs.astype("<u4").tobytes())
-        parts.append(seq.trans_bins.astype("<u4").tobytes())
+    holidays = sorted(day.toordinal() for day in scheme.holiday_dates)
+    parts = [MAGIC,
+             struct.pack("<IqII", VERSION, scheme.timezone_offset_seconds,
+                         scheme.max_interval_days, len(scheme.factors)),
+             bytes(_FACTOR_ORDER.index(f) for f in scheme.factors),
+             struct.pack(f"<I{len(holidays)}i", len(holidays), *holidays),
+             struct.pack("<II", seqs.n_users, seqs.n_items),
+             *_vocab_parts(seqs.user_ids()), *_vocab_parts(seqs.item_ids()),
+             np.fromiter(map(len, seqs.sequences), "<u4", len(seqs.sequences)),
+             np.asarray(split.n_train).astype("<u4")]
+    for field, dtype in _EVENT_COLUMNS:
+        fields = [getattr(s, field) for s in seqs.sequences] or [np.zeros(0, np.int64)]
+        parts.append(np.concatenate(fields, dtype=dtype, casting="unsafe"))
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(struct.pack("<I", crc))
     write_atomic(path, b"".join(parts), "cache")
+
+
+class _Reader:
+    """A cursor over a cache; every step checks that its bytes are there."""
+
+    def __init__(self, blob: bytes, path: str):
+        self.blob = blob
+        self.off = 0
+        self.path = path
+
+    def skip(self, size: int) -> int:
+        """Step over ``size`` bytes and return where they start."""
+        start = self.off
+        if start + size > len(self.blob):
+            raise FormatError(f"{self.path}: truncated cache file")
+        self.off += size
+        return start
+
+    def take(self, fmt: str):
+        return struct.unpack_from(fmt, self.blob, self.skip(struct.calcsize(fmt)))
+
+    def take_column(self, dtype: str, count: int) -> np.ndarray:
+        """A read-only view of the ``count`` values at the cursor."""
+        dt = np.dtype(dtype)
+        return np.frombuffer(self.blob, dt, count, self.skip(dt.itemsize * count))
+
+
+def _decode_ids(path: str, blob: bytes, at: int, lengths: np.ndarray) -> list[str]:
+    """The ids whose UTF-8 byte ``lengths`` are given, stored back to back
+    from byte ``at``: the blob is decoded once and cut where each id's first
+    character begins."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    cuts = ends - lengths
+    raw = blob[at:at + (int(ends[-1]) if ends.size else 0)]
+    lead = (np.frombuffer(raw, np.uint8) & 0xC0) != 0x80  # not a continuation byte
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        text = None
+    if text is None or not lead[cuts[lengths > 0]].all():
+        for a, b in zip(cuts.tolist(), ends.tolist()):  # find the first bad id
+            try:
+                raw[a:b].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: identifier at byte {at + a} "
+                                  f"is not UTF-8: {exc}") from exc
+    chars = np.concatenate(([0], np.cumsum(lead, dtype=np.int64)))
+    return [text[a:b] for a, b in zip(chars[cuts].tolist(), chars[ends].tolist())]
 
 
 def read_cache(path: str) -> SplitSet:
@@ -122,66 +142,73 @@ def read_cache(path: str) -> SplitSet:
     if magic != MAGIC:
         raise FormatError(f"{path}: bad cache magic {magic!r}")
     (version,) = r.take("<I")
+    if version == 1:
+        raise CompatibilityError(f"{path}: cache format 1 is no longer read; "
+                                 "re-run `carnn prepare` to rebuild the cache")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported cache version {version}")
+
+    # every size the header gives must fit the file exactly, before the checksum
     tz, max_days, n_factors = r.take("<qII")
-    factors = []
-    for _ in range(n_factors):
-        (fi,) = r.take("<B")
-        if fi >= len(_FACTOR_ORDER):
-            raise FormatError(f"{path}: unknown factor index {fi}")
-        factors.append(_FACTOR_ORDER[fi])
-    (n_holidays,) = r.take("<I")
-    ordinals = [r.take("<i")[0] for _ in range(n_holidays)]
-    try:
-        holidays = frozenset(_dt.date.fromordinal(o) for o in ordinals)
-        scheme = ContextScheme(tuple(factors), holidays, max_days, tz)
-    except (ValueError, ConfigError) as exc:
-        raise FormatError(f"{path}: invalid context scheme in cache: {exc}") from exc
-
+    factors = r.take_column("u1", n_factors)
+    ordinals = r.take_column("<i4", r.take("<I")[0])
     n_users, n_items = r.take("<II")
-    user_ids = [r.take_str() for _ in range(n_users)]
-    item_ids = [r.take_str() for _ in range(n_items)]
-    user_vocab = {u: i for i, u in enumerate(user_ids)}
-    item_vocab = {it: i for i, it in enumerate(item_ids)}
-
-    sequences = []
-    n_train = np.zeros(n_users, dtype=np.int64)
-    for i in range(n_users):
-        length, nt = r.take("<II")
-        items = r.take_array("<u4", length)
-        ts = r.take_array("<i8", length)
-        ctx = r.take_array("<u4", length)
-        bins = r.take_array("<u4", length)
-        if nt > length:
-            raise FormatError(f"{path}: user {user_ids[i]!r} has n_train={nt} "
-                              f"beyond its {length} events")
-        sequences.append(UserSequence(user_ids[i], items, ts, ctx, bins))
-        n_train[i] = nt
+    vocabs = []
+    for count in (n_users, n_items):
+        lengths = r.take_column("<u2", count)
+        vocabs.append((r.skip(int(lengths.sum(dtype=np.int64))), lengths))
+    lengths = r.take_column("<u4", n_users)
+    n_train = r.take_column("<u4", n_users)
+    n_events = int(lengths.sum(dtype=np.int64))
+    columns = [r.take_column(dtype, n_events) for _, dtype in _EVENT_COLUMNS]
+    end = r.off
+    (crc,) = r.take("<I")
     if r.off != len(blob):
         raise FormatError(f"{path}: {len(blob) - r.off} trailing bytes in cache")
-    _check_events(path, sequences, n_items, scheme)
-    seqs = SequenceSet(sequences, item_vocab, user_vocab, scheme=scheme)
-    return SplitSet(seqs, n_train)
+    if (actual := zlib.crc32(memoryview(blob)[:end])) != crc:
+        raise FormatError(f"{path}: cache checksum {actual:#010x} does not match "
+                          f"the stored {crc:#010x}")
+
+    if factors.size and (fi := int(factors.max())) >= len(_FACTOR_ORDER):
+        raise FormatError(f"{path}: unknown factor index {fi}")
+    try:
+        holidays = frozenset(map(_dt.date.fromordinal, ordinals.tolist()))
+        scheme = ContextScheme(tuple(_FACTOR_ORDER[f] for f in factors.tolist()),
+                               holidays, max_days, tz)
+    except (ValueError, ConfigError) as exc:
+        raise FormatError(f"{path}: invalid context scheme in cache: {exc}") from exc
+    user_ids, item_ids = (_decode_ids(path, blob, at, n) for at, n in vocabs)
+    if (over := n_train > lengths).any():
+        u = int(over.argmax())
+        raise FormatError(f"{path}: user {user_ids[u]!r} has n_train={n_train[u]} "
+                          f"beyond its {lengths[u]} events")
+    ends = np.cumsum(lengths, dtype=np.int64)
+    starts = ends - lengths
+    _check_events(path, user_ids, starts, lengths, columns, n_items, scheme)
+    # one writeable int64 block: four separate copies left a heap layout in
+    # which later evaluate calls measured slower (glibc trimmed and refaulted
+    # their score blocks)
+    items, ts, ctxs, bins = np.stack(columns, dtype=np.int64)
+    sequences = [UserSequence(user, items[a:b], ts[a:b], ctxs[a:b], bins[a:b])
+                 for user, a, b in zip(user_ids, starts.tolist(), ends.tolist())]
+    seqs = SequenceSet(sequences, dict(zip(item_ids, range(n_items))),
+                       dict(zip(user_ids, range(n_users))), scheme=scheme)
+    return SplitSet(seqs, n_train.astype(np.int64))
 
 
-def _check_events(path: str, sequences: list[UserSequence], n_items: int,
-                  scheme: ContextScheme) -> None:
+def _check_events(path: str, user_ids: list[str], starts: np.ndarray, lengths: np.ndarray,
+                  events: list[np.ndarray], n_items: int, scheme: ContextScheme) -> None:
     """FormatError unless every stored id is in range, each user's timestamps
     never decrease, and a user's first event, and only it, holds the start
-    bin; checked over all users' events at once."""
-    def joined(field):
-        return np.concatenate([getattr(s, field) for s in sequences] or [np.zeros(0, np.int64)])
-
-    ts, bins = joined("timestamps"), joined("trans_bins")
-    for name, ids, n in (("item", joined("items"), n_items),
-                         ("input context", joined("input_ctxs"), scheme.n_input_contexts),
+    bin; checked over the item, timestamp, input-context and gap-bin columns
+    at once."""
+    items, ts, ctxs, bins = events
+    for name, ids, n in (("item", items, n_items),
+                         ("input context", ctxs, scheme.n_input_contexts),
                          ("gap bin", bins, scheme.n_transition_bins)):
         # stored unsigned, so only the upper bound can fail
         if ids.size and (top := int(ids.max())) >= n:
             raise FormatError(f"{path}: {name} id {top} out of range [0, {n})")
-    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
-    starts = np.cumsum(lengths) - lengths
     first = np.zeros(len(ts), dtype=bool)
     first[starts[lengths > 0]] = True
     back = np.zeros_like(first)
@@ -196,4 +223,4 @@ def _check_events(path: str, sequences: list[UserSequence], n_items: int,
             what = f"gap bin {bins[k]}, not the start bin {scheme.start_bin}"
         else:
             what = f"the start bin {bins[k]} after its first event"
-        raise FormatError(f"{path}: user {sequences[u].user!r} event {k - starts[u]} has {what}")
+        raise FormatError(f"{path}: user {user_ids[u]!r} event {k - starts[u]} has {what}")

@@ -256,25 +256,29 @@ def make_examples(seq: UserSequence, n_items: int, rng: np.random.Generator,
 def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams:
     """theta <- theta - lr * (grad + l2 * theta) over touched groups only.
 
-    Each bank's touched rows are gathered once, checked, updated in the
-    gathered copy and written back. A non-finite gradient raises
-    NumericalError naming its first row, and leaves that bank and the ones
-    after it untouched."""
+    Each bank's touched rows are gathered once, updated in the gathered
+    copy, checked and written back. A non-finite gradient, or a step that
+    overflows a finite one, raises NumericalError naming its first row, and
+    leaves that bank and the ones after it untouched."""
     lr = cfg.learning_rate
     l2 = cfg.l2
 
     def apply(theta, grad, touched, name):
         idx = np.flatnonzero(touched)
         block = grad.take(idx, axis=0)
-        # isfinite cannot overflow, as a sum of large finite entries can
-        if not np.isfinite(block).all():
-            bad = first_non_finite(block)
-            raise NumericalError(f"non-finite gradient in {name}[{idx[bad]}]")
         rows = theta.take(idx, axis=0)
         step = rows * l2
         step += block
         step *= lr
         rows -= step
+        # a non-finite gradient leaves its row non-finite too, so one pass
+        # screens both; isfinite cannot overflow, as a sum of entries can
+        if not np.isfinite(rows).all():
+            if (bad := first_non_finite(block)) is not None:
+                raise NumericalError(f"non-finite gradient in {name}[{idx[bad]}]")
+            bad = first_non_finite(rows)
+            raise NumericalError(f"step overflowed {name}[{idx[bad]}] "
+                                 f"(learning_rate={lr}, l2={l2})")
         theta[idx] = rows
 
     apply(p.R, g.dR, g.touched_items, "R")

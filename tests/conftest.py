@@ -1,9 +1,11 @@
 import os
 import struct
+import zlib
 
 import pytest
 
 from carnn import store
+from carnn.context import FACTOR_CARDINALITIES
 
 ML1M_ENV = "CARNN_ML1M"
 
@@ -22,32 +24,79 @@ ml1m_required = pytest.mark.skipif(
 )
 
 
-def patch_cache(path: str, field: str, value: int) -> None:
-    """Overwrite one value of the first user's record in a cache that
-    ``store.write_cache`` wrote: its ``n_train``, or the first entry of its
-    ``items``, ``timestamps`` (i64), ``input_ctxs`` or ``trans_bins`` (u32)."""
-    seqs = store.read_cache(path).sequences.sequences
+def reseal(path: str) -> None:
+    """Rewrite the CRC-32 trailer of a cache over every byte before it, so a
+    cache edited in place fails the structural check the edit aims at, not
+    the checksum."""
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
-    # the user records end the file: length and n_train, then 4+8+4+4 bytes an event
-    start = len(blob) - sum(8 + 20 * len(s) for s in seqs)
-    n = len(seqs[0])
-    offset = start + {"n_train": 4, "items": 8, "timestamps": 8 + 4 * n,
-                      "input_ctxs": 8 + 12 * n, "trans_bins": 8 + 16 * n}[field]
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]))
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+def patch_cache(path: str, field: str, value: int) -> None:
+    """Overwrite one value of the first user in a cache that
+    ``store.write_cache`` wrote, and reseal it: its ``n_train``, or the first
+    entry of its ``items``, ``timestamps`` (i64), ``input_ctxs`` or
+    ``trans_bins`` (u32)."""
+    seqs = store.read_cache(path).sequences.sequences
+    n_users, n_events = len(seqs), sum(map(len, seqs))
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    # the n_train column, then the item, timestamp, context and bin columns,
+    # then the 4-byte trailer end the file
+    items = len(blob) - 4 - 20 * n_events
+    offset = {"n_train": items - 4 * n_users, "items": items,
+              "timestamps": items + 4 * n_events, "input_ctxs": items + 12 * n_events,
+              "trans_bins": items + 16 * n_events}[field]
     struct.pack_into("<q" if field == "timestamps" else "<I", blob, offset, value)
     with open(path, "wb") as fh:
         fh.write(blob)
+    reseal(path)
+
+
+def user_lengths_offset(path: str) -> int:
+    """Where the user id length column starts, in a cache that
+    ``store.write_cache`` wrote: after the magic, the version, the scheme
+    and the two vocabulary sizes."""
+    scheme = store.read_cache(path).sequences.scheme
+    return 4 + 4 + 16 + len(scheme.factors) + 4 + 4 * len(scheme.holiday_dates) + 8
 
 
 def corrupt_first_user_id(path: str) -> None:
     """Overwrite the first byte of the first stored user id, in a cache that
-    ``store.write_cache`` wrote, with 0xff, a byte no UTF-8 text holds."""
-    user = store.read_cache(path).sequences.user_ids()[0].encode("utf-8")
+    ``store.write_cache`` wrote, with 0xff, a byte no UTF-8 text holds, and
+    reseal it."""
+    offset = user_lengths_offset(path) + 2 * store.read_cache(path).sequences.n_users
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
-    blob[blob.index(struct.pack("<H", len(user)) + user) + 2] = 0xFF
+    blob[offset] = 0xFF
     with open(path, "wb") as fh:
         fh.write(blob)
+    reseal(path)
+
+
+def version_1_cache(split) -> bytes:
+    """``split`` in the per-user layout of cache format 1: the header, then
+    each id after its ``<H`` byte length, then each user's length and
+    ``n_train`` followed by its four event arrays, and no checksum."""
+    seqs, scheme = split.sequences, split.sequences.scheme
+    holidays = sorted(day.toordinal() for day in scheme.holiday_dates)
+    parts = [store.MAGIC,
+             struct.pack("<IqII", 1, scheme.timezone_offset_seconds,
+                         scheme.max_interval_days, len(scheme.factors)),
+             bytes(list(FACTOR_CARDINALITIES).index(f) for f in scheme.factors),
+             struct.pack(f"<I{len(holidays)}i", len(holidays), *holidays),
+             struct.pack("<II", seqs.n_users, seqs.n_items)]
+    for name in seqs.user_ids() + seqs.item_ids():
+        raw = name.encode("utf-8")
+        parts.append(struct.pack("<H", len(raw)) + raw)
+    for seq, n_train in zip(seqs.sequences, split.n_train):
+        parts.append(struct.pack("<II", len(seq), n_train))
+        parts += [seq.items.astype("<u4").tobytes(), seq.timestamps.astype("<i8").tobytes(),
+                  seq.input_ctxs.astype("<u4").tobytes(), seq.trans_bins.astype("<u4").tobytes()]
+    return b"".join(parts)
 
 
 # One summary line per acceptance criterion at the end of the run.

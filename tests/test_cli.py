@@ -12,7 +12,7 @@ from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatErro
                           InputOutputError, NumericalError)
 from carnn.evaluate import generate_synthetic, write_interactions_csv
 from carnn.model import load_params, save_params
-from conftest import corrupt_first_user_id, patch_cache
+from conftest import corrupt_first_user_id, patch_cache, version_1_cache
 from references import reference_step
 
 
@@ -240,6 +240,14 @@ class TestTrain:
         assert result.exit_code == ConfigError.exit_code, result.output
         assert not os.path.exists(tmp_path / "o" / "model.carn")
 
+    def test_overflowing_step_exits_numerical(self, workdir, tmp_path):
+        out = tmp_path / "o"
+        result = invoke("train", "--config", workdir["cfg"], "--cache", workdir["cache"],
+                        "--out", str(out), "--lr", "1e305", "--lambda", "1e308")
+        assert result.exit_code == NumericalError.exit_code, result.output
+        assert "step overflowed" in result.output
+        assert not os.path.exists(out / "model.carn")
+
     @pytest.mark.parametrize("field,value,message", [
         ("n_train", 99, "n_train=99"),
         ("input_ctxs", 500, "input context id 500"),
@@ -340,6 +348,17 @@ class TestEval:
         assert result.exit_code == NumericalError.exit_code
         assert "non-finite value in R[0]" in result.output
         assert not os.path.exists(os.path.join(out, "metrics.json"))
+
+    def test_version_1_cache_exits_compatibility(self, workdir, tmp_path):
+        cache = tmp_path / "cache.bin"
+        cache.write_bytes(version_1_cache(store.read_cache(workdir["cache"])))
+        out = tmp_path / "o"
+        result = invoke("eval", "--config", workdir["cfg"], "--variant", "carnn",
+                        "--out", str(out), "--cache", str(cache),
+                        "--model", workdir["models"]["carnn"])
+        assert result.exit_code == CompatibilityError.exit_code, result.output
+        assert "re-run `carnn prepare`" in result.output
+        assert not os.path.exists(out / "metrics.json")
 
     def test_non_utf8_user_id_in_cache_exits_format(self, workdir, tmp_path):
         cache = str(tmp_path / "cache.bin")

@@ -3,7 +3,7 @@ import pytest
 
 from carnn import estimator as estimator_module
 from carnn.context import SECONDS_PER_DAY
-from carnn.errors import ConfigError, DataError
+from carnn.errors import ConfigError, DataError, NumericalError
 from carnn.estimator import CARNNRecommender, query_context
 from carnn.evaluate import generate_synthetic
 from carnn.model import forward_states, score_all
@@ -237,6 +237,16 @@ class TestFitPredict:
         est = self.fitted(use_input_contexts=False, use_transition_contexts=False)
         assert est.params_.M_bank.shape[0] == 1
         assert est.params_.W_bank.shape[0] == 1
+
+
+def test_fit_whose_last_step_overflows_fails():
+    # one user, so one update a fit: the step that overflows is the last one
+    rows = [("a", f"i{k % 3}", 1_000_000_000 + 3600 * k) for k in range(6)]
+    est = CARNNRecommender(d=2, epochs=1, learning_rate=1e305, l2=1e308, min_user=2,
+                           min_item=1)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match=r"step overflowed R\[\d+\]"):
+            est.fit(rows)
 
 
 class TestStateTable:

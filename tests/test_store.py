@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from carnn import store
 from carnn.context import FACTOR_CARDINALITIES, ContextScheme, annotate_sequences
 from carnn.data import MAX_TZ_OFFSET_SECONDS, SequenceSet, SplitSet, UserSequence, split_sequences
-from carnn.errors import FormatError, InputOutputError
+from carnn.errors import CompatibilityError, FormatError, InputOutputError
 from carnn.evaluate import generate_synthetic
-from conftest import corrupt_first_user_id, patch_cache
+from conftest import (corrupt_first_user_id, patch_cache, reseal, user_lengths_offset,
+                      version_1_cache)
 
 
 def make_split(holidays=frozenset()):
@@ -114,6 +115,7 @@ class TestCache:
         blob = bytearray(path.read_bytes())
         struct.pack_into(fmt, blob, offset, value)
         path.write_bytes(bytes(blob))
+        reseal(str(path))
         with pytest.raises(FormatError, match=f"invalid context scheme.*{message}"):
             store.read_cache(str(path))
 
@@ -147,6 +149,131 @@ class TestCache:
         again = store.read_cache(path)
         assert again.sequences.scheme == scheme
         assert again.sequences.sequences[0].trans_bins[0] == 2**32 - 1
+
+
+    def test_read_arrays_are_writeable_int64_and_apart(self, tmp_path):
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, make_split())
+        split = store.read_cache(path)
+        first, second = split.sequences.sequences[:2]
+        for seq in (first, second):
+            for arr in (seq.items, seq.timestamps, seq.input_ctxs, seq.trans_bins):
+                assert arr.dtype == np.int64 and arr.flags.writeable
+        assert split.n_train.dtype == np.int64 and split.n_train.flags.writeable
+        before = second.items.copy()
+        first.items[-1] = 7  # the users' arrays share a column, not elements
+        assert np.array_equal(second.items, before)
+
+    @pytest.mark.parametrize("users", [[], ["u0", "u1"]])
+    def test_split_without_events_round_trips(self, tmp_path, users):
+        scheme = make_split().sequences.scheme
+        seqs = SequenceSet([UserSequence(u, np.zeros(0, np.int64), np.zeros(0, np.int64))
+                            for u in users], {"i0": 0}, {u: i for i, u in enumerate(users)})
+        split = SplitSet(annotate_sequences(seqs, scheme), np.zeros(len(users), np.int64))
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, split)
+        again = store.read_cache(path)
+        assert again.sequences.user_ids() == users
+        assert again.sequences.item_ids() == ["i0"]
+        assert [len(s) for s in again.sequences.sequences] == [0] * len(users)
+        assert again.n_train.tolist() == [0] * len(users)
+
+    def test_multibyte_ids_round_trip(self, tmp_path):
+        split = make_split()
+        seqs = split.sequences
+        names = ["\u00e9", "", "\u4e2d\u6587", "\U0001f600x", "a\u00e9b", "z"]
+        seqs.user_vocab = {name: i for i, name in enumerate(names)}
+        for seq, name in zip(seqs.sequences, names):
+            seq.user = name
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, split)
+        again = store.read_cache(path).sequences
+        assert again.user_ids() == names
+        assert [s.user for s in again.sequences] == names
+
+    def test_identifier_byte_limit(self, tmp_path):
+        split = make_split()
+        items = split.sequences.item_ids()
+        path = tmp_path / "cache.bin"
+        for size in (0xFFFF, 0x10000):
+            items[1] = "\u00e9" * (size // 2) + "x" * (size % 2)  # size UTF-8 bytes
+            split.sequences.item_vocab = {item: i for i, item in enumerate(items)}
+            if size == 0xFFFF:
+                store.write_cache(str(path), split)
+                assert store.read_cache(str(path)).sequences.item_ids() == items
+            else:
+                with pytest.raises(FormatError,
+                                   match=r"identifier too long to cache \(65536 bytes\)"):
+                    store.write_cache(str(path), split)
+
+    def test_id_cut_inside_a_character_rejected(self, tmp_path):
+        split = make_split()
+        seqs = split.sequences
+        names = ["\u00e9", "x"] + seqs.user_ids()[2:]  # the blob starts c3 a9 78
+        seqs.user_vocab = {name: i for i, name in enumerate(names)}
+        for seq, name in zip(seqs.sequences, names):
+            seq.user = name
+        path = tmp_path / "cache.bin"
+        store.write_cache(str(path), split)
+        at = user_lengths_offset(str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<HH", blob, at, 1, 2)  # c3 and a9 78: the blob is still UTF-8
+        path.write_bytes(bytes(blob))
+        reseal(str(path))
+        with pytest.raises(FormatError, match=f"identifier at byte {at + 12} is not UTF-8"):
+            store.read_cache(str(path))
+
+    def test_checksum_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        store.write_cache(str(path), make_split())
+        blob = bytearray(path.read_bytes())
+        blob[-30] ^= 0x01  # an event byte, with the trailer left as it was
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="checksum 0x[0-9a-f]{8} does not match "
+                                              "the stored 0x[0-9a-f]{8}"):
+            store.read_cache(str(path))
+
+    def test_every_single_bit_flip_rejected(self, tmp_path):
+        seqs, _ = generate_synthetic(2, 4, 4, 2, signal="input_ctx", seed=5)
+        path = tmp_path / "cache.bin"
+        store.write_cache(str(path), split_sequences(seqs, 0.5))
+        blob = path.read_bytes()
+        assert 150 < len(blob) < 400
+        accepted = []
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                store.read_cache(str(path))
+            except FormatError:
+                continue
+            accepted.append(bit)
+        assert accepted == []
+
+    def test_version_1_cache_is_compatibility_error(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        path.write_bytes(version_1_cache(make_split()))
+        with pytest.raises(CompatibilityError, match="cache format 1 .*re-run `carnn prepare`"):
+            store.read_cache(str(path))
+
+    def test_frombuffer_calls_do_not_grow_with_users(self, tmp_path, monkeypatch):
+        frombuffer, calls = np.frombuffer, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return frombuffer(*args, **kwargs)
+
+        monkeypatch.setattr(store.np, "frombuffer", counted)
+        counts = []
+        for n_users in (3, 30):
+            seqs, _ = generate_synthetic(n_users, 10, 12, 3, signal="input_ctx", seed=14)
+            path = str(tmp_path / f"cache{n_users}.bin")
+            store.write_cache(path, split_sequences(seqs, 0.8))
+            calls.clear()
+            store.read_cache(path)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 12
 
 
 @st.composite

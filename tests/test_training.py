@@ -527,6 +527,37 @@ class TestSgdStep:
             changed = not np.array_equal(getattr(params, name), getattr(before, name))
             assert changed == (order.index(name) < order.index(bank)), name
 
+    @pytest.mark.parametrize("bank", ["R", "M_bank", "W_bank"])
+    def test_overflowing_step_leaves_its_bank_and_later_ones_untouched(self, bank):
+        params, _ = tiny_fixture(0, n_ctx=3)  # three rows in every bank
+        buf = GradientBuffer(params)
+        for name in ("touched_items", "touched_m", "touched_w"):
+            getattr(buf, name)[:] = True
+        for name in ("dR", "dM_bank", "dW_bank"):
+            getattr(buf, name)[...] = 0.25
+        grad = {"R": buf.dR, "M_bank": buf.dM_bank, "W_bank": buf.dW_bank}[bank]
+        grad[1].flat[-1] = 1e300  # finite, but 1e10 times it is not; row 2 too
+        grad[2].flat[0] = -1e300
+        before = copy.deepcopy(params)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError, match=rf"step overflowed {bank}\[1\]"):
+                sgd_step(params, buf, TrainConfig(learning_rate=1e10, l2=0.01))
+        order = ["R", "M_bank", "W_bank"]
+        for name in order:
+            assert np.isfinite(getattr(params, name)).all(), name
+            changed = not np.array_equal(getattr(params, name), getattr(before, name))
+            assert changed == (order.index(name) < order.index(bank)), name
+
+    def test_non_finite_gradient_is_named_before_an_overflow(self):
+        params, _ = tiny_fixture(0)
+        buf = GradientBuffer(params)
+        buf.touched_items[[1, 3]] = True
+        buf.dR[1, 0] = 1e300
+        buf.dR[3, 2] = float("nan")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError, match=r"non-finite gradient in R\[3\]"):
+                sgd_step(params, buf, TrainConfig(learning_rate=1e10, l2=0.0))
+
     def test_non_finite_gradient_names_its_row(self):
         # the row is named in the bank, not by its place among the touched rows
         params, _ = tiny_fixture(0)
