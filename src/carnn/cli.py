@@ -26,7 +26,7 @@ from .errors import CarnnError, ConfigError, DataError, InputOutputError, Numeri
 from .estimator import query_context
 from .evaluate import (evaluate, format_report_table, metric_keys, metric_pairs, pop_baseline,
                        report_to_json)
-from .model import (ModelConfig, ModelParams, check_vocab_compatibility, init_params,
+from .model import (ModelConfig, ModelParams, check_compatibility, init_params,
                     load_params, save_params, score_all, states_at, top_n)
 from .seeding import named_rng
 from .training import TrainConfig, configs, gradient_check, train, write_loss_trace
@@ -306,7 +306,6 @@ def eval_cmd(config_path, seed, out, variant, cache, model):
         report = pop_baseline(split, cfg.ks)
     else:
         params = load_params(cfg.model_path(), seed=cfg.seed)
-        check_vocab_compatibility(params, split.sequences.n_items)
         label = variant_of(params)
         report = evaluate(split, params, split.sequences.scheme, cfg.ks)
     os.makedirs(cfg.out, exist_ok=True)
@@ -332,8 +331,8 @@ def predict_cmd(config_path, seed, out, user, timestamp, k, cache, model):
     cfg = load_run_config(config_path, seed=seed, out=out, cache=cache, model=model)
     split = store.read_cache(cfg.cache_path())
     params = load_params(cfg.model_path(), seed=cfg.seed)
-    check_vocab_compatibility(params, split.sequences.n_items)
     seqs = split.sequences
+    check_compatibility(params, seqs)
     uidx = seqs.user_vocab.get(user)
     if uidx is None:
         raise DataError(f"unknown user {user!r}")
@@ -342,7 +341,7 @@ def predict_cmd(config_path, seed, out, user, timestamp, k, cache, model):
     # with no training history the query is the user's first step: start bin, zero state
     last_t = int(seq.timestamps[n_tr - 1]) if n_tr else None
     ctx, bin_ = query_context(timestamp, last_t, seqs.scheme)
-    scores = score_all(states_at([seq], [[n_tr]], params)[0], ctx, bin_, params)
+    scores = score_all(states_at([seq], [[n_tr]], params), ctx, bin_, params)[0]
     item_ids = seqs.item_ids()
     click.echo(f"user={user} timestamp={timestamp} input_context={ctx} transition_bin={bin_}")
     for rank, idx in enumerate(top_n(scores, k).tolist(), start=1):

@@ -38,7 +38,9 @@ class FormatError(CarnnError):
 
 
 class CompatibilityError(CarnnError):
-    """Model file and prepared dataset disagree on vocabulary sizes."""
+    """Model file and prepared dataset disagree on the item count, or on the
+    number of input contexts or gap bins of a switched-on bank; or a cache
+    is in a format that is no longer read."""
 
     exit_code = 6
 

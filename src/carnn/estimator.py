@@ -106,7 +106,8 @@ class CARNNRecommender(ParamsMixin):
 
     def _scores_for(self, user: str, timestamp) -> np.ndarray:
         h, last_t = self._user_state(user)
-        return score_all(h, *query_context(timestamp, last_t, self.scheme_), self.params_)
+        return score_all(h[None], *query_context(timestamp, last_t, self.scheme_),
+                         self.params_)[0]
 
     def predict_scores(self, X) -> np.ndarray:
         """Score every item for each (user, timestamp) query row."""

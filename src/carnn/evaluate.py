@@ -21,7 +21,7 @@ import numpy as np
 from .context import SECONDS_PER_DAY, ContextScheme, annotate_sequences
 from .data import SequenceSet, SplitSet, UserSequence
 from .errors import ConfigError, DataError
-from .model import ModelParams, score_all, states_at
+from .model import ModelParams, check_compatibility, score_all, states_at
 from .seeding import named_rng
 from .store import write_atomic
 
@@ -108,24 +108,17 @@ def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> np.
 def evaluate(split: SplitSet, p: ModelParams, scheme: ContextScheme | None = None,
              ks=DEFAULT_KS) -> MetricsReport:
     """Rank the true item at every held-out position under the test step's
-    own contexts, advancing the hidden state on ground truth."""
+    own contexts, advancing the hidden state on ground truth.
+
+    Raises CompatibilityError unless the model fits the (annotated)
+    sequences, by ``model.check_compatibility``."""
     seqs = split.sequences
     if not seqs.annotated:
         if scheme is None:
             raise ConfigError("sequences are not annotated and no scheme was given")
         seqs = annotate_sequences(seqs, scheme)
         split = SplitSet(seqs, split.n_train)
-    if seqs.scheme is not None:
-        if p.config.use_input_contexts and seqs.scheme.n_input_contexts != p.config.n_input_contexts:
-            raise ConfigError(
-                f"scheme has {seqs.scheme.n_input_contexts} input contexts, "
-                f"model expects {p.config.n_input_contexts}"
-            )
-        if p.config.use_transition_contexts and seqs.scheme.n_transition_bins != p.config.n_transition_bins:
-            raise ConfigError(
-                f"scheme has {seqs.scheme.n_transition_bins} transition bins, "
-                f"model expects {p.config.n_transition_bins}"
-            )
+    check_compatibility(p, seqs)
     heldout = _heldout(split)
     return _report(_model_ranks(heldout, p) if heldout else np.zeros(0, np.int64), ks)
 

@@ -20,8 +20,13 @@ scoring path shares; evaluation, ``carnn predict`` and the estimator's
 state table take theirs from ``states_at``, which steps all users in
 lockstep as (B, d) blocks. A block row goes through the same vector-matrix
 BLAS call (a stacked ``np.matmul``) as one state, so both have the same
-bits. ``score_all`` takes one state (d,) or a block with one context and
-bin per row.
+bits. ``score_all`` scores a (B, d) block of states under one context and
+bin, or one per row; a single query is the block ``h[None]``.
+
+``step_inputs`` and ``score_all`` index the banks unchecked. Two checks keep
+every id in range: ``check_compatibility`` at the dataset boundary (item
+count and switched-on bank sizes against the context scheme) and
+``ModelParams.check_ids`` on the events that are replayed.
 
 ``states_at`` works in time-major order: it gathers the events of every
 step into one contiguous run once, and keeps the states in a window of at
@@ -92,28 +97,13 @@ class ModelParams:
     M_bank: np.ndarray   # (m_slots, d, d)
     W_bank: np.ndarray   # (w_slots, d, d)
 
-    def input_slot(self, ctx: int) -> int:
-        if not self.config.use_input_contexts:
-            return 0
-        if not (0 <= ctx < self.config.n_input_contexts):
-            raise ConfigError(
-                f"input context {ctx} out of range [0, {self.config.n_input_contexts})"
-            )
-        return int(ctx)
-
-    def trans_slot(self, bin_: int) -> int:
-        if not self.config.use_transition_contexts:
-            return 0
-        if not (0 <= bin_ < self.config.n_transition_bins):
-            raise ConfigError(
-                f"transition bin {bin_} out of range [0, {self.config.n_transition_bins})"
-            )
-        return int(bin_)
-
     def check_ids(self, items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray) -> None:
-        """Raise ConfigError unless every id is in range. ``step_inputs``
-        and block ``score_all`` calls index the banks unchecked, and ``take``
-        wraps a negative id, so this check is what stops one."""
+        """Raise ConfigError unless every item, input-context and gap-bin id
+        of a run of events is in range; a switched-off bank ignores its ids.
+        ``step_inputs`` indexes unchecked, and ``take`` wraps a negative id,
+        so this check is what stops one. Query contexts that ``score_all``
+        takes come from a scheme that ``check_compatibility`` has matched
+        to the banks."""
         cfg = self.config
         for name, ids, n, used in (
             ("item index", items, cfg.n_items, True),
@@ -146,23 +136,17 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(config, R, M_bank, W_bank)
 
 
-def _block_banks(m_bank: np.ndarray, w_bank: np.ndarray, ctx: np.ndarray, bin_: np.ndarray,
-                 config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row input and transition matrices of a block; a bank whose switch
-    is off is its single matrix, broadcast over the rows. ``take`` gathers
-    the same rows as fancy indexing with half its fixed cost."""
-    m = m_bank.take(ctx, axis=0) if config.use_input_contexts else m_bank[0]
-    w = w_bank.take(bin_, axis=0) if config.use_transition_contexts else w_bank[0]
-    return m, w
-
-
 def step_inputs(items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray,
                 p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Input projections r @ M[ctx] of a run of steps, from ``project``, and
-    their transition matrices from ``_block_banks``: a (B, d, d) array, or
-    one (d, d) matrix if transition contexts are off. The ids must be ones
+    their transition matrices: a (B, d, d) array, or one (d, d) matrix if
+    transition contexts are off. A bank whose switch is off is its single
+    matrix, broadcast over the steps; ``take`` gathers the same rows as
+    fancy indexing with half its fixed cost. The ids must be ones
     ``ModelParams.check_ids`` has accepted."""
-    m, w = _block_banks(p.M_bank, p.W_bank, ctxs, bins, p.config)
+    cfg = p.config
+    m = p.M_bank.take(ctxs, axis=0) if cfg.use_input_contexts else p.M_bank[0]
+    w = p.W_bank.take(bins, axis=0) if cfg.use_transition_contexts else p.W_bank[0]
     return project(p.R.take(items, axis=0)[:, None, :], m), w
 
 
@@ -303,22 +287,20 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
     return out
 
 
-def score_all(h: np.ndarray, next_ctx: int | np.ndarray, next_bin: int | np.ndarray,
+def score_all(H: np.ndarray, ctx: int | np.ndarray, bin_: int | np.ndarray,
               p: ModelParams) -> np.ndarray:
-    """Scores for every item: one projected vector, then a single R @ q product.
-
-    A (B, d) block of states, with checked length-B context and bin arrays,
-    gives (B, n_items) scores from one Q @ R.T product. ``top_n`` turns one
-    state's scores into a ranked list.
+    """(B, n_items) scores of a (B, d) block of states, row b being
+    H[b] @ W[bin] @ (R @ M[ctx]).T: one projected vector per row, then one
+    Q @ R.T product. ``ctx`` and ``bin_`` are each one id for every row or
+    a length-B array; a switched-off bank ignores them. They index the
+    banks unchecked (see ``check_compatibility``). One query is
+    ``score_all(h[None], ctx, bin_, p)[0]``; ``top_n`` turns its scores
+    into a ranked list.
     """
-    if np.ndim(h) == 2:
-        m, w = _block_banks(p.M_bank, p.W_bank, next_ctx, next_bin, p.config)
-        q = np.matmul(np.matmul(h[:, None, :], w), np.swapaxes(m, -1, -2))
-        return q[:, 0, :] @ p.R.T
-    m = p.M_bank[p.input_slot(next_ctx)]
-    w = p.W_bank[p.trans_slot(next_bin)]
-    q = (h @ w) @ m.T
-    return p.R @ q
+    cfg = p.config
+    m = p.M_bank[ctx if cfg.use_input_contexts else 0]
+    w = p.W_bank[bin_ if cfg.use_transition_contexts else 0]
+    return (H[:, None] @ w @ m.swapaxes(-1, -2))[:, 0] @ p.R.T
 
 
 def top_n(scores: np.ndarray, n: int) -> np.ndarray:
@@ -419,8 +401,19 @@ def first_non_finite(block: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
-def check_vocab_compatibility(p: ModelParams, n_items: int) -> None:
-    if p.config.n_items != n_items:
-        raise CompatibilityError(
-            f"model expects {p.config.n_items} items but the dataset has {n_items}"
-        )
+def check_compatibility(p: ModelParams, seqs) -> None:
+    """Raise CompatibilityError unless the model fits the sequence set: the
+    same item count and, for each switched-on bank, as many matrices as
+    ``seqs.scheme`` has input contexts or gap bins. This is what keeps the
+    query contexts that ``score_all`` indexes in range."""
+    cfg, scheme = p.config, seqs.scheme
+    sizes = [("items", cfg.n_items, seqs.n_items)]
+    if scheme is not None:
+        if cfg.use_input_contexts:
+            sizes.append(("input contexts", cfg.n_input_contexts, scheme.n_input_contexts))
+        if cfg.use_transition_contexts:
+            sizes.append(("transition bins", cfg.n_transition_bins, scheme.n_transition_bins))
+    for name, model_n, data_n in sizes:
+        if model_n != data_n:
+            raise CompatibilityError(
+                f"model expects {model_n} {name} but the dataset has {data_n}")

@@ -27,6 +27,13 @@ def reference_score(h, item, ctx, bin_, p):
     return float((h @ p.W_bank[w]) @ (p.R[int(item)] @ p.M_bank[m]))
 
 
+def reference_scores(h, ctx, bin_, p):
+    """Scores of every item for one state (d,): R @ ((h @ W[bin]) @ M[ctx].T),
+    the one-state form that ``score_all`` once had as its own branch."""
+    m, w = _slots(ctx, bin_, p)
+    return p.R @ ((h @ p.W_bank[w]) @ p.M_bank[m].T)
+
+
 def bpr_pair_loss(y_pos, y_neg):
     """ln(1 + e^-(y_pos - y_neg)), safe against overflow for large margins."""
     x = y_pos - y_neg

@@ -113,7 +113,8 @@ def test_plain_variant_reduces_to_constant_matrix_recurrence():
             h_ref = sigmoid_vec(R[seq.items[k]] @ M + h_ref @ W)
             assert np.array_equal(states[k + 1], h_ref), f"state mismatch at step {k}"
         scores_ref = R @ ((h_ref @ W) @ M.T)
-        assert np.array_equal(score_all(states[-1], 0, 0, params), scores_ref), "score mismatch"
+        assert np.array_equal(score_all(states[-1][None], 0, 0, params)[0], scores_ref), \
+            "score mismatch"
 
 
 def _planted_ratio(signal, use_input, use_trans):

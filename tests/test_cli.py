@@ -62,6 +62,33 @@ def workdir(tmp_path_factory):
             "cache": cache, "models": models}
 
 
+@pytest.fixture(scope="module")
+def by_factors(workdir):
+    """The CLI corpus prepared under 7 input contexts (day of week) and 168
+    (day of week by hour of day), each with a one-epoch model of every
+    variant: factors -> (config, cache, {variant: model})."""
+    out = {}
+    for factors in ("day_of_week", "day_of_week,hour_of_day"):
+        root = workdir["root"] / factors.replace(",", "-")
+        root.mkdir()
+        cfg = str(root / "run.cfg")
+        with open(workdir["cfg"]) as src, open(cfg, "w") as dst:
+            for line in src:
+                key = line.split("=", 1)[0]
+                dst.write({"factors": f"factors={factors}\n", "epochs": "epochs=1\n",
+                           "out": f"out={root}\n"}.get(key, line))
+        assert invoke("prepare", "--config", cfg).exit_code == 0
+        cache = str(root / "cache.bin")
+        models = {}
+        for variant in ("carnn", "rnn"):
+            result = invoke("train", "--config", cfg, "--variant", variant,
+                            "--out", str(root / variant), "--cache", cache)
+            assert result.exit_code == 0, result.output
+            models[variant] = str(root / variant / "model.carn")
+        out[factors] = (cfg, cache, models)
+    return out
+
+
 class TestRunConfig:
     def test_file_parsing_and_overrides(self, tmp_path):
         path = tmp_path / "a.cfg"
@@ -383,6 +410,42 @@ class TestEval:
         assert a == b
 
 
+class TestCompatibility:
+    """A model must fit the cache it is used with: the same item count and,
+    for each switched-on bank, the cache's number of contexts."""
+
+    @staticmethod
+    def run(command, by_factors, data, trained, variant, tmp_path):
+        cfg, cache, _ = by_factors[data]
+        model = by_factors[trained][2][variant]
+        if command == "eval":
+            return invoke("eval", "--config", cfg, "--variant", variant, "--cache", cache,
+                          "--model", model, "--out", str(tmp_path / "o"))
+        seq = store.read_cache(cache).sequences.sequences[0]
+        return invoke("predict", "--config", cfg, "--cache", cache, "--model", model,
+                      "--user", seq.user, "--timestamp", str(int(seq.timestamps[-1]) + 3600))
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("data,trained", [("day_of_week", "day_of_week,hour_of_day"),
+                                              ("day_of_week,hour_of_day", "day_of_week")])
+    def test_input_context_count_mismatch_exits_compatibility(self, by_factors, tmp_path,
+                                                              command, data, trained):
+        result = self.run(command, by_factors, data, trained, "carnn", tmp_path)
+        assert result.exit_code == CompatibilityError.exit_code, result.output
+        sizes = {"day_of_week": 7, "day_of_week,hour_of_day": 168}
+        assert (f"model expects {sizes[trained]} input contexts but the dataset has "
+                f"{sizes[data]}") in result.output
+        assert not os.path.exists(tmp_path / "o" / "metrics.json")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("data,trained", [("day_of_week", "day_of_week,hour_of_day"),
+                                              ("day_of_week,hour_of_day", "day_of_week")])
+    def test_plain_model_runs_under_any_scheme(self, by_factors, tmp_path, command,
+                                               data, trained):
+        result = self.run(command, by_factors, data, trained, "rnn", tmp_path)
+        assert result.exit_code == 0, result.output
+
+
 class TestPredict:
     def test_top_k_lines(self, workdir, tmp_path):
         split = store.read_cache(workdir["cache"])
@@ -416,8 +479,8 @@ class TestPredict:
         for j in range(n_tr):
             h = reference_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], params)
         scheme = split.sequences.scheme
-        scores = score_all(h, input_context(t, scheme),
-                           transition_bin(t, int(seq.timestamps[n_tr - 1]), scheme), params)
+        scores = score_all(h[None], input_context(t, scheme),
+                           transition_bin(t, int(seq.timestamps[n_tr - 1]), scheme), params)[0]
         assert top_item == split.sequences.item_ids()[int(np.argmax(scores))]
 
     @staticmethod
@@ -445,8 +508,9 @@ class TestPredict:
         for seq, n_tr in zip(split.sequences.sequences, split.n_train.tolist()):
             t = int(seq.timestamps[n_tr - 1]) + 3 * 86400 + 5000
             h = forward_states(seq, params)[n_tr]
-            scores = score_all(h, input_context(t, scheme),
-                               transition_bin(t, int(seq.timestamps[n_tr - 1]), scheme), params)
+            scores = score_all(h[None], input_context(t, scheme),
+                               transition_bin(t, int(seq.timestamps[n_tr - 1]), scheme),
+                               params)[0]
             for k in (1, 10, n_items):
                 lines = self.predicted(workdir, workdir["cache"], workdir["models"][variant],
                                        seq.user, t, k)
@@ -479,7 +543,7 @@ class TestPredict:
             ctx = input_context(t, scheme)
             assert lines[0] == (f"user={seq.user} timestamp={t} input_context={ctx} "
                                 f"transition_bin={scheme.start_bin}")
-            scores = score_all(np.zeros(params.config.d), ctx, scheme.start_bin, params)
+            scores = score_all(np.zeros((1, params.config.d)), ctx, scheme.start_bin, params)[0]
             assert lines[1:] == self.expected_lines(split, scores, 5)
 
     def test_identical_context_cells_identical_rankings(self, workdir):

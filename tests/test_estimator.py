@@ -271,7 +271,7 @@ class TestStateTable:
         seq = est.sequences_.sequences[est.sequences_.user_vocab[user]]
         h = forward_states(seq, est.params_)[-1]
         ctx, bin_ = query_context(TestStateTable.T, int(seq.timestamps[-1]), est.scheme_)
-        return h, int(seq.timestamps[-1]), score_all(h, ctx, bin_, est.params_)
+        return h, int(seq.timestamps[-1]), score_all(h[None], ctx, bin_, est.params_)[0]
 
     @pytest.mark.parametrize("variant", [dict(), dict(use_input_contexts=False),
                                          dict(use_transition_contexts=False),
@@ -291,6 +291,18 @@ class TestStateTable:
             top = np.argsort(-expected, kind="stable")[:5]
             assert est.recommend(u, self.T, n=5) == [(est.item_ids_[i], float(expected[i]))
                                                     for i in top]
+
+    @pytest.mark.parametrize("variant", [dict(), dict(use_input_contexts=False,
+                                                      use_transition_contexts=False)])
+    def test_predict_scores_rows_are_recommend_scores(self, variant):
+        # one score_all row per query: a block may differ from it in the last bits
+        est = CARNNRecommender(d=5, epochs=2, **variant).fit(interaction_rows())
+        users = list(est.sequences_.user_vocab)
+        queries = [[u, self.T + dt] for dt in (0, 3 * 3600, 9 * SECONDS_PER_DAY) for u in users]
+        for (u, t), row in zip(queries, est.predict_scores(queries)):
+            listed = dict(est.recommend(u, t, n=est.n_items_))
+            got = np.array([listed[item] for item in est.item_ids_])
+            assert np.array_equal(row.view(np.uint64), got.view(np.uint64))
 
     def test_fit_builds_nothing_and_the_first_query_builds_once(self, replays):
         est = CARNNRecommender(d=4, epochs=1, context_factors=("hour_of_day",))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from carnn.context import annotate_sequences
+from carnn.context import ContextScheme, annotate_sequences
 from carnn.data import SequenceSet, SplitSet, UserSequence, full_train_split, split_sequences
 from carnn import store
-from carnn.errors import ConfigError, DataError, InputOutputError
+from carnn.errors import CompatibilityError, ConfigError, DataError, InputOutputError
 from carnn.evaluate import (DEFAULT_KS, MetricsReport, RankRecord, aggregate_ranks,
                             evaluate, format_report_table, generate_synthetic,
                             pop_baseline, rank_target, report_to_json, shared_ranks,
@@ -115,7 +115,7 @@ def walker_records(split, p) -> list[RankRecord]:
         for j in range(n_tr):
             h = reference_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
         for j in range(n_tr, len(seq)):
-            scores = score_all(h, int(seq.input_ctxs[j]), int(seq.trans_bins[j]), p)
+            scores = score_all(h[None], int(seq.input_ctxs[j]), int(seq.trans_bins[j]), p)[0]
             records.append(RankRecord(seq.user, j, rank_target(scores, int(seq.items[j]))))
             h = reference_step(h, seq.items[j], seq.input_ctxs[j], seq.trans_bins[j], p)
     return records
@@ -223,8 +223,26 @@ class TestEvaluate:
         split, scheme, _ = small_model_split()
         wrong = init_params(ModelConfig(d=4, n_items=split.sequences.n_items,
                                         n_input_contexts=7, n_transition_bins=scheme.n_transition_bins))
-        with pytest.raises(ConfigError):
+        with pytest.raises(CompatibilityError, match="7 input contexts.*24"):
             evaluate(split, wrong, scheme)
+
+    def test_item_count_mismatch_rejected(self):
+        split, scheme, _ = small_model_split(n_items=12)
+        wrong = init_params(ModelConfig(d=4, n_items=40, n_input_contexts=scheme.n_input_contexts,
+                                        n_transition_bins=scheme.n_transition_bins))
+        with pytest.raises(CompatibilityError, match="40 items.*12"):
+            evaluate(split, wrong)
+
+    def test_plain_model_evaluates_under_any_scheme(self):
+        # a plain RNN as a model file stores it: one matrix in each bank
+        split, _, _ = small_model_split()
+        p = init_params(ModelConfig(d=4, n_items=split.sequences.n_items, n_input_contexts=1,
+                                    n_transition_bins=1, use_input_contexts=False,
+                                    use_transition_contexts=False, seed=3))
+        report = evaluate(split, p)
+        for factors in (("day_of_week",), ("day_of_week", "hour_of_day")):
+            seqs = annotate_sequences(split.sequences, ContextScheme(factors=factors))
+            assert evaluate(SplitSet(seqs, split.n_train), p) == report
 
 
 class TestPopBaseline:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from carnn import model
-from carnn.data import UserSequence
+from carnn.context import ContextScheme
+from carnn.data import SequenceSet, UserSequence
 from carnn.errors import CompatibilityError, ConfigError, FormatError, NumericalError
 from carnn.linalg import sigmoid_vec
-from carnn.model import (ModelConfig, ModelParams, check_vocab_compatibility,
-                         forward_states, hidden_step, init_params, load_params,
-                         save_params, score_all, states_at, step_inputs, top_n)
-from references import reference_score, reference_step, reference_top_n
+from carnn.model import (ModelConfig, ModelParams, check_compatibility, forward_states,
+                         hidden_step, init_params, load_params, save_params, score_all,
+                         states_at, step_inputs, top_n)
+from references import reference_score, reference_scores, reference_step, reference_top_n
 
 
 def manual_params(R, M_bank, W_bank, use_input=True, use_trans=True):
@@ -209,7 +210,7 @@ class TestBlockCalls:
     def test_block_scores_match_scalar_scores(self, variant):
         p, H, (_, ctxs, bins) = block_fixture(3, 10, **variant)
         block = score_all(H, ctxs, bins, p)
-        rows = np.array([score_all(H[i], ctxs[i], bins[i], p) for i in range(len(H))])
+        rows = np.array([score_all(H[i][None], ctxs[i], bins[i], p)[0] for i in range(len(H))])
         assert block.shape == (len(H), p.config.n_items)
         # one GEMM against one GEMV per row: the d-term sums may be ordered
         # differently, so allow a few ulps of the largest term
@@ -408,17 +409,17 @@ class TestScore:
     def test_zero_state_scores_zero(self):
         config = ModelConfig(d=3, n_items=4, n_input_contexts=2, n_transition_bins=2, seed=1)
         p = init_params(config)
-        assert not score_all(np.zeros(config.d), 1, 1, p).any()
+        assert not score_all(np.zeros((1, config.d)), 1, 1, p).any()
 
     def test_scalar_hand_expansion(self):
         p = manual_params([[3.0]], [[[1.0]]], [[[2.0]]])
-        assert score_all(np.array([1.0]), 0, 0, p).tolist() == [6.0]
+        assert score_all(np.array([[1.0]]), 0, 0, p).tolist() == [[6.0]]
 
     def test_identical_embeddings_identical_scores(self):
         R = np.array([[0.2, -0.1], [0.2, -0.1], [0.5, 0.5]])
         p = manual_params(R, np.random.default_rng(0).normal(size=(2, 2, 2)),
                           np.random.default_rng(1).normal(size=(2, 2, 2)))
-        scores = score_all(np.array([0.3, 0.7]), 1, 1, p)
+        scores = score_all(np.array([[0.3, 0.7]]), 1, 1, p)[0]
         assert scores[0] == scores[1]
 
     def test_score_all_matches_per_item_scores(self):
@@ -426,10 +427,31 @@ class TestScore:
         config = ModelConfig(d=5, n_items=11, n_input_contexts=3, n_transition_bins=4, seed=7)
         p = init_params(config)
         h = rng.uniform(0, 1, size=5)
-        vec = score_all(h, 2, 3, p)
+        vec = score_all(h[None], 2, 3, p)[0]
         per_item = np.array([reference_score(h, v, 2, 3, p) for v in range(11)])
         assert np.allclose(vec, per_item, atol=1e-9)
         assert int(np.argmax(vec)) == int(np.argmax(per_item))
+
+    @pytest.mark.parametrize("variant", BLOCK_VARIANTS)
+    def test_one_row_block_has_the_bits_of_the_one_state_form(self, variant):
+        rng = np.random.default_rng(29)
+        for d in (1, 3, 10, 17):
+            for n_items in (40, 3706):
+                config = ModelConfig(d=d, n_items=n_items, n_input_contexts=7,
+                                     n_transition_bins=5, seed=d, init_scale=1.0, **variant)
+                p = init_params(config)
+                for _ in range(5):
+                    h = rng.uniform(0.0, 1.0, size=d)
+                    c, b = int(rng.integers(0, 7)), int(rng.integers(0, 5))
+                    got = score_all(h[None], c, b, p)
+                    assert got.shape == (1, n_items)
+                    expected = reference_scores(h, c, b, p)
+                    assert np.array_equal(got[0].view(np.uint64), expected.view(np.uint64))
+
+    def test_scalar_ids_score_every_row_under_one_context(self):
+        p, H, (_, ctxs, bins) = block_fixture(5, 4)
+        ctxs[:], bins[:] = 2, 3
+        assert np.array_equal(score_all(H, 2, 3, p), score_all(H, ctxs, bins, p))
 
 
 # few distinct values, so exact ties are common; NaN, both zeros and both infinities
@@ -514,7 +536,25 @@ class TestPersistence:
         with pytest.raises(NumericalError, match=rf"non-finite value in {bank}\[{index}\]"):
             load_params(path)
 
+    @staticmethod
+    def sequence_set(n_items, scheme=None):
+        return SequenceSet([], {f"i{v}": v for v in range(n_items)}, {}, scheme)
+
     def test_vocab_compatibility_names_both_sizes(self):
         p = self.make_params()
-        with pytest.raises(CompatibilityError, match="6.*9"):
-            check_vocab_compatibility(p, 9)
+        check_compatibility(p, self.sequence_set(6))
+        with pytest.raises(CompatibilityError, match="6 items.*9"):
+            check_compatibility(p, self.sequence_set(9))
+
+    def test_compatibility_checks_each_switched_on_bank(self):
+        # 7 input contexts (day of week) and max_interval_days + 2 = 5 gap bins
+        scheme = ContextScheme(factors=("day_of_week",), max_interval_days=3)
+        for kwargs, match in ((dict(n_input_contexts=168), "168 input contexts.*7"),
+                              (dict(n_transition_bins=32), "32 transition bins.*5")):
+            config = dict(d=2, n_items=6, n_input_contexts=7, n_transition_bins=5) | kwargs
+            p = init_params(ModelConfig(**config))
+            with pytest.raises(CompatibilityError, match=match):
+                check_compatibility(p, self.sequence_set(6, scheme))
+        check_compatibility(init_params(ModelConfig(d=2, n_items=6, n_input_contexts=7,
+                                                    n_transition_bins=5)),
+                            self.sequence_set(6, scheme))
