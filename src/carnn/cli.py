@@ -307,7 +307,7 @@ def eval_cmd(config_path, seed, out, variant, cache, model):
     else:
         params = load_params(cfg.model_path(), seed=cfg.seed)
         label = variant_of(params)
-        report = evaluate(split, params, split.sequences.scheme, cfg.ks)
+        report = evaluate(split, params, ks=cfg.ks)
     os.makedirs(cfg.out, exist_ok=True)
     store.write_atomic(os.path.join(cfg.out, "metrics.json"), report_to_json(report), "report")
     _echo_config(cfg, "eval")
@@ -421,7 +421,7 @@ def sweep_cmd(config_path, seed, out, d_values, variants_opt, cache):
             try:
                 config, tcfg = _configs(cfg, scheme, split.sequences.n_items, variant=variant, d=d)
                 params, _ = train(split, init_params(config), tcfg)
-                report = evaluate(split, params, scheme, cfg.ks)
+                report = evaluate(split, params, ks=cfg.ks)
                 cells = [variant, str(d), "ok"] + [repr(v) for _, v in metric_pairs(report)]
             except NumericalError as exc:  # a bad setting fails every cell: it stops the sweep
                 cells = [variant, str(d), f"error:{type(exc).__name__}"] + [""] * len(metrics)

@@ -13,7 +13,6 @@ so one stable sort of the counts ranks them all.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,20 +104,17 @@ def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> np.
     return ranks
 
 
-def evaluate(split: SplitSet, p: ModelParams, scheme: ContextScheme | None = None,
-             ks=DEFAULT_KS) -> MetricsReport:
+def evaluate(split: SplitSet, p: ModelParams, *, ks=DEFAULT_KS) -> MetricsReport:
     """Rank the true item at every held-out position under the test step's
     own contexts, advancing the hidden state on ground truth.
 
-    Raises CompatibilityError unless the model fits the (annotated)
+    The contexts are the split's own annotation: an unannotated split is a
+    ConfigError. Raises CompatibilityError unless the model fits the
     sequences, by ``model.check_compatibility``."""
-    seqs = split.sequences
-    if not seqs.annotated:
-        if scheme is None:
-            raise ConfigError("sequences are not annotated and no scheme was given")
-        seqs = annotate_sequences(seqs, scheme)
-        split = SplitSet(seqs, split.n_train)
-    check_compatibility(p, seqs)
+    if not split.sequences.annotated:
+        raise ConfigError("sequences are not annotated: annotate them with "
+                          "context.annotate_sequences before evaluating")
+    check_compatibility(p, split.sequences)
     heldout = _heldout(split)
     return _report(_model_ranks(heldout, p) if heldout else np.zeros(0, np.int64), ks)
 
@@ -170,18 +166,10 @@ def report_to_json(report: MetricsReport) -> str:
 
 
 def format_report_table(report: MetricsReport, label: str = "model") -> str:
-    """Aligned console table, one row, columns in the conventional order."""
-    ks = sorted(report.recall_at)
-    headers = ["method"]
-    values = [label]
-    for k in ks:
-        headers.append(f"Recall@{k}")
-        values.append(f"{report.recall_at[k]:.4f}")
-    for k in ks:
-        headers.append(f"F1@{k}")
-        values.append(f"{report.f1_at[k]:.4f}")
-    headers += ["MAP", "NDCG"]
-    values += [f"{report.map_score:.4f}", f"{report.ndcg:.4f}"]
+    """Aligned console table, one row, columns in the order of ``metric_pairs``."""
+    pairs = metric_pairs(report)
+    headers = ["method"] + [k.capitalize() if "@" in k else k.upper() for k, _ in pairs]
+    values = [label] + [f"{v:.4f}" for _, v in pairs]
     widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
     head = "  ".join(h.rjust(w) for h, w in zip(headers, widths))
     row = "  ".join(v.rjust(w) for v, w in zip(values, widths))
@@ -211,8 +199,8 @@ def generate_synthetic(n_users: int, n_items: int, seq_len: int, n_contexts: int
     ``n_contexts`` planted hours, timestamp-encoded so annotation recovers
     them exactly); "transition_bin" keys items to the whole-day gap since
     the previous event; "none" draws items uniformly. The returned set is
-    pre-annotated with the planted ids; re-annotating with the returned
-    scheme reproduces them.
+    annotated by ``annotate_sequences`` under the returned hour-of-day
+    scheme, which recovers the planted ids.
     """
     if signal not in SIGNALS:
         raise ConfigError(f"signal must be one of {SIGNALS}")
@@ -242,41 +230,26 @@ def generate_synthetic(n_users: int, n_items: int, seq_len: int, n_contexts: int
 
     sequences = []
     for u in range(n_users):
-        items = np.empty(seq_len, dtype=np.int64)
-        ts = np.empty(seq_len, dtype=np.int64)
-        ctx_ids = np.empty(seq_len, dtype=np.int64)
-        bins = np.empty(seq_len, dtype=np.int64)
         if signal == "input_ctx":
             hours = rng.integers(0, n_contexts, size=seq_len)
-            for j in range(seq_len):
-                # one event every other day at the planted hour
-                ts[j] = _SYNTH_EPOCH + j * 2 * SECONDS_PER_DAY + int(hours[j]) * 3600
-                items[j] = draw_item(int(hours[j]))
-                ctx_ids[j] = int(hours[j])
-                bins[j] = scheme.start_bin if j == 0 else (int(ts[j]) - int(ts[j - 1])) // SECONDS_PER_DAY
+            # one event every other day at the planted hour
+            ts = _SYNTH_EPOCH + np.arange(seq_len) * (2 * SECONDS_PER_DAY) + hours * 3600
+            items = [draw_item(int(h)) for h in hours]
         elif signal == "transition_bin":
-            ts[0] = _SYNTH_EPOCH
-            items[0] = draw_item(None)
-            ctx_ids[0] = 0
-            bins[0] = scheme.start_bin
-            for j in range(1, seq_len):
-                gap_bin = int(rng.integers(0, n_contexts))
-                # one hour past the day boundary keeps the floor exact
-                ts[j] = int(ts[j - 1]) + gap_bin * SECONDS_PER_DAY + 3600
-                items[j] = draw_item(gap_bin)
-                ctx_ids[j] = (int(ts[j]) % SECONDS_PER_DAY) // 3600
-                bins[j] = gap_bin
+            gap_bins, items = [0], [draw_item(None)]
+            for _ in range(1, seq_len):
+                gap_bins.append(int(rng.integers(0, n_contexts)))
+                items.append(draw_item(gap_bins[-1]))
+            # one hour past the day boundary keeps each gap's floor exact
+            ts = _SYNTH_EPOCH + np.cumsum(gap_bins) * SECONDS_PER_DAY + np.arange(seq_len) * 3600
         else:  # none
-            for j in range(seq_len):
-                ts[j] = _SYNTH_EPOCH + j * SECONDS_PER_DAY
-                items[j] = draw_item(None)
-                ctx_ids[j] = 0
-                bins[j] = scheme.start_bin if j == 0 else 1
-        sequences.append(UserSequence(f"u{u}", items, ts, ctx_ids, bins))
+            ts = _SYNTH_EPOCH + np.arange(seq_len) * SECONDS_PER_DAY
+            items = [draw_item(None) for _ in range(seq_len)]
+        sequences.append(UserSequence(f"u{u}", np.array(items, dtype=np.int64), ts))
 
     item_vocab = {f"i{v}": v for v in range(n_items)}
     user_vocab = {f"u{u}": u for u in range(n_users)}
-    return SequenceSet(sequences, item_vocab, user_vocab, scheme=scheme), scheme
+    return annotate_sequences(SequenceSet(sequences, item_vocab, user_vocab), scheme), scheme
 
 
 def write_interactions_csv(seqs: SequenceSet, path: str) -> None:

@@ -281,9 +281,12 @@ def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams
                                  f"(learning_rate={lr}, l2={l2})")
         theta[idx] = rows
 
-    apply(p.R, g.dR, g.touched_items, "R")
-    apply(p.M_bank, g.dM_bank, g.touched_m, "M_bank")
-    apply(p.W_bank, g.dW_bank, g.touched_w, "W_bank")
+    # the isfinite screen reports an overflow as NumericalError, so numpy's
+    # own RuntimeWarning for it would only repeat the error on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        apply(p.R, g.dR, g.touched_items, "R")
+        apply(p.M_bank, g.dM_bank, g.touched_m, "M_bank")
+        apply(p.W_bank, g.dW_bank, g.touched_w, "W_bank")
     return p
 
 

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 
+from carnn.context import SECONDS_PER_DAY, ContextScheme
+from carnn.data import SequenceSet, UserSequence
 from carnn.errors import ConfigError
+from carnn.evaluate import _SYNTH_EPOCH, synthetic_partition
 from carnn.linalg import sigmoid_vec
+from carnn.seeding import named_rng
 
 
 def _slots(ctx, bin_, p):
@@ -78,3 +82,58 @@ def reference_recurrence_grads(dh, act, Ws, window):
 def reference_top_n(scores, n):
     """The full stable sort that ``top_n`` replaces."""
     return np.argsort(-scores, kind="stable")[:n]
+
+
+def reference_synthetic(n_users, n_items, seq_len, n_contexts, signal="input_ctx", seed=0,
+                        signal_strength=0.9):
+    """``generate_synthetic`` one event at a time, with each event's hour id
+    and gap bin filled in by hand beside its timestamp rather than read off
+    the timestamps by ``annotate_sequences``."""
+    scheme = ContextScheme(factors=("hour_of_day",))
+    rng = named_rng(seed, "synthetic")
+    part = synthetic_partition(n_items, n_contexts)
+    members = [np.flatnonzero(part == c) for c in range(n_contexts)]
+
+    def draw_item(ctx_value: int) -> int:
+        if ctx_value is not None and rng.random() < signal_strength:
+            pool = members[ctx_value]
+            return int(pool[rng.integers(len(pool))])
+        return int(rng.integers(n_items))
+
+    sequences = []
+    for u in range(n_users):
+        items = np.empty(seq_len, dtype=np.int64)
+        ts = np.empty(seq_len, dtype=np.int64)
+        ctx_ids = np.empty(seq_len, dtype=np.int64)
+        bins = np.empty(seq_len, dtype=np.int64)
+        if signal == "input_ctx":
+            hours = rng.integers(0, n_contexts, size=seq_len)
+            for j in range(seq_len):
+                # one event every other day at the planted hour
+                ts[j] = _SYNTH_EPOCH + j * 2 * SECONDS_PER_DAY + int(hours[j]) * 3600
+                items[j] = draw_item(int(hours[j]))
+                ctx_ids[j] = int(hours[j])
+                bins[j] = scheme.start_bin if j == 0 else (int(ts[j]) - int(ts[j - 1])) // SECONDS_PER_DAY
+        elif signal == "transition_bin":
+            ts[0] = _SYNTH_EPOCH
+            items[0] = draw_item(None)
+            ctx_ids[0] = 0
+            bins[0] = scheme.start_bin
+            for j in range(1, seq_len):
+                gap_bin = int(rng.integers(0, n_contexts))
+                # one hour past the day boundary keeps the floor exact
+                ts[j] = int(ts[j - 1]) + gap_bin * SECONDS_PER_DAY + 3600
+                items[j] = draw_item(gap_bin)
+                ctx_ids[j] = (int(ts[j]) % SECONDS_PER_DAY) // 3600
+                bins[j] = gap_bin
+        else:  # none
+            for j in range(seq_len):
+                ts[j] = _SYNTH_EPOCH + j * SECONDS_PER_DAY
+                items[j] = draw_item(None)
+                ctx_ids[j] = 0
+                bins[j] = scheme.start_bin if j == 0 else 1
+        sequences.append(UserSequence(f"u{u}", items, ts, ctx_ids, bins))
+
+    item_vocab = {f"i{v}": v for v in range(n_items)}
+    user_vocab = {f"u{u}": u for u in range(n_users)}
+    return SequenceSet(sequences, item_vocab, user_vocab, scheme=scheme), scheme

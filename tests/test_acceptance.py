@@ -78,7 +78,7 @@ def test_f1_identity_reproduces_published_numbers():
     seqs, scheme = generate_synthetic(20, 24, 30, 4, signal="input_ctx", seed=3)
     split = split_sequences(seqs, 0.8)
     params, _ = _train_variant(split, scheme, True, True, d=4, epochs=2, seed=3)
-    for report in (evaluate(split, params, scheme), pop_baseline(split)):
+    for report in (evaluate(split, params), pop_baseline(split)):
         for k in report.recall_at:
             assert abs(report.f1_at[k] - 2 * report.recall_at[k] / (k + 1)) < 1e-12
         assert report.f1_at[1] == report.recall_at[1]
@@ -127,8 +127,8 @@ def _planted_ratio(signal, use_input, use_trans):
     plain_params, _ = _train_variant(split, scheme, False, False,
                                      d=8, epochs=30, seed=0)
     elapsed = time.perf_counter() - started
-    context_rep = evaluate(split, context_params, scheme)
-    plain_rep = evaluate(split, plain_params, scheme)
+    context_rep = evaluate(split, context_params)
+    plain_rep = evaluate(split, plain_params)
     return context_rep.recall_at[1], plain_rep.recall_at[1], elapsed
 
 
@@ -148,7 +148,7 @@ def test_planted_no_signal_control_stays_at_chance():
     seqs, scheme = generate_synthetic(50, 40, 60, 4, signal="none", seed=123)
     split = split_sequences(seqs, 0.8)
     params, _ = _train_variant(split, scheme, True, True, d=8, epochs=30, seed=0)
-    report = evaluate(split, params, scheme)
+    report = evaluate(split, params)
     pop = pop_baseline(split)
     chance = max(pop.recall_at[1], 1.0 / split.sequences.n_items)
     assert report.recall_at[1] <= 3.0 * chance, (
@@ -222,8 +222,8 @@ def ml1m_runs():
         "split": split,
         "scheme": scheme,
         "carnn_trace": carnn_trace,
-        "carnn": evaluate(split, carnn_params, scheme),
-        "rnn": evaluate(split, rnn_params, scheme),
+        "carnn": evaluate(split, carnn_params),
+        "rnn": evaluate(split, rnn_params),
         "pop": pop_baseline(split),
         "train_seconds": elapsed,
     }

@@ -314,8 +314,7 @@ class TestEval:
                                         workdir["models"]["carnn"])
         from carnn.evaluate import evaluate
         split = store.read_cache(workdir["cache"])
-        rep = evaluate(split, load_params(workdir["models"]["carnn"]),
-                       split.sequences.scheme)
+        rep = evaluate(split, load_params(workdir["models"]["carnn"]))
         assert raw == {**{f"recall@{k}": v for k, v in rep.recall_at.items()},
                        **{f"f1@{k}": v for k, v in rep.f1_at.items()},
                        "map": rep.map_score, "ndcg": rep.ndcg, "n_positions": rep.n_positions}

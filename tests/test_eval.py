@@ -10,13 +10,13 @@ from carnn.context import ContextScheme, annotate_sequences
 from carnn.data import SequenceSet, SplitSet, UserSequence, full_train_split, split_sequences
 from carnn import store
 from carnn.errors import CompatibilityError, ConfigError, DataError, InputOutputError
-from carnn.evaluate import (DEFAULT_KS, MetricsReport, RankRecord, aggregate_ranks,
+from carnn.evaluate import (DEFAULT_KS, SIGNALS, MetricsReport, RankRecord, aggregate_ranks,
                             evaluate, format_report_table, generate_synthetic,
                             pop_baseline, rank_target, report_to_json, shared_ranks,
                             synthetic_partition,
                             train_item_counts, write_interactions_csv)
 from carnn.model import ModelConfig, init_params, score_all
-from references import reference_step
+from references import reference_step, reference_synthetic
 
 
 class TestRankTarget:
@@ -157,14 +157,14 @@ def ranks_of_evaluate(split, p, monkeypatch) -> list[int]:
 
 class TestEvaluate:
     def test_deterministic_given_frozen_model(self):
-        split, scheme, p = small_model_split()
-        a = evaluate(split, p, scheme)
-        b = evaluate(split, p, scheme)
+        split, _, p = small_model_split()
+        a = evaluate(split, p)
+        b = evaluate(split, p)
         assert a == b
 
     def test_matches_independent_walker(self):
-        split, scheme, p = small_model_split()
-        rep = evaluate(split, p, scheme)
+        split, _, p = small_model_split()
+        rep = evaluate(split, p)
         expected = aggregate_ranks(walker_records(split, p), DEFAULT_KS)
         assert rep.recall_at == expected.recall_at
         assert rep.map_score == pytest.approx(expected.map_score, abs=1e-15)
@@ -215,16 +215,29 @@ class TestEvaluate:
         assert peak < 4 * 2**20
 
     def test_no_test_positions_is_data_error(self):
-        split, scheme, p = small_model_split()
+        split, _, p = small_model_split()
         with pytest.raises(DataError):
-            evaluate(full_train_split(split.sequences), p, scheme)
+            evaluate(full_train_split(split.sequences), p)
+
+    def test_unannotated_split_is_config_error(self):
+        split, _, p = small_model_split()
+        bare = [UserSequence(s.user, s.items, s.timestamps) for s in split.sequences.sequences]
+        seqs = SequenceSet(bare, split.sequences.item_vocab, split.sequences.user_vocab)
+        with pytest.raises(ConfigError, match="not annotated"):
+            evaluate(SplitSet(seqs, split.n_train), p)
+
+    def test_scheme_is_no_longer_an_argument(self):
+        # ks is keyword-only, so a stray third argument cannot bind to it
+        split, scheme, p = small_model_split()
+        with pytest.raises(TypeError):
+            evaluate(split, p, scheme)
 
     def test_scheme_model_mismatch_rejected(self):
         split, scheme, _ = small_model_split()
         wrong = init_params(ModelConfig(d=4, n_items=split.sequences.n_items,
                                         n_input_contexts=7, n_transition_bins=scheme.n_transition_bins))
         with pytest.raises(CompatibilityError, match="7 input contexts.*24"):
-            evaluate(split, wrong, scheme)
+            evaluate(split, wrong)
 
     def test_item_count_mismatch_rejected(self):
         split, scheme, _ = small_model_split(n_items=12)
@@ -286,8 +299,8 @@ class TestPopBaseline:
 
 class TestReportSerialization:
     def test_json_round_trip(self):
-        split, scheme, p = small_model_split()
-        rep = evaluate(split, p, scheme)
+        split, _, p = small_model_split()
+        rep = evaluate(split, p)
         raw = json.loads(report_to_json(rep))
         assert list(raw.items()) == (
             [(f"recall@{k}", rep.recall_at[k]) for k in DEFAULT_KS]
@@ -304,6 +317,19 @@ class TestReportSerialization:
             assert col in head
 
 
+def assert_same_synthetic(got, want):
+    """Equal generator outputs: every array with its dtype, both
+    vocabularies and the scheme."""
+    (seqs, scheme), (ref, ref_scheme) = got, want
+    assert scheme == ref_scheme == seqs.scheme == ref.scheme
+    assert seqs.item_vocab == ref.item_vocab and seqs.user_vocab == ref.user_vocab
+    assert [s.user for s in seqs.sequences] == [s.user for s in ref.sequences]
+    for a, b in zip(seqs.sequences, ref.sequences):
+        for name in ("items", "timestamps", "input_ctxs", "trans_bins"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 class TestSyntheticGenerator:
     def test_annotation_recovers_planted_input_contexts(self):
         seqs, scheme = generate_synthetic(8, 12, 15, 4, signal="input_ctx", seed=21)
@@ -318,6 +344,22 @@ class TestSyntheticGenerator:
         for a, b in zip(seqs.sequences, redone.sequences):
             assert np.array_equal(a.input_ctxs, b.input_ctxs)
             assert np.array_equal(a.trans_bins, b.trans_bins)
+
+    @pytest.mark.parametrize("signal,n_ctx", [(s, c) for s in SIGNALS for c in (1, 2, 6, 24, 31)
+                                              if not (s == "input_ctx" and c > 24)])
+    def test_equals_the_hand_annotated_reference(self, signal, n_ctx):
+        for strength in (0.0, 0.5, 0.9, 1.0):
+            for seed in range(4):
+                kwargs = dict(signal=signal, seed=seed, signal_strength=strength)
+                assert_same_synthetic(generate_synthetic(3, 64, 15, n_ctx, **kwargs),
+                                      reference_synthetic(3, 64, 15, n_ctx, **kwargs))
+
+    @pytest.mark.parametrize("n_users", [30, 100])
+    def test_benchmark_corpus_equals_the_reference(self, n_users):
+        # the train-planted workload's corpus, quick (30 users) and full
+        for seed in (1, 2, 3):
+            assert_same_synthetic(generate_synthetic(n_users, 60, 40, 6, "input_ctx", seed),
+                                  reference_synthetic(n_users, 60, 40, 6, "input_ctx", seed))
 
     def test_infeasible_partition_rejected(self):
         with pytest.raises(ConfigError):
