@@ -226,7 +226,7 @@ def prepare(config_path, seed, out, dataset, fmt):
         raise ConfigError("prepare needs a dataset (config key 'dataset' or --dataset)")
     os.makedirs(cfg.out, exist_ok=True)
     log = parse_interactions(cfg.dataset, cfg.format)
-    users_before, items_before = len(set(log.users)), len(set(log.items))
+    users_before, items_before = len(log.user_ids), len(log.item_ids)
     seqs = build_sequences(log, cfg.min_user, cfg.min_item)
     holiday_dates = parse_holiday_file(cfg.holidays) if cfg.holidays else ()
     scheme = ContextScheme(**pick(ContextScheme, vars(cfg)), holiday_dates=holiday_dates)

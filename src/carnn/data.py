@@ -6,8 +6,10 @@ left with fewer than ``min_user`` events, in a single pass (no fixpoint
 iteration). Each surviving user's events are sorted by timestamp with file
 order breaking ties, which makes every downstream artifact reproducible.
 
-A log is held as columns (user ids, item ids, int64 timestamps) and each
-stage works on whole columns; no per-event object is made.
+A log is held as columns: int64 user and item codes, which number the ids
+by first appearance, beside the id strings in code order and int64
+timestamps. Each id is hashed once, when the log is made; every later stage
+works on whole integer columns, and no per-event object is made.
 """
 
 from __future__ import annotations
@@ -43,23 +45,34 @@ class Interaction:
 
 
 class InteractionLog:
-    """A log as columns in file order: ``users`` and ``items`` (lists of id
-    strings) and ``timestamps`` (int64 Unix seconds UTC)."""
+    """A log as columns in file order. ``user_codes`` and ``item_codes``
+    (int64) number the ids by first appearance; ``user_ids`` and
+    ``item_ids`` hold the id strings in code order, and ``timestamps`` the
+    int64 Unix seconds UTC. ``users``, ``items`` and ``interactions`` are
+    read-only views derived from them."""
 
     def __init__(self, interactions: Iterable[Interaction] = (), path: str = "",
                  format: str = "", rejects: int = 0):
         rows = list(interactions)
-        self.users = [it.user for it in rows]
-        self.items = [it.item for it in rows]
+        self.user_codes, self.user_ids = _factorise([it.user for it in rows])
+        self.item_codes, self.item_ids = _factorise([it.item for it in rows])
         self.timestamps = np.array([it.timestamp for it in rows], dtype=np.int64)
         self.path, self.format, self.rejects = path, format, rejects
+
+    @property
+    def users(self) -> list[str]:
+        return list(map(self.user_ids.__getitem__, self.user_codes.tolist()))
+
+    @property
+    def items(self) -> list[str]:
+        return list(map(self.item_ids.__getitem__, self.item_codes.tolist()))
 
     @property
     def interactions(self) -> list[Interaction]:
         return list(map(Interaction, self.users, self.items, self.timestamps.tolist()))
 
     def __len__(self) -> int:
-        return len(self.users)
+        return len(self.timestamps)
 
 
 @dataclass
@@ -187,7 +200,8 @@ def parse_interactions(path: str, fmt: str) -> InteractionLog:
             & (np.fromiter(map(len, users), dtype=np.int64, count=n) > 0)
             & (np.fromiter(map(len, items), dtype=np.int64, count=n) > 0))
     log = InteractionLog(path=str(path), format=fmt, rejects=rejects + n - int(keep.sum()))
-    log.users, log.items = list(compress(users, keep)), list(compress(items, keep))
+    log.user_codes, log.user_ids = _factorise(list(compress(users, keep)))
+    log.item_codes, log.item_ids = _factorise(list(compress(items, keep)))
     log.timestamps = ts[keep]
     total = len(log) + log.rejects
     if total > 0 and log.rejects * 2 > total:
@@ -197,10 +211,22 @@ def parse_interactions(path: str, fmt: str) -> InteractionLog:
     return log
 
 
-def _factorise(ids: list[str]) -> tuple[np.ndarray, dict[str, int]]:
-    """Codes numbering ``ids`` by first appearance, and the {id: code} vocabulary."""
+def _factorise(ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Codes numbering ``ids`` by first appearance, and the distinct ids in code order."""
     vocab = {x: k for k, x in enumerate(dict.fromkeys(ids))}
-    return np.fromiter(map(vocab.__getitem__, ids), dtype=np.int64, count=len(ids)), vocab
+    return np.fromiter(map(vocab.__getitem__, ids), dtype=np.int64, count=len(ids)), list(vocab)
+
+
+def _renumber(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``codes`` (each in [0, n)) renumbered 0, 1, ... by first appearance,
+    and the old code of each new one."""
+    first = np.full(n, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    seen = np.flatnonzero(first < len(codes))
+    old = seen[np.argsort(first[seen])]
+    new = np.empty(n, dtype=np.int64)
+    new[old] = np.arange(len(old))
+    return new[codes], old
 
 
 def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) -> SequenceSet:
@@ -208,9 +234,10 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
 
     The user threshold is floored at 2 because a sequence needs at least two
     steps to carry any transition. Vocabularies index users/items by first
-    appearance among the surviving interactions, in file order. Ids are
-    factorised, counted with ``np.bincount`` and sorted with one stable
-    ``np.lexsort`` on (user, timestamp), so file order breaks ties.
+    appearance among the surviving interactions, in file order. The log's
+    codes are counted with ``np.bincount``, the survivors' renumbered, and
+    all events sorted with one stable ``np.lexsort`` on (user, timestamp),
+    so file order breaks ties; no id string is hashed.
     """
     from .base import as_whole  # base imports this module
 
@@ -219,7 +246,7 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
     min_user = max(as_whole(min_user, "min_user"), 2)
     min_item = as_whole(min_item, "min_item")
 
-    item_codes, user_codes = _factorise(log.items)[0], _factorise(log.users)[0]
+    item_codes, user_codes = log.item_codes, log.user_codes
     keep = np.bincount(item_codes)[item_codes] >= min_item
     keep &= np.bincount(user_codes, weights=keep)[user_codes] >= min_user
     if not keep.any():
@@ -227,8 +254,10 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
             f"no interactions survive filtering (min_user={min_user}, min_item={min_item})"
         )
 
-    items, item_vocab = _factorise(list(compress(log.items, keep)))
-    users, user_vocab = _factorise(list(compress(log.users, keep)))
+    items, item_old = _renumber(item_codes[keep], len(log.item_ids))
+    users, user_old = _renumber(user_codes[keep], len(log.user_ids))
+    item_vocab = {log.item_ids[k]: j for j, k in enumerate(item_old.tolist())}
+    user_vocab = {log.user_ids[k]: j for j, k in enumerate(user_old.tolist())}
     ts = log.timestamps[keep]
     order = np.lexsort((ts, users))
     bounds = np.cumsum(np.bincount(users))[:-1]

@@ -87,7 +87,7 @@ def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> np.
 
     ``states_at`` replays every held-out user in lockstep to the state
     before each held-out position; the queries are then scored in blocks of
-    at most SCORE_BLOCK_BYTES.
+    at most SCORE_BLOCK_BYTES, each into the same buffer.
     """
     states = states_at([seq for seq, _ in heldout],
                        [np.arange(n_tr, len(seq)) for seq, n_tr in heldout], p)
@@ -95,12 +95,13 @@ def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> np.
                          for name in ("items", "input_ctxs", "trans_bins"))
 
     block = max(1, SCORE_BLOCK_BYTES // (8 * p.config.n_items))
+    buf = np.empty((min(block, len(states)), p.config.n_items))
     ranks = np.empty(len(states), dtype=np.int64)
     for lo in range(0, len(states), block):
         at = slice(lo, lo + block)
-        scores = score_all(states[at], ctxs[at], bins[at], p)
+        H = states[at]
+        scores = score_all(H, ctxs[at], bins[at], p, out=buf[:len(H)])
         ranks[at] = [rank_target(row, v) for row, v in zip(scores, items[at].tolist())]
-        del scores  # free this block before the next one is made
     return ranks
 
 

@@ -288,19 +288,20 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
 
 
 def score_all(H: np.ndarray, ctx: int | np.ndarray, bin_: int | np.ndarray,
-              p: ModelParams) -> np.ndarray:
+              p: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
     """(B, n_items) scores of a (B, d) block of states, row b being
     H[b] @ W[bin] @ (R @ M[ctx]).T: one projected vector per row, then one
-    Q @ R.T product. ``ctx`` and ``bin_`` are each one id for every row or
-    a length-B array; a switched-off bank ignores them. They index the
-    banks unchecked (see ``check_compatibility``). One query is
+    Q @ R.T product, written to ``out`` if given. ``ctx`` and ``bin_`` are
+    each one id for every row or a length-B array; a switched-off bank
+    ignores them. They index the banks unchecked (see
+    ``check_compatibility``). One query is
     ``score_all(h[None], ctx, bin_, p)[0]``; ``top_n`` turns its scores
     into a ranked list.
     """
     cfg = p.config
     m = p.M_bank[ctx if cfg.use_input_contexts else 0]
     w = p.W_bank[bin_ if cfg.use_transition_contexts else 0]
-    return (H[:, None] @ w @ m.swapaxes(-1, -2))[:, 0] @ p.R.T
+    return np.matmul((H[:, None] @ w @ m.swapaxes(-1, -2))[:, 0], p.R.T, out=out)
 
 
 def top_n(scores: np.ndarray, n: int) -> np.ndarray:

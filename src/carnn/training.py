@@ -15,6 +15,7 @@ their buffers in place. Each keeps the bits of its textbook form.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -319,18 +320,25 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
         order = shuffle_rng.permutation(len(seqs)) if cfg.shuffle else np.arange(len(seqs))
         loss_sum = 0.0
         loss_count = 0
-        for si in order:
-            view = views[si]
-            if view is None:
-                continue
-            negatives = make_examples(view, n_items, neg_rng, cfg.negatives_per_positive)
-            loss_sum += _pair_gradients(view, negatives, p, cfg, buf)
-            loss_count += negatives.size
-            try:
-                sgd_step(p, buf, cfg)
-            except NumericalError as exc:
-                raise NumericalError(f"epoch {epoch}, user {view.user!r}: {exc}") from exc
-            buf.clear()
+        # huge parameters overflow the forward pass; the loss check and the
+        # isfinite screen in sgd_step report that as NumericalError, so
+        # numpy's own RuntimeWarning would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            for si in order:
+                view = views[si]
+                if view is None:
+                    continue
+                negatives = make_examples(view, n_items, neg_rng, cfg.negatives_per_positive)
+                loss = _pair_gradients(view, negatives, p, cfg, buf)
+                loss_sum += loss
+                loss_count += negatives.size
+                try:
+                    if not math.isfinite(loss):
+                        raise NumericalError(f"non-finite pair loss {loss}")
+                    sgd_step(p, buf, cfg)
+                except NumericalError as exc:
+                    raise NumericalError(f"epoch {epoch}, user {view.user!r}: {exc}") from exc
+                buf.clear()
         mean_loss = loss_sum / loss_count if loss_count else float("nan")
         trace.append(EpochStats(epoch, mean_loss, time.perf_counter() - t0))
     return p, trace

@@ -174,6 +174,22 @@ class TestPrepare:
         assert "records_parsed=4" in result.output
         assert "records_rejected=1" in result.output
 
+    def test_ids_only_on_rejected_lines_are_not_counted(self, tmp_path):
+        # user "ghost" and item "99" appear only on lines that reject: a bad
+        # timestamp, a missing field, and an empty item id
+        src = tmp_path / "r.dat"
+        src.write_text("1::10::5::978300760\n1::11::5::978300800\n2::10::5::978300900\n"
+                       "2::11::5::978301000\nghost::99::5::-1\nghost::99::5\nghost::::5::978301100\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("min_user=2\nmin_item=1\n")
+        out = tmp_path / "o"
+        result = invoke("prepare", "--config", str(cfg), "--dataset", str(src),
+                        "--format", "movielens_dat", "--out", str(out))
+        assert result.exit_code == 0, result.output
+        stats = (out / "prepare_stats.txt").read_text().splitlines()
+        assert {"records_parsed=4", "records_rejected=3", "users_before_filtering=2",
+                "items_before_filtering=2"} <= set(stats)
+
     @pytest.mark.parametrize("days", [2**32 - 1, 2**32])
     def test_start_bin_past_u32_is_config_error(self, workdir, tmp_path, days):
         # 2**32 broke the cache writer; 2**32 - 1 wrote a start bin that wrapped to 0

@@ -142,7 +142,6 @@ def corpus(tmp_path_factory):
 
 
 # enough examples to draw all 1,035 combinations; a huge rate overflows before it fails
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=1100, deadline=None)
 @given(command=st.sampled_from(sorted(EVERY)), key=st.sampled_from(sorted(RULES)),
        raw=st.sampled_from(TEXTS))
@@ -203,7 +202,6 @@ def test_estimator_rules_cover_every_parameter():
     assert set(ACCEPTS) == set(CARNNRecommender().get_params())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(ACCEPTS)).flatmap(lambda name: st.tuples(
     st.just(name), st.sampled_from([v for v in VALUES if not (name in SIZES and v == 1e308)]))))

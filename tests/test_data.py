@@ -88,6 +88,10 @@ class TestParse:
         path = write(tmp_path, "r.csv", "u1,i1,100\nbad\nu2, i2 ,7\n")
         log = parse_interactions(path, "csv")
         assert (log.users, log.items) == (["u1", "u2"], ["i1", "i2"])
+        assert (log.user_ids, log.item_ids) == (["u1", "u2"], ["i1", "i2"])
+        assert log.user_codes.tolist() == log.item_codes.tolist() == [0, 1]
+        with pytest.raises(AttributeError):
+            log.users = ["u9", "u9"]  # a derived view, not a column
         assert log.timestamps.dtype == np.int64 and log.timestamps.tolist() == [100, 7]
         assert log.interactions == [Interaction("u1", "i1", 100), Interaction("u2", "i2", 7)]
         assert (len(log), log.rejects, log.format) == (2, 1, "csv")
@@ -240,6 +244,8 @@ class TestColumnarPathMatchesReference:
         interactions, rejects = expected
         assert log.interactions == interactions and log.rejects == rejects
         assert log.timestamps.dtype == np.int64
+        assert log.user_ids == list(dict.fromkeys(it.user for it in interactions))
+        assert log.item_ids == list(dict.fromkeys(it.item for it in interactions))
         want = outcome(build_reference, interactions, min_user, min_item)
         got = outcome(build_sequences, log, min_user, min_item)
         if want is DataError or got is DataError:
@@ -267,6 +273,27 @@ class TestColumnarPathMatchesReference:
             return
         assert got.user_ids() == want.user_ids() and got.item_ids() == want.item_ids()
         for g, w in zip(got.sequences, want.sequences):
+            assert g.items.tolist() == w.items.tolist()
+            assert g.timestamps.tolist() == w.timestamps.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("uvwx"), st.sampled_from("abcdef"),
+                              st.integers(0, 3)), min_size=1, max_size=40))
+    def test_constructed_and_parsed_logs_build_equal_sequences(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{u},{i},{t}\n" for u, i, t in rows))
+            parsed = parse_interactions(path, "csv")
+        want = outcome(build_sequences, log_of(rows), 2, 1)
+        got = outcome(build_sequences, parsed, 2, 1)
+        if want is DataError or got is DataError:
+            assert got is want
+            return
+        assert list(got.user_vocab.items()) == list(want.user_vocab.items())
+        assert list(got.item_vocab.items()) == list(want.item_vocab.items())
+        for g, w in zip(got.sequences, want.sequences, strict=True):
+            assert g.user == w.user
             assert g.items.tolist() == w.items.tolist()
             assert g.timestamps.tolist() == w.timestamps.tolist()
 
