@@ -8,15 +8,16 @@ order breaking ties, which makes every downstream artifact reproducible.
 
 A log is held as columns: int64 user and item codes, which number the ids
 by first appearance, beside the id strings in code order and int64
-timestamps. Each id is hashed once, when the log is made; every later stage
-works on whole integer columns, and no per-event object is made.
+timestamps. A log file is parsed in whole-array passes over its UTF-8 bytes:
+line ends, separators, digit columns and 8-byte id keys. No Python code runs
+per line; only each distinct id is decoded to a string, and every later stage
+works on whole integer columns, with no per-event object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -162,46 +163,84 @@ def _timestamp(field: str) -> int:
 def parse_interactions(path: str, fmt: str) -> InteractionLog:
     """Parse a log file into an InteractionLog.
 
-    Lines stream into three columns (user, item, raw timestamp field); the
-    timestamps and the keep mask are then made in whole-column passes.
-    Malformed lines, and lines whose timestamp is negative or not below
-    TIMESTAMP_LIMIT, are counted as rejects and skipped; if more than half of
-    the non-blank lines reject, the file is considered to be in the wrong
-    format, as it is if it is not UTF-8. A leading tsv/csv header line, one
-    whose timestamp field is no integer, is skipped.
+    The file is read once as UTF-8 text (universal newlines; a leading BOM is
+    dropped) and encoded to one byte array. Line ends, separators and fields
+    are then found in whole-array passes; only rare lines reach Python code.
+    Blank lines, those that ``str.strip`` empties, are skipped. A line that
+    ``str.split`` on the format's separator cuts into the wrong number of
+    fields is a reject, as is a record whose timestamp is not in
+    [0, TIMESTAMP_LIMIT) or whose user or item id is empty once stripped; if
+    more than half of the non-blank lines reject, the file is considered to
+    be in the wrong format, as it is if it is not UTF-8.
+    A first non-blank tsv/csv line whose timestamp field holds no integer is
+    a header, and is skipped.
+
+    Timestamp fields of 1-12 ASCII digits are read in a digit-column loop;
+    any other goes through ``_timestamp``. Each id column is grouped by its
+    raw bytes (``_id_codes``), and the kept records' ids are numbered by
+    first appearance (``_renumber``).
     """
     if fmt not in FORMATS:
         raise ConfigError(f"unknown input format {fmt!r}; expected one of {FORMATS}")
-    sep, n_fields = {"movielens_dat": ("::", 4), "tsv": ("\t", 3), "csv": (",", 3)}[fmt]
-    users, items, fields = [], [], []  # ids, and raw timestamp fields
-    rejects = 0
-    first = True
+    sep, n_fields = {"movielens_dat": (b"::", 4), "tsv": (b"\t", 3), "csv": (b",", 3)}[fmt]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:  # ends in "\n" at most: the newline is stripped with each field
-                if not line.strip():
-                    continue
-                parts = line.split(sep)
-                if len(parts) != n_fields:
-                    rejects += 1
-                # a first csv/tsv line whose timestamp field holds no integer is a header
-                elif not first or fmt == "movielens_dat" or _timestamp(parts[2]) != TIMESTAMP_LIMIT:
-                    users.append(parts[0].strip())
-                    items.append(parts[1].strip())
-                    fields.append(parts[-1])
-                first = False
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            # 8 bytes of padding, so that a word read from any byte of the text stays inside
+            data = fh.read().encode() + bytes(8)
     except OSError as exc:
         raise InputOutputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    n = len(fields)
-    ts = np.fromiter(map(_timestamp, fields), dtype=np.int64, count=n)
-    keep = ((ts >= 0) & (ts < TIMESTAMP_LIMIT)
-            & (np.fromiter(map(len, users), dtype=np.int64, count=n) > 0)
-            & (np.fromiter(map(len, items), dtype=np.int64, count=n) > 0))
-    log = InteractionLog(path=str(path), format=fmt, rejects=rejects + n - int(keep.sum()))
-    log.user_codes, log.user_ids = _factorise(list(compress(users, keep)))
-    log.item_codes, log.item_ids = _factorise(list(compress(items, keep)))
+    buf = np.frombuffer(data, dtype=np.uint8)
+    text = buf[:-8]
+
+    ends = np.flatnonzero(text == 10)  # newlines are "\n" alone after text-mode reading
+    if len(text) and text[-1] != 10:
+        ends = np.append(ends, len(text))  # a last line without a newline
+    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
+    at = _separators(text, sep)
+    seps_before_end = np.searchsorted(at, ends)
+    first_sep = np.concatenate(([0], seps_before_end[:-1]))[:len(ends)]
+    fits = seps_before_end - first_sep == n_fields - 1
+
+    # A line is blank when str.strip empties it. An empty line is; one that starts
+    # with a byte in "!".."~", or holds a "," or "::", is not; only the rest, rare,
+    # are decoded and stripped.
+    blank = starts == ends
+    head = text[starts[~blank]]
+    unsure = np.flatnonzero(~blank)[(head < 33) | (head > 126)]
+    if sep != b"\t":
+        unsure = unsure[~fits[unsure]]
+    for k in unsure.tolist():
+        blank[k] = not data[starts[k]:ends[k]].decode().strip()
+    rows = np.flatnonzero(fits & ~blank)
+    bad_lines = int(np.count_nonzero(~blank)) - len(rows)
+
+    def field(k):  # first byte and end of field k on each record line
+        seps = first_sep[rows] + k
+        return (starts[rows] if k == 0 else at[seps - 1] + len(sep),
+                ends[rows] if k == n_fields - 1 else at[seps])
+
+    a, b = field(n_fields - 1)  # the timestamps
+    if (fmt != "movielens_dat" and len(rows) and blank[:rows[0]].all()
+            and _timestamp(data[a[0]:b[0]].decode()) == TIMESTAMP_LIMIT):
+        rows, a, b = rows[1:], a[1:], b[1:]  # a header
+    ts = _digit_fields(buf, a, b)
+    for k in np.flatnonzero(ts < 0).tolist():
+        ts[k] = _timestamp(data[a[k]:b[k]].decode())
+    keep = (ts >= 0) & (ts < TIMESTAMP_LIMIT)
+    columns = [_id_codes(buf, *field(k)) for k in (0, 1)]  # users, items
+    for codes, ids in columns:
+        if "" in ids:  # an id that is empty once stripped
+            keep &= codes != ids.index("")
+
+    log = InteractionLog(path=str(path), format=fmt,
+                         rejects=bad_lines + len(rows) - int(np.count_nonzero(keep)))
+    (user_codes, user_ids), (item_codes, item_ids) = columns
+    log.user_codes, old = _renumber(user_codes[keep], len(user_ids))
+    log.user_ids = [user_ids[k] for k in old.tolist()]
+    log.item_codes, old = _renumber(item_codes[keep], len(item_ids))
+    log.item_ids = [item_ids[k] for k in old.tolist()]
     log.timestamps = ts[keep]
     total = len(log) + log.rejects
     if total > 0 and log.rejects * 2 > total:
@@ -209,6 +248,84 @@ def parse_interactions(path: str, fmt: str) -> InteractionLog:
             f"{path}: {log.rejects} of {total} records malformed; is the format really {fmt!r}?"
         )
     return log
+
+
+def _separators(text: np.ndarray, sep: bytes) -> np.ndarray:
+    """Where each ``sep`` in ``text`` starts, as ``str.split`` finds them.
+    A two-byte ``sep`` is one byte twice, as "::" is; it is found left to
+    right, so that a run of colons holds a "::" at every other byte."""
+    if len(sep) == 1:
+        return np.flatnonzero(text == sep[0])
+    pair = text[:-1] == sep[0]
+    pair &= text[1:] == sep[1]  # in place: one byte mask is alive at a time
+    at = np.flatnonzero(pair)
+    run_head = np.diff(at, prepend=-2) != 1
+    if run_head.all():
+        return at
+    idx = np.arange(len(at))
+    return at[(idx - np.maximum.accumulate(np.where(run_head, idx, 0))) % 2 == 0]
+
+
+def _digit_fields(buf: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The value of each field ``buf[a[k]:b[k]]`` that is 1 to 12 ASCII
+    digits, else -1. Twelve digits hold every accepted timestamp; the
+    digits are read as whole columns, right-aligned, most significant
+    first."""
+    length = b - a
+    ok = (length >= 1) & (length <= 12)
+    value = np.zeros(len(a), dtype=np.int64)
+    for j in range(int(length[ok].max(initial=0)), 0, -1):
+        digit = buf.take(b - j, mode="clip") - np.uint8(48)
+        inside = length >= j
+        ok &= (digit < 10) | ~inside
+        value = value * 10 + np.where(inside, digit, 0)
+    return np.where(ok, value, -1)
+
+
+# The first k bytes of a little-endian word, and a 0xFF byte just after them.
+# 0xFF never occurs in UTF-8, so an id's key ends where the id does.
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
+_END = np.array([0xFF << 8 * k for k in range(8)], dtype=np.uint64)
+
+
+def _id_codes(buf: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Codes of the ids in the fields ``buf[a[k]:b[k]]``, and the distinct
+    ids they index, each stripped of surrounding whitespace.
+
+    Each field's key is its bytes and a 0xFF end byte in 8-byte words, so
+    equal keys are equal fields. Fields are grouped by word count, so a long
+    id costs only its own words; each group's keys are sorted, and only the
+    first field of each distinct key is decoded and stripped. Ids that differ
+    only in surrounding whitespace then share a code through ``_factorise``.
+    """
+    length = b - a
+    n_words = length // 8 + 1
+    # the 8 bytes from each offset of buf as one little-endian word (an unaligned view)
+    words = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))
+    group = np.empty(len(a), dtype=np.int64)
+    firsts = [np.empty(0, dtype=np.int64)]
+    n_groups = 0
+    for w in np.flatnonzero(np.bincount(n_words)).tolist():
+        rows = np.flatnonzero(n_words == w)
+        key = words[a[rows, None] + 8 * np.arange(w)]
+        tail = length[rows] - 8 * (w - 1)  # bytes of the id in the last word, 0-7
+        key[:, -1] = key[:, -1] & _KEEP[tail] | _END[tail]
+        order = np.argsort(key[:, 0]) if w == 1 else np.lexsort(key.T)
+        key = key[order]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (key[1:] != key[:-1]).any(axis=1)
+        group[rows[order]] = n_groups + np.cumsum(new) - 1
+        firsts.append(rows[order[new]])
+        n_groups += int(np.count_nonzero(new))
+    first = np.concatenate(firsts)
+    # the distinct fields, each with the byte after it made "\n" (no field holds
+    # one), decoded in one call
+    size = b[first] - a[first] + 1
+    cut = np.cumsum(size)
+    joined = buf[np.repeat(a[first] - cut + size, size) + np.arange(int(size.sum()))]
+    joined[cut - 1] = 10
+    codes, ids = _factorise(list(map(str.strip, joined.tobytes().decode().split("\n")[:-1])))
+    return codes[group], ids
 
 
 def _factorise(ids: list[str]) -> tuple[np.ndarray, list[str]]:

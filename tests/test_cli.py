@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -17,6 +18,9 @@ from references import reference_step
 
 
 runner = CliRunner()
+# the cache of TestPrepare.test_cache_is_byte_identical_across_formats, as
+# the line-by-line parser wrote it
+FORMATS_CACHE_SHA256 = "67cd9adeecca2e91d7623dff5e96d09e1fc403576f68cc96f41b9745a8b89f8d"
 
 
 def invoke(*args):
@@ -189,6 +193,35 @@ class TestPrepare:
         stats = (out / "prepare_stats.txt").read_text().splitlines()
         assert {"records_parsed=4", "records_rejected=3", "users_before_filtering=2",
                 "items_before_filtering=2"} <= set(stats)
+
+    def test_cache_is_byte_identical_across_formats(self, tmp_path):
+        # one literal log, so that no random generator can drift it, written as
+        # "::" with malformed lines, as tsv with a header, and as csv with CRLF
+        events = [("1", "10", 978300760), ("1", "11", 978300790), ("2", "10", 978302000),
+                  ("1", "éclair", 978307200), ("3", "a-long-item-id", 978310000),
+                  ("2", "11", 978393600), ("3", "10", 978400000), ("2", "éclair", 978480000),
+                  ("1", "a-long-item-id", 978566400), ("3", "11", 978570000),
+                  ("2", "a-long-item-id", 978652800), ("3", "éclair", 978739200),
+                  ("1", "10", 979000000), ("2", "10", 979086400), ("3", "10", 979172800)]
+        dat = [f"{u}::{i}::4::{t}" for u, i, t in events]
+        dat[3:3] = ["just garbage"]
+        dat[9:9] = ["1::10::4"]
+        texts = {"movielens_dat": "\n".join(dat) + "\n",
+                 "tsv": "user\titem\ttimestamp\n" + "".join(f"{u}\t{i}\t{t}\n" for u, i, t in events),
+                 "csv": "".join(f"{u},{i},{t}\r\n" for u, i, t in events)}
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("min_user=2\nmin_item=1\n")
+        caches = {}
+        for fmt, text in texts.items():
+            src = tmp_path / f"log.{fmt}"
+            src.write_bytes(text.encode())
+            result = invoke("prepare", "--config", str(cfg), "--dataset", str(src),
+                            "--format", fmt, "--out", str(tmp_path / fmt))
+            assert result.exit_code == 0, result.output
+            assert f"records_rejected={2 if fmt == 'movielens_dat' else 0}" in result.output
+            caches[fmt] = (tmp_path / fmt / "cache.bin").read_bytes()
+        assert caches["tsv"] == caches["movielens_dat"] == caches["csv"]
+        assert hashlib.sha256(caches["csv"]).hexdigest() == FORMATS_CACHE_SHA256
 
     @pytest.mark.parametrize("days", [2**32 - 1, 2**32])
     def test_start_bin_past_u32_is_config_error(self, workdir, tmp_path, days):

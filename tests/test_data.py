@@ -84,6 +84,26 @@ class TestParse:
         with pytest.raises(FormatError, match="UTF-8"):
             parse_interactions(str(path), "csv")
 
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        path = tmp_path / "r.dat"
+        path.write_bytes("\ufeff1::10::5::100\n1::11::5::200\n2::10::5::300\n".encode())
+        log = parse_interactions(str(path), "movielens_dat")
+        assert log.user_ids == ["1", "2"] and log.user_codes.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+    def test_header_after_a_byte_order_mark_is_skipped(self, tmp_path, fmt, sep):
+        path = tmp_path / "r.txt"
+        path.write_bytes(("\ufeff" + sep.join(["user", "item", "timestamp"]) + "\n"
+                          + sep.join(["u1", "i1", "100"]) + "\n").encode())
+        log = parse_interactions(str(path), fmt)
+        assert log.interactions == [Interaction("u1", "i1", 100)] and log.rejects == 0
+
+    def test_timestamp_past_the_int_digit_limit_rejected(self, tmp_path):
+        # int() refuses more than 4,300 digits, so such a field holds no integer
+        rows = [f"u1,i{i},{100 + i}" for i in range(3)] + ["u1,x," + "1" * 5000]
+        log = parse_interactions(write(tmp_path, "r.csv", "\n".join(rows) + "\n"), "csv")
+        assert len(log) == 3 and log.rejects == 1
+
     def test_log_keeps_columns_and_derives_interactions(self, tmp_path):
         path = write(tmp_path, "r.csv", "u1,i1,100\nbad\nu2, i2 ,7\n")
         log = parse_interactions(path, "csv")
@@ -142,7 +162,7 @@ def parse_reference(path, fmt):
     interactions = []
     rejects = 0
     first_data_line = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             text = line.rstrip("\n").rstrip("\r")
             if not text.strip():
@@ -201,10 +221,16 @@ def outcome(fn, *args):
 SEPARATORS = {"csv": ",", "tsv": "\t", "movielens_dat": "::"}
 # valid values outnumber the rest, so that most logs pass the half-rejected cut-off
 TIMESTAMP_FIELDS = st.sampled_from(
-    ["0", "1", "2", "3", "4"] * 6  # small, so that users repeat timestamps
+    ["0", "1", "2", "3", "4"] * 8  # small, so that users repeat timestamps
     + [" 7 ", "+5", "1_000", str(TIMESTAMP_LIMIT - 1), str(TIMESTAMP_LIMIT), "-5", "12.5", "abc",
-       "", "100000000000000000000"])
-IDS = st.sampled_from(["a", "b", " c ", "d", "e", "f", "g"] * 3 + ["", " "])
+       "", "100000000000000000000",
+       "\u0663",  # ARABIC-INDIC DIGIT THREE: int() reads it, the digit columns do not
+       "012345678901", "999999999999", "0000000000007", "1000000000000",  # 12 and 13 digits
+       "1\x00", "\x7f"])
+IDS = st.sampled_from(
+    ["a", "b", " c ", "d", "e", "f", "g"] * 5 + ["", " ", "\u3000d\x85", "c\x1c"]
+    + ["abcdefg", "abcdefgh", "an-id-of-more-than-three-words", "é", "é" * 4, "\U0001F600"]
+    + ["x:::y", "::::", "p:q", "\x00", "n\x7f"])  # colon runs, NUL and DEL
 
 
 @st.composite
@@ -214,8 +240,8 @@ def log_files(draw):
     sep = SEPARATORS[fmt]
     record = st.builds(lambda u, i, t: [u, i, "4", t] if fmt == "movielens_dat" else [u, i, t],
                        IDS, IDS, TIMESTAMP_FIELDS).map(sep.join)
-    junk = st.sampled_from(["", "   ", "\t", "garbage", sep.join("xy"), sep.join("wxyzv"),
-                            "user,item,timestamp"])
+    junk = st.sampled_from(["", "   ", "\t", "\t\t", "\x85", "\u3000", "\x1c", "\x00", "garbage",
+                            sep.join("xy"), sep.join("wxyzv"), "user,item,timestamp"])
     lines = draw(st.permutations(draw(st.lists(record, max_size=40))
                                  + draw(st.lists(junk, max_size=8))))
     if fmt != "movielens_dat" and draw(st.booleans()):
@@ -223,6 +249,8 @@ def log_files(draw):
                      sep.join(["user", "item", draw(st.sampled_from(["timestamp", " ts", "1"]))]))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
                          max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""  # a last line without a newline
     tail = draw(st.sampled_from(["", "\n"]))
     return fmt, "".join(text + end for text, end in zip(lines, ends)) + tail
 
