@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -137,7 +138,8 @@ def transition_bin(t_curr: int, t_prev: int | None, scheme: ContextScheme) -> in
         return scheme.start_bin
     if t_curr < t_prev:
         raise DataError(f"timestamps out of order: {t_curr} < {t_prev}")
-    return min((int(t_curr) - int(t_prev)) // SECONDS_PER_DAY, scheme.max_interval_days)
+    days = (int(t_curr) - int(t_prev)) // SECONDS_PER_DAY
+    return days if days < scheme.max_interval_days else scheme.max_interval_days
 
 
 def annotate_sequences(seqs: "_data.SequenceSet", scheme: ContextScheme) -> "_data.SequenceSet":
@@ -145,16 +147,23 @@ def annotate_sequences(seqs: "_data.SequenceSet", scheme: ContextScheme) -> "_da
 
     The first step of each sequence gets the reserved start bin. Annotation
     recomputes everything from timestamps, so re-annotating is idempotent.
+    Every input context comes from one ``input_context`` call over the
+    concatenated timestamps; every later step's bin from one ``transition_bin``
+    call on its gap. Each user's annotations are slices of the two int64 arrays.
     """
-    ctxs = input_context(np.concatenate([np.zeros(0, dtype=np.int64)]
-                                        + [seq.timestamps for seq in seqs.sequences]), scheme)
-    ends = np.cumsum([len(seq) for seq in seqs.sequences], dtype=np.int64)
-    annotated = []
-    for seq, ctx in zip(seqs.sequences, np.split(ctxs, ends[:-1])):
+    stamps = np.concatenate([np.zeros(0, dtype=np.int64)]
+                            + [seq.timestamps for seq in seqs.sequences])
+    ctxs = input_context(stamps, scheme)
+    bins = []
+    for seq in seqs.sequences:
         ts = seq.timestamps.tolist()
-        bins = [scheme.start_bin] if ts else []  # an empty user gets empty arrays
-        bins += [transition_bin(t, prev, scheme) for prev, t in zip(ts, ts[1:])]
-        annotated.append(seq.with_annotations(ctx, bins))
+        if ts:  # an empty user gets empty arrays
+            bins.append(scheme.start_bin)
+        bins += map(transition_bin, ts[1:], ts, repeat(scheme))
+    bins = np.array(bins, dtype=np.int64)
+    ends = list(accumulate(map(len, seqs.sequences)))
+    annotated = [_data.UserSequence(seq.user, seq.items, seq.timestamps, ctxs[a:b], bins[a:b])
+                 for seq, a, b in zip(seqs.sequences, [0] + ends[:-1], ends)]
     return replace(seqs, sequences=annotated, scheme=scheme)
 
 

@@ -4,7 +4,9 @@ chronological train/test split.
 Items occurring fewer than ``min_item`` times are dropped first, then users
 left with fewer than ``min_user`` events, in a single pass (no fixpoint
 iteration). Each surviving user's events are sorted by timestamp with file
-order breaking ties, which makes every downstream artifact reproducible.
+order breaking ties, which makes every downstream artifact reproducible: one
+stable argsort of a single int64 (user, timestamp) key orders all events, and
+each user's columns are slices of the sorted ones.
 
 A log is held as columns: int64 user and item codes, which number the ids
 by first appearance, beside the id strings in code order and int64
@@ -17,6 +19,7 @@ works on whole integer columns, with no per-event object.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -93,13 +96,6 @@ class UserSequence:
     def annotated(self) -> bool:
         return self.input_ctxs is not None and self.trans_bins is not None
 
-    def with_annotations(self, input_ctxs, trans_bins) -> "UserSequence":
-        ctx = np.asarray(input_ctxs, dtype=np.int64)
-        bins = np.asarray(trans_bins, dtype=np.int64)
-        if len(ctx) != len(self.items) or len(bins) != len(self.items):
-            raise ConfigError("annotation arrays must match the sequence length")
-        return UserSequence(self.user, self.items, self.timestamps, ctx, bins)
-
 
 @dataclass
 class SequenceSet:
@@ -150,13 +146,19 @@ class SplitSet:
         return int(np.sum(lengths - self.n_train))
 
 
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")  # what int() reads in base 10, once stripped
+
+
 def _timestamp(field: str) -> int:
     """The integer in a timestamp field if it is in [0, TIMESTAMP_LIMIT); else
-    -1, or TIMESTAMP_LIMIT if the field holds no integer at all."""
+    -1, or TIMESTAMP_LIMIT if the field holds no integer at all. An integer
+    that ``int()`` refuses only for its length (past 4,300 digits) is out of
+    range, -1."""
+    text = field.strip()
     try:
-        t = int(field.strip())
+        t = int(text)
     except ValueError:
-        return TIMESTAMP_LIMIT
+        return -1 if _INTEGER.fullmatch(text) else TIMESTAMP_LIMIT
     return t if 0 <= t < TIMESTAMP_LIMIT else -1
 
 
@@ -353,8 +355,10 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
     steps to carry any transition. Vocabularies index users/items by first
     appearance among the surviving interactions, in file order. The log's
     codes are counted with ``np.bincount``, the survivors' renumbered, and
-    all events sorted with one stable ``np.lexsort`` on (user, timestamp),
-    so file order breaks ties; no id string is hashed.
+    all events sorted with one stable argsort of an int64 (user, timestamp)
+    key (``_group_order``; DataError if it could overflow), so file order
+    breaks ties. Each user's items and timestamps are slices of the sorted
+    columns, and no id string is hashed.
     """
     from .base import as_whole  # base imports this module
 
@@ -376,11 +380,26 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
     item_vocab = {log.item_ids[k]: j for j, k in enumerate(item_old.tolist())}
     user_vocab = {log.user_ids[k]: j for j, k in enumerate(user_old.tolist())}
     ts = log.timestamps[keep]
-    order = np.lexsort((ts, users))
-    bounds = np.cumsum(np.bincount(users))[:-1]
-    sequences = [UserSequence(user, seq_items, seq_ts) for user, seq_items, seq_ts in
-                 zip(user_vocab, np.split(items[order], bounds), np.split(ts[order], bounds))]
+    order = _group_order(users, ts, len(user_old))
+    items, ts = items[order], ts[order]
+    ends = np.cumsum(np.bincount(users)).tolist()
+    sequences = [UserSequence(user, items[a:b], ts[a:b])
+                 for user, a, b in zip(user_vocab, [0] + ends[:-1], ends)]
     return SequenceSet(sequences, item_vocab, user_vocab)
+
+
+def _group_order(users: np.ndarray, ts: np.ndarray, n_users: int) -> np.ndarray:
+    """The order that groups events by user code (each in [0, n_users)) and
+    sorts each user's by timestamp, ties in array order: one stable argsort
+    of the int64 key ``users * span + (ts - ts.min())``. Its largest value is
+    ``n_users * span - 1``, so DataError if ``n_users * span`` exceeds 2**63:
+    about 3.6e7 users across the whole of [0, TIMESTAMP_LIMIT)."""
+    t0 = int(ts.min())
+    span = int(ts.max()) - t0 + 1
+    if n_users * span > 2**63:
+        raise DataError(f"{n_users} users over a {span} s timestamp span overflow the "
+                        f"int64 sort key: users x span must be at most 2**63")
+    return np.argsort(users * span + (ts - t0), kind="stable")
 
 
 def train_length(length: int, ratio: float) -> int:

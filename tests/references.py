@@ -79,6 +79,16 @@ def reference_recurrence_grads(dh, act, Ws, window):
     return E * act[1:], stepped
 
 
+def reference_grouping(users, items, timestamps):
+    """Each user's items and timestamps in time order, file order breaking
+    ties, as ``build_sequences`` once cut them: one ``np.lexsort`` on
+    (user, timestamp) and an ``np.split`` of each sorted column at the
+    per-user counts. ``users`` are codes 0, 1, ... with none missing."""
+    order = np.lexsort((timestamps, users))
+    bounds = np.cumsum(np.bincount(users))[:-1]
+    return np.split(items[order], bounds), np.split(timestamps[order], bounds)
+
+
 def reference_top_n(scores, n):
     """The full stable sort that ``top_n`` replaces."""
     return np.argsort(-scores, kind="stable")[:n]

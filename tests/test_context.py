@@ -266,6 +266,41 @@ class TestAnnotate:
         assert out.sequences[0].trans_bins.tolist() == [scheme.start_bin, 0]
         assert out.sequences[0].input_ctxs.tolist() == [0, 1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 30, 2**32 - 2]),
+           st.lists(st.tuples(st.integers(0, TIMESTAMP_LIMIT // 2), st.lists(st.one_of(
+               st.just(0),  # equal timestamps
+               st.integers(0, 40).map(lambda k: k * SECONDS_PER_DAY),  # exact day multiples
+               st.integers(0, 40).map(lambda k: k * SECONDS_PER_DAY + 1),
+               st.integers(0, 10**10)), max_size=8)), max_size=6))
+    def test_every_bin_is_transition_bin_of_its_gap(self, max_days, users):
+        # each user's timestamps: a start, then the drawn gaps; the empty gap
+        # list is a one-event user, and one user in three is left empty
+        stamps = [[] if k % 3 == 2 else [start, *(start + np.cumsum(gaps)).tolist()]
+                  for k, (start, gaps) in enumerate(users)]
+        scheme = ContextScheme(factors=("hour_of_day",), max_interval_days=max_days)
+        seqs = SequenceSet([UserSequence(f"u{k}", np.zeros(len(t), dtype=np.int64),
+                                         np.array(t, dtype=np.int64))
+                            for k, t in enumerate(stamps)], {"i": 0},
+                           {f"u{k}": k for k in range(len(stamps))})
+        out = annotate_sequences(seqs, scheme)
+        assert out.scheme is scheme and len(out.sequences) == len(stamps)
+        for seq, t in zip(out.sequences, stamps):
+            assert seq.input_ctxs.dtype == seq.trans_bins.dtype == np.int64
+            assert seq.input_ctxs.tolist() == [input_context(x, scheme) for x in t]
+            bins = seq.trans_bins.tolist()
+            assert bins[:1] == [scheme.start_bin][:len(t)]
+            assert bins[1:] == [transition_bin(x, prev, scheme) for prev, x in zip(t, t[1:])]
+            assert scheme.start_bin not in bins[1:]
+
+    def test_gap_bins_come_from_transition_bin(self, monkeypatch):
+        # a gap's bin is whatever transition_bin, looked up when annotating, returns
+        import carnn.context as context
+        monkeypatch.setattr(context, "transition_bin", lambda t, prev, scheme: 7)
+        scheme = ContextScheme(factors=("hour_of_day",))
+        out = annotate_sequences(self.make_set([MONDAY, MONDAY, MONDAY + 3600]), scheme)
+        assert out.sequences[0].trans_bins.tolist() == [scheme.start_bin, 7, 7]
+
     def test_reannotation_is_idempotent(self):
         scheme = ContextScheme(factors=("day_of_week", "hour_of_day"))
         once = annotate_sequences(self.make_set([MONDAY, MONDAY + 90000, MONDAY + 400000]), scheme)

@@ -4,12 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, SequenceSet, UserSequence,
-                        build_sequences, full_train_split, parse_interactions, split_sequences,
-                        train_length)
+                        _group_order, build_sequences, full_train_split, parse_interactions,
+                        split_sequences, train_length)
 from carnn.errors import ConfigError, DataError, FormatError, InputOutputError
+from references import reference_grouping
 
 
 def write(tmp_path, name, text):
@@ -104,6 +105,25 @@ class TestParse:
         log = parse_interactions(write(tmp_path, "r.csv", "\n".join(rows) + "\n"), "csv")
         assert len(log) == 3 and log.rejects == 1
 
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+    @pytest.mark.parametrize("timestamp", ["1" * 5000, "-" + "1" * 5000, "+" + "9" * 4301,
+                                           "1_" * 4400 + "1", "\u0663" * 4301])
+    def test_first_line_past_the_int_digit_limit_is_a_reject_not_a_header(self, tmp_path, fmt,
+                                                                          sep, timestamp):
+        rows = [["u1", "i0", timestamp], ["u1", "i1", "5"], ["u2", "i1", "7"]]
+        log = parse_interactions(write(tmp_path, "r.txt", "".join(sep.join(r) + "\n"
+                                                                  for r in rows)), fmt)
+        assert (len(log), log.rejects) == (2, 1)
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+    @pytest.mark.parametrize("timestamp", ["12x", "1_2_", "1__2", "+-5", "\u0663" + "x" * 5000,
+                                           "1" * 5000 + "x"])
+    def test_first_line_without_an_integer_is_a_header(self, tmp_path, fmt, sep, timestamp):
+        rows = [["u1", "i0", timestamp], ["u1", "i1", "5"], ["u2", "i1", "7"]]
+        log = parse_interactions(write(tmp_path, "r.txt", "".join(sep.join(r) + "\n"
+                                                                  for r in rows)), fmt)
+        assert (len(log), log.rejects) == (2, 0)
+
     def test_log_keeps_columns_and_derives_interactions(self, tmp_path):
         path = write(tmp_path, "r.csv", "u1,i1,100\nbad\nu2, i2 ,7\n")
         log = parse_interactions(path, "csv")
@@ -152,8 +172,9 @@ def _looks_like_header_reference(line, fmt):
         return False
     try:
         int(parts[2].strip())
-    except ValueError:
-        return True
+    except ValueError as exc:
+        # int() also refuses an integer of over 4,300 digits, which is no header
+        return "Exceeds the limit" not in str(exc)
     return False
 
 
@@ -226,6 +247,7 @@ TIMESTAMP_FIELDS = st.sampled_from(
        "", "100000000000000000000",
        "\u0663",  # ARABIC-INDIC DIGIT THREE: int() reads it, the digit columns do not
        "012345678901", "999999999999", "0000000000007", "1000000000000",  # 12 and 13 digits
+       "1" * 4301, "-" + "1_" * 4400 + "1",  # past int()'s digit limit
        "1\x00", "\x7f"])
 IDS = st.sampled_from(
     ["a", "b", " c ", "d", "e", "f", "g"] * 5 + ["", " ", "\u3000d\x85", "c\x1c"]
@@ -407,6 +429,45 @@ class TestBuildSequences:
         seqs = build_sequences(log_of(rows), min_user=10, min_item=3)
         for seq in seqs.sequences:
             assert len(seq) >= 10
+
+
+# timestamps that meet at the ends of the accepted range, or repeat
+GROUPING_TIMESTAMPS = st.one_of(st.sampled_from([0, 1, 2, TIMESTAMP_LIMIT - 1]),
+                                st.integers(0, TIMESTAMP_LIMIT - 1))
+
+
+class TestGrouping:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 3, 60]).flatmap(lambda n_users: st.lists(
+        st.tuples(st.integers(0, n_users - 1), st.sampled_from("abcdefgh"), GROUPING_TIMESTAMPS),
+        min_size=2, max_size=200)))
+    def test_matches_the_lexsort_reference(self, rows):
+        counts = Counter(u for u, _, _ in rows)
+        rows = [(f"u{u}", i, t) for u, i, t in rows if counts[u] >= 2]  # none filtered below
+        assume(rows)
+        log = log_of(rows)
+        seqs = build_sequences(log, min_user=2, min_item=1)
+        items, stamps = reference_grouping(log.user_codes, log.item_codes, log.timestamps)
+        assert list(seqs.user_vocab) == log.user_ids
+        assert len(seqs.sequences) == len(items)
+        for seq, want_items, want_ts in zip(seqs.sequences, items, stamps):
+            assert seq.items.dtype == seq.timestamps.dtype == np.int64
+            assert seq.items.tolist() == want_items.tolist()
+            assert seq.timestamps.tolist() == want_ts.tolist()
+
+    def test_largest_key_that_fits_int64_sorts(self):
+        n = 2**63 // TIMESTAMP_LIMIT  # the span is TIMESTAMP_LIMIT
+        users = np.array([n - 1, n - 1, 0, 0], dtype=np.int64)
+        ts = np.array([TIMESTAMP_LIMIT - 1, 0, TIMESTAMP_LIMIT - 1, 0], dtype=np.int64)
+        assert _group_order(users, ts, n).tolist() == [3, 2, 1, 0]
+
+    def test_key_past_int64_is_data_error(self):
+        ts = np.array([0, TIMESTAMP_LIMIT - 1], dtype=np.int64)
+        with pytest.raises(DataError, match="overflow the int64 sort key"):
+            _group_order(np.zeros(2, dtype=np.int64), ts, 2**63 // TIMESTAMP_LIMIT + 1)
+        # a narrower span leaves room for as many more users
+        assert _group_order(np.zeros(2, dtype=np.int64), ts // 2,
+                            2**63 // TIMESTAMP_LIMIT + 1).tolist() == [0, 1]
 
 
 class TestSplit:
