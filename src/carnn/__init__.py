@@ -15,8 +15,8 @@ from .errors import (CarnnError, CompatibilityError, ConfigError, DataError,
 from .estimator import CARNNRecommender
 from .evaluate import (MetricsReport, RankRecord, evaluate, generate_synthetic,
                        pop_baseline, rank_target)
-from .model import (ModelConfig, ModelParams, forward_states, init_params, load_params,
-                    save_params, score_all, states_at, top_n)
+from .model import (ModelConfig, ModelParams, init_params, load_params, save_params,
+                    score_all, states_at, top_n)
 from .training import (EpochStats, GradientBuffer, TrainConfig, backprop_sequence,
                        gradient_check, sgd_step, train)
 
@@ -29,8 +29,8 @@ __all__ = [
     "ContextScheme", "annotate_sequences", "input_context", "transition_bin",
     "Interaction", "InteractionLog", "SequenceSet", "SplitSet", "UserSequence",
     "build_sequences", "full_train_split", "parse_interactions", "split_sequences",
-    "ModelConfig", "ModelParams", "forward_states", "init_params", "load_params",
-    "save_params", "score_all", "states_at", "top_n",
+    "ModelConfig", "ModelParams", "init_params", "load_params", "save_params",
+    "score_all", "states_at", "top_n",
     "EpochStats", "GradientBuffer", "TrainConfig", "backprop_sequence",
     "gradient_check", "sgd_step", "train",
     "MetricsReport", "RankRecord", "evaluate", "generate_synthetic",

@@ -234,7 +234,7 @@ def prepare(config_path, seed, out, dataset, fmt):
     split = split_sequences(seqs, cfg.split_ratio)
     store.write_cache(cfg.cache_path(), split)
 
-    kept = sum(len(s) for s in seqs.sequences)
+    kept = len(seqs.items)
     stats = "\n".join([
         f"dataset={cfg.dataset}",
         f"format={cfg.format}",
@@ -336,12 +336,13 @@ def predict_cmd(config_path, seed, out, user, timestamp, k, cache, model):
     uidx = seqs.user_vocab.get(user)
     if uidx is None:
         raise DataError(f"unknown user {user!r}")
-    seq = seqs.sequences[uidx]
     n_tr = int(split.n_train[uidx])
     # with no training history the query is the user's first step: start bin, zero state
-    last_t = int(seq.timestamps[n_tr - 1]) if n_tr else None
+    last_t = seqs.timestamps.item(seqs.offsets.item(uidx) + n_tr - 1) if n_tr else None
     ctx, bin_ = query_context(timestamp, last_t, seqs.scheme)
-    scores = score_all(states_at([seq], [[n_tr]], params), ctx, bin_, params)[0]
+    positions = [()] * seqs.n_users
+    positions[uidx] = [n_tr]
+    scores = score_all(states_at(seqs, positions, params), ctx, bin_, params)[0]
     item_ids = seqs.item_ids()
     click.echo(f"user={user} timestamp={timestamp} input_context={ctx} transition_bin={bin_}")
     for rank, idx in enumerate(top_n(scores, k).tolist(), start=1):

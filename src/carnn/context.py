@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, repeat
+from itertools import pairwise, repeat
 
 import numpy as np
 
@@ -148,23 +148,19 @@ def annotate_sequences(seqs: "_data.SequenceSet", scheme: ContextScheme) -> "_da
     The first step of each sequence gets the reserved start bin. Annotation
     recomputes everything from timestamps, so re-annotating is idempotent.
     Every input context comes from one ``input_context`` call over the
-    concatenated timestamps; every later step's bin from one ``transition_bin``
-    call on its gap. Each user's annotations are slices of the two int64 arrays.
+    timestamp column; every later step's bin from one ``transition_bin``
+    call on its gap. The result shares the input's item and timestamp
+    columns and holds the two new ones.
     """
-    stamps = np.concatenate([np.zeros(0, dtype=np.int64)]
-                            + [seq.timestamps for seq in seqs.sequences])
-    ctxs = input_context(stamps, scheme)
+    ts = seqs.timestamps
     bins = []
-    for seq in seqs.sequences:
-        ts = seq.timestamps.tolist()
-        if ts:  # an empty user gets empty arrays
+    for a, b in pairwise(seqs.offsets.tolist()):
+        t = ts[a:b].tolist()
+        if t:  # an empty user has no start
             bins.append(scheme.start_bin)
-        bins += map(transition_bin, ts[1:], ts, repeat(scheme))
-    bins = np.array(bins, dtype=np.int64)
-    ends = list(accumulate(map(len, seqs.sequences)))
-    annotated = [_data.UserSequence(seq.user, seq.items, seq.timestamps, ctxs[a:b], bins[a:b])
-                 for seq, a, b in zip(seqs.sequences, [0] + ends[:-1], ends)]
-    return replace(seqs, sequences=annotated, scheme=scheme)
+        bins += map(transition_bin, t[1:], t, repeat(scheme))
+    return replace(seqs, input_ctxs=input_context(ts, scheme),
+                   trans_bins=np.array(bins, dtype=np.int64), scheme=scheme)
 
 
 def parse_holiday_file(path: str) -> frozenset[_dt.date]:

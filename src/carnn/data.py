@@ -5,8 +5,11 @@ Items occurring fewer than ``min_item`` times are dropped first, then users
 left with fewer than ``min_user`` events, in a single pass (no fixpoint
 iteration). Each surviving user's events are sorted by timestamp with file
 order breaking ties, which makes every downstream artifact reproducible: one
-stable argsort of a single int64 (user, timestamp) key orders all events, and
-each user's columns are slices of the sorted ones.
+stable argsort of a single int64 (user, timestamp) key orders all events.
+
+A ``SequenceSet`` holds the sorted events as flat int64 columns and per-user
+``offsets``: the layout of the cache and of ``model.states_at``, so no stage
+between them builds per-user arrays.
 
 A log is held as columns: int64 user and item codes, which number the ids
 by first appearance, beside the id strings in code order and int64
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -52,8 +56,7 @@ class InteractionLog:
     """A log as columns in file order. ``user_codes`` and ``item_codes``
     (int64) number the ids by first appearance; ``user_ids`` and
     ``item_ids`` hold the id strings in code order, and ``timestamps`` the
-    int64 Unix seconds UTC. ``users``, ``items`` and ``interactions`` are
-    read-only views derived from them."""
+    int64 Unix seconds UTC."""
 
     def __init__(self, interactions: Iterable[Interaction] = (), path: str = "",
                  format: str = "", rejects: int = 0):
@@ -62,18 +65,6 @@ class InteractionLog:
         self.item_codes, self.item_ids = _factorise([it.item for it in rows])
         self.timestamps = np.array([it.timestamp for it in rows], dtype=np.int64)
         self.path, self.format, self.rejects = path, format, rejects
-
-    @property
-    def users(self) -> list[str]:
-        return list(map(self.user_ids.__getitem__, self.user_codes.tolist()))
-
-    @property
-    def items(self) -> list[str]:
-        return list(map(self.item_ids.__getitem__, self.item_codes.tolist()))
-
-    @property
-    def interactions(self) -> list[Interaction]:
-        return list(map(Interaction, self.users, self.items, self.timestamps.tolist()))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -99,11 +90,20 @@ class UserSequence:
 
 @dataclass
 class SequenceSet:
-    """All user sequences plus the dense user/item vocabularies."""
+    """Every user's events as flat int64 columns, plus the dense user/item
+    vocabularies. User u's events are ``[offsets[u], offsets[u + 1])`` of
+    each column, in time order; ``input_ctxs`` and ``trans_bins`` are None
+    until annotated. ``seqs[u]`` is user u as a ``UserSequence`` of slice
+    views, so a write to it reaches the columns; ``sequences`` lists every
+    user's, built once per set."""
 
-    sequences: list[UserSequence]
+    items: np.ndarray
+    timestamps: np.ndarray
+    offsets: np.ndarray
     item_vocab: dict[str, int]
     user_vocab: dict[str, int]
+    input_ctxs: np.ndarray | None = None
+    trans_bins: np.ndarray | None = None
     scheme: "ContextScheme | None" = None
 
     @property
@@ -115,8 +115,22 @@ class SequenceSet:
         return len(self.user_vocab)
 
     @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
     def annotated(self) -> bool:
-        return all(s.annotated for s in self.sequences)
+        return self.input_ctxs is not None and self.trans_bins is not None
+
+    @cached_property
+    def sequences(self) -> list[UserSequence]:
+        cuts = self.offsets.tolist()
+        columns = (self.items, self.timestamps, self.input_ctxs, self.trans_bins)
+        return [UserSequence(user, *(c if c is None else c[a:b] for c in columns))
+                for user, a, b in zip(self.user_ids(), cuts, cuts[1:])]
+
+    def __getitem__(self, u: int) -> UserSequence:
+        return self.sequences[u]
 
     def item_ids(self) -> list[str]:
         ids = [""] * len(self.item_vocab)
@@ -142,8 +156,7 @@ class SplitSet:
 
     @property
     def n_test_positions(self) -> int:
-        lengths = np.array([len(s) for s in self.sequences.sequences], dtype=np.int64)
-        return int(np.sum(lengths - self.n_train))
+        return int(np.sum(self.sequences.lengths - self.n_train))
 
 
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")  # what int() reads in base 10, once stripped
@@ -357,8 +370,8 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
     codes are counted with ``np.bincount``, the survivors' renumbered, and
     all events sorted with one stable argsort of an int64 (user, timestamp)
     key (``_group_order``; DataError if it could overflow), so file order
-    breaks ties. Each user's items and timestamps are slices of the sorted
-    columns, and no id string is hashed.
+    breaks ties. The sorted columns are the set's, cut per user at the
+    ``np.bincount`` offsets, and no id string is hashed.
     """
     from .base import as_whole  # base imports this module
 
@@ -381,11 +394,8 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
     user_vocab = {log.user_ids[k]: j for j, k in enumerate(user_old.tolist())}
     ts = log.timestamps[keep]
     order = _group_order(users, ts, len(user_old))
-    items, ts = items[order], ts[order]
-    ends = np.cumsum(np.bincount(users)).tolist()
-    sequences = [UserSequence(user, items[a:b], ts[a:b])
-                 for user, a, b in zip(user_vocab, [0] + ends[:-1], ends)]
-    return SequenceSet(sequences, item_vocab, user_vocab)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(users))))
+    return SequenceSet(items[order], ts[order], offsets, item_vocab, user_vocab)
 
 
 def _group_order(users: np.ndarray, ts: np.ndarray, n_users: int) -> np.ndarray:
@@ -417,11 +427,10 @@ def split_sequences(seqs: SequenceSet, ratio: float = 0.8) -> SplitSet:
     ratio = as_real(ratio, "split ratio", 0.0)
     if not (0.0 < ratio < 1.0):
         raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
-    n_train = np.array([train_length(len(s), ratio) for s in seqs.sequences], dtype=np.int64)
+    n_train = np.array([train_length(n, ratio) for n in seqs.lengths.tolist()], dtype=np.int64)
     return SplitSet(seqs, n_train)
 
 
 def full_train_split(seqs: SequenceSet) -> SplitSet:
     """A split whose train view is the whole of every sequence (no test)."""
-    n_train = np.array([len(s) for s in seqs.sequences], dtype=np.int64)
-    return SplitSet(seqs, n_train)
+    return SplitSet(seqs, seqs.lengths)

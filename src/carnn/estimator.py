@@ -99,10 +99,10 @@ class CARNNRecommender(ParamsMixin):
         idx = self.sequences_.user_vocab.get(user)
         if idx is None:
             raise DataError(f"unknown user {user!r}")
-        seqs = self.sequences_.sequences
+        seqs = self.sequences_
         if self._state_table is None:
-            self._state_table = states_at(seqs, [[len(seq)] for seq in seqs], self.params_)
-        return self._state_table[idx], int(seqs[idx].timestamps[-1])
+            self._state_table = states_at(seqs, seqs.lengths[:, None], self.params_)
+        return self._state_table[idx], seqs.timestamps.item(seqs.offsets.item(idx + 1) - 1)
 
     def _scores_for(self, user: str, timestamp) -> np.ndarray:
         h, last_t = self._user_state(user)

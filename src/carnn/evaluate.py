@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import SECONDS_PER_DAY, ContextScheme, annotate_sequences
-from .data import SequenceSet, SplitSet, UserSequence
+from .data import SequenceSet, SplitSet
 from .errors import ConfigError, DataError
 from .model import ModelParams, check_compatibility, score_all, states_at
 from .seeding import named_rng
@@ -76,23 +76,28 @@ def _report(ranks: np.ndarray, ks) -> MetricsReport:
 SCORE_BLOCK_BYTES = 1 << 20
 
 
-def _heldout(split: SplitSet) -> list[tuple[UserSequence, int]]:
-    """(sequence, n_train) of every sequence with a held-out position."""
-    return [(seq, int(n_tr)) for seq, n_tr in zip(split.sequences.sequences, split.n_train)
-            if n_tr < len(seq)]
+def _heldout(split: SplitSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's position in its user's sequence, and the mask over the
+    split's columns of the held-out events: each user's past its first
+    ``n_train``."""
+    lengths = split.sequences.lengths
+    pos = np.arange(lengths.sum()) - np.repeat(split.sequences.offsets[:-1], lengths)
+    return pos, pos >= np.repeat(split.n_train, lengths)
 
 
-def _model_ranks(heldout: list[tuple[UserSequence, int]], p: ModelParams) -> np.ndarray:
-    """Rank of the true item at every held-out position, in report order.
+def _model_ranks(split: SplitSet, p: ModelParams) -> np.ndarray:
+    """Rank of the true item at every held-out position, in report order:
+    user by user, each user's positions in time order.
 
-    ``states_at`` replays every held-out user in lockstep to the state
-    before each held-out position; the queries are then scored in blocks of
+    ``states_at`` replays every user with a held-out position in lockstep to
+    the state before each of them; the queries are then scored in blocks of
     at most SCORE_BLOCK_BYTES, each into the same buffer.
     """
-    states = states_at([seq for seq, _ in heldout],
-                       [np.arange(n_tr, len(seq)) for seq, n_tr in heldout], p)
-    items, ctxs, bins = (np.concatenate([getattr(seq, name)[n_tr:] for seq, n_tr in heldout])
-                         for name in ("items", "input_ctxs", "trans_bins"))
+    seqs = split.sequences
+    pos, held = _heldout(split)
+    cuts = np.cumsum(seqs.lengths - split.n_train)[:-1]
+    states = states_at(seqs, np.split(pos[held], cuts), p)
+    items, ctxs, bins = seqs.items[held], seqs.input_ctxs[held], seqs.trans_bins[held]
 
     block = max(1, SCORE_BLOCK_BYTES // (8 * p.config.n_items))
     buf = np.empty((min(block, len(states)), p.config.n_items))
@@ -116,23 +121,20 @@ def evaluate(split: SplitSet, p: ModelParams, *, ks=DEFAULT_KS) -> MetricsReport
         raise ConfigError("sequences are not annotated: annotate them with "
                           "context.annotate_sequences before evaluating")
     check_compatibility(p, split.sequences)
-    heldout = _heldout(split)
-    return _report(_model_ranks(heldout, p) if heldout else np.zeros(0, np.int64), ks)
+    ranks = _model_ranks(split, p) if split.n_test_positions else np.zeros(0, np.int64)
+    return _report(ranks, ks)
 
 
 def train_item_counts(split: SplitSet) -> np.ndarray:
-    counts = np.zeros(split.sequences.n_items, dtype=np.float64)
-    for si, seq in enumerate(split.sequences.sequences):
-        n_tr = int(split.n_train[si])
-        np.add.at(counts, seq.items[:n_tr], 1.0)
-    return counts
+    """How often each item occurs among the training events, as float64."""
+    seqs = split.sequences
+    return np.bincount(seqs.items[~_heldout(split)[1]], minlength=seqs.n_items).astype(np.float64)
 
 
 def pop_baseline(split: SplitSet, ks=DEFAULT_KS) -> MetricsReport:
     """Rank every item by its training-set frequency, constant across queries."""
-    targets = [seq.items[n_tr:] for seq, n_tr in _heldout(split)]
-    return _report(shared_ranks(train_item_counts(split),
-                                np.concatenate([np.zeros(0, np.int64), *targets])), ks)
+    targets = split.sequences.items[_heldout(split)[1]]
+    return _report(shared_ranks(train_item_counts(split), targets), ks)
 
 
 def shared_ranks(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -229,15 +231,16 @@ def generate_synthetic(n_users: int, n_items: int, seq_len: int, n_contexts: int
             return int(pool[rng.integers(len(pool))])
         return int(rng.integers(n_items))
 
-    sequences = []
+    items, stamps = [], []
     for u in range(n_users):
         if signal == "input_ctx":
             hours = rng.integers(0, n_contexts, size=seq_len)
             # one event every other day at the planted hour
             ts = _SYNTH_EPOCH + np.arange(seq_len) * (2 * SECONDS_PER_DAY) + hours * 3600
-            items = [draw_item(int(h)) for h in hours]
+            items += [draw_item(int(h)) for h in hours]
         elif signal == "transition_bin":
-            gap_bins, items = [0], [draw_item(None)]
+            gap_bins = [0]
+            items.append(draw_item(None))
             for _ in range(1, seq_len):
                 gap_bins.append(int(rng.integers(0, n_contexts)))
                 items.append(draw_item(gap_bins[-1]))
@@ -245,18 +248,20 @@ def generate_synthetic(n_users: int, n_items: int, seq_len: int, n_contexts: int
             ts = _SYNTH_EPOCH + np.cumsum(gap_bins) * SECONDS_PER_DAY + np.arange(seq_len) * 3600
         else:  # none
             ts = _SYNTH_EPOCH + np.arange(seq_len) * SECONDS_PER_DAY
-            items = [draw_item(None) for _ in range(seq_len)]
-        sequences.append(UserSequence(f"u{u}", np.array(items, dtype=np.int64), ts))
+            items += [draw_item(None) for _ in range(seq_len)]
+        stamps.append(ts)
 
-    item_vocab = {f"i{v}": v for v in range(n_items)}
-    user_vocab = {f"u{u}": u for u in range(n_users)}
-    return annotate_sequences(SequenceSet(sequences, item_vocab, user_vocab), scheme), scheme
+    seqs = SequenceSet(np.array(items, dtype=np.int64), np.concatenate(stamps),
+                       np.arange(n_users + 1) * seq_len, {f"i{v}": v for v in range(n_items)},
+                       {f"u{u}": u for u in range(n_users)})
+    return annotate_sequences(seqs, scheme), scheme
 
 
 def write_interactions_csv(seqs: SequenceSet, path: str) -> None:
     """Dump a sequence set as user,item,timestamp rows (file order = per-user
     step order), so synthetic fixtures can drive the file-based pipeline."""
-    item_ids = seqs.item_ids()
-    rows = [f"{seq.user},{item_ids[item]},{t}\n" for seq in seqs.sequences
-            for item, t in zip(seq.items.tolist(), seq.timestamps.tolist())]
+    user_ids, item_ids = seqs.user_ids(), seqs.item_ids()
+    users = np.repeat(np.arange(seqs.n_users), seqs.lengths)
+    rows = [f"{user_ids[u]},{item_ids[item]},{t}\n" for u, item, t
+            in zip(users.tolist(), seqs.items.tolist(), seqs.timestamps.tolist())]
     write_atomic(path, "".join(rows), "interactions file")

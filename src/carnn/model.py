@@ -14,13 +14,13 @@ shared matrix, which reproduces a conventional recurrent model.
 ``hidden_step`` is the only code that computes a recurrence step, from
 the input projections r @ M[ctx] and transition matrices that
 ``step_inputs`` gathers for a run of steps; it writes the new state in
-place when given ``out``. ``unroll`` steps one user a state at a time,
-for ``forward_states`` and for training, which passes the gathers its
-scoring path shares; evaluation, ``carnn predict`` and the estimator's
-state table take theirs from ``states_at``, which steps all users in
-lockstep as (B, d) blocks. A block row goes through the same vector-matrix
-BLAS call (a stacked ``np.matmul``) as one state, so both have the same
-bits. ``score_all`` scores a (B, d) block of states under one context and
+place when given ``out``. ``unroll`` steps one user a state at a time for
+training, which passes the gathers its scoring path shares; evaluation,
+``carnn predict`` and the estimator's state table take theirs from
+``states_at``, which steps every user of a ``SequenceSet`` in lockstep as
+(B, d) blocks, read from the set's columns. A block row goes through the
+same vector-matrix BLAS call (a stacked ``np.matmul``) as one state, so
+both have the same bits. ``score_all`` scores a (B, d) block of states under one context and
 bin, or one per row; a single query is the block ``h[None]``.
 
 ``step_inputs`` and ``score_all`` index the banks unchecked. Two checks keep
@@ -167,19 +167,6 @@ def hidden_step(h_prev: np.ndarray, u: np.ndarray, w: np.ndarray,
     return sigmoid_vec(z, out=out)
 
 
-def forward_states(seq, p: ModelParams) -> np.ndarray:
-    """States of an annotated sequence: the ids are checked and the whole
-    sequence projected once, then ``unroll`` steps through it.
-
-    Returns an (len(seq)+1, d) array: row 0 is the zero state h_0 and row k
-    the state after k events.
-    """
-    check_sequence(seq, p)
-    if not len(seq):
-        return np.zeros((1, p.config.d), dtype=np.float64)
-    return unroll(*step_inputs(seq.items, seq.input_ctxs, seq.trans_bins, p))
-
-
 def check_sequence(seq, p: ModelParams) -> None:
     """ConfigError unless ``seq`` is empty, or annotated with ids that
     ``ModelParams.check_ids`` accepts."""
@@ -207,22 +194,23 @@ STATE_WINDOW_BYTES = 1 << 21
 
 
 def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
-    """States of annotated sequences at the wanted positions, in lockstep.
+    """States of an annotated ``SequenceSet`` at the wanted positions, in lockstep.
 
-    ``positions[u]`` lists the positions of ``seqs[u]`` whose states are
-    wanted; position j is the state after j events, so 0 is the zero state
-    and ``len(seqs[u])`` the state after the last event. Returns one row per
+    ``positions`` has one entry per user: ``positions[u]`` lists the
+    positions of user u whose states are wanted, and may be empty. Position
+    j is the state after j events, so 0 is the zero state and
+    ``seqs.lengths[u]`` the state after the last event. Returns one row per
     wanted position: user by user, each user's positions in the given order.
 
     Every user advances at once, in time-major order. Rows are sorted by the
     last position they need, longest first, so the rows still stepping at
     step k are a prefix of length ``active[k]``. The events are gathered
-    once into step order, so step k's items, contexts and bins are the
-    contiguous slice ``[off[k], off[k] + active[k])``. The states are laid
-    out the same way: block 0 holds every row's zero state and block k + 1
-    the states after step k. Each step projects its slice with
-    ``step_inputs``, then one block ``hidden_step`` reads a prefix of the
-    previous block and writes its own block after it.
+    once from the set's columns into step order, so step k's items, contexts
+    and bins are the contiguous slice ``[off[k], off[k] + active[k])``. The
+    states are laid out the same way: block 0 holds every row's zero state
+    and block k + 1 the states after step k. Each step projects its slice
+    with ``step_inputs``, then one block ``hidden_step`` reads a prefix of
+    the previous block and writes its own block after it.
 
     The state buffer is a window of at most STATE_WINDOW_BYTES, or two
     states per row if that is more. When the next block does not fit,
@@ -230,22 +218,19 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
     the last step's rows are carried to its head, and stepping goes on. So
     memory is O(users·d + wanted·d + window) besides the event index.
     """
-    if any(len(seq) and not seq.annotated for seq in seqs):
+    if not seqs.annotated:
         raise ConfigError("sequence must be annotated with contexts before the forward pass")
-    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
-    user = np.repeat(np.arange(len(seqs)), [len(q) for q in positions])
+    lengths = seqs.lengths
+    user = np.repeat(np.arange(len(lengths)), list(map(len, positions)))
     want = np.concatenate([np.zeros(0, dtype=np.int64), *positions]).astype(np.int64)
     bad = (want < 0) | (want > lengths[user])
     if bad.any():
         u = user[np.argmax(bad)]
         raise ConfigError(f"position {want[np.argmax(bad)]} outside [0, {lengths[u]}] "
-                          f"for user {seqs[u].user!r}")
-    items, ctxs, bins = (np.concatenate([np.zeros(0, dtype=np.int64)]
-                                        + [getattr(seq, name) for seq in seqs if len(seq)])
-                         for name in ("items", "input_ctxs", "trans_bins"))
-    p.check_ids(items, ctxs, bins)
+                          f"for user {seqs.user_ids()[u]!r}")
+    p.check_ids(seqs.items, seqs.input_ctxs, seqs.trans_bins)
 
-    n_rows = len(seqs)
+    n_rows = len(lengths)
     need = np.zeros(n_rows, dtype=np.int64)  # the last position each user wants
     np.maximum.at(need, user, want)
     order = np.argsort(-need, kind="stable")
@@ -254,8 +239,8 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
     active = n_rows - np.cumsum(np.bincount(need))[:-1]  # rows needing more than k steps
     off = np.concatenate(([0], np.cumsum(active)))
     step = np.repeat(np.arange(len(active)), active)
-    ev = (np.cumsum(lengths) - lengths)[order][np.arange(off[-1]) - off[step]] + step
-    items, ctxs, bins = items[ev], ctxs[ev], bins[ev]
+    ev = seqs.offsets[:-1][order][np.arange(off[-1]) - off[step]] + step
+    items, ctxs, bins = seqs.items[ev], seqs.input_ctxs[ev], seqs.trans_bins[ev]
 
     base = np.concatenate(([0], n_rows + off))  # block j starts at state base[j]
     g = base[want] + row_of[user]  # each wanted state's index in the layout

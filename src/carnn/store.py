@@ -11,6 +11,10 @@ UTF-8 byte lengths and one blob; a ``<u4`` length column and a ``<u4``
 ``n_train`` column, one entry per user; the item (``<u4``), timestamp
 (``<i8``), input-context (``<u4``) and gap-bin (``<u4``) columns over every
 user's events in user order; and a CRC-32 of every byte before it.
+
+The event columns are a ``SequenceSet``'s and the lengths its offsets'
+differences. ``read_cache`` checks ids, timestamp order, start bins, and
+each input context against its timestamp.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import zlib
 
 import numpy as np
 
-from .context import FACTOR_CARDINALITIES, ContextScheme
-from .data import SequenceSet, SplitSet, UserSequence
+from .context import FACTOR_CARDINALITIES, ContextScheme, input_context
+from .data import SequenceSet, SplitSet
 from .errors import CompatibilityError, ConfigError, FormatError, InputOutputError
 
 MAGIC = b"CASQ"
@@ -71,11 +75,8 @@ def write_cache(path: str, split: SplitSet) -> None:
              struct.pack(f"<I{len(holidays)}i", len(holidays), *holidays),
              struct.pack("<II", seqs.n_users, seqs.n_items),
              *_vocab_parts(seqs.user_ids()), *_vocab_parts(seqs.item_ids()),
-             np.fromiter(map(len, seqs.sequences), "<u4", len(seqs.sequences)),
-             np.asarray(split.n_train).astype("<u4")]
-    for field, dtype in _EVENT_COLUMNS:
-        fields = [getattr(s, field) for s in seqs.sequences] or [np.zeros(0, np.int64)]
-        parts.append(np.concatenate(fields, dtype=dtype, casting="unsafe"))
+             seqs.lengths.astype("<u4"), np.asarray(split.n_train).astype("<u4"),
+             *(getattr(seqs, field).astype(dtype) for field, dtype in _EVENT_COLUMNS)]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
@@ -182,26 +183,24 @@ def read_cache(path: str) -> SplitSet:
         u = int(over.argmax())
         raise FormatError(f"{path}: user {user_ids[u]!r} has n_train={n_train[u]} "
                           f"beyond its {lengths[u]} events")
-    ends = np.cumsum(lengths, dtype=np.int64)
-    starts = ends - lengths
-    _check_events(path, user_ids, starts, lengths, columns, n_items, scheme)
+    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    _check_events(path, user_ids, offsets[:-1], lengths, columns, n_items, scheme)
     # one writeable int64 block: four separate copies left a heap layout in
     # which later evaluate calls measured slower (glibc trimmed and refaulted
     # their score blocks)
     items, ts, ctxs, bins = np.stack(columns, dtype=np.int64)
-    sequences = [UserSequence(user, items[a:b], ts[a:b], ctxs[a:b], bins[a:b])
-                 for user, a, b in zip(user_ids, starts.tolist(), ends.tolist())]
-    seqs = SequenceSet(sequences, dict(zip(item_ids, range(n_items))),
-                       dict(zip(user_ids, range(n_users))), scheme=scheme)
+    seqs = SequenceSet(items, ts, offsets, dict(zip(item_ids, range(n_items))),
+                       dict(zip(user_ids, range(n_users))), ctxs, bins, scheme)
     return SplitSet(seqs, n_train.astype(np.int64))
 
 
 def _check_events(path: str, user_ids: list[str], starts: np.ndarray, lengths: np.ndarray,
                   events: list[np.ndarray], n_items: int, scheme: ContextScheme) -> None:
     """FormatError unless every stored id is in range, each user's timestamps
-    never decrease, and a user's first event, and only it, holds the start
-    bin; checked over the item, timestamp, input-context and gap-bin columns
-    at once."""
+    never decrease, each input context is the one ``input_context`` gives its
+    timestamp, and a user's first event, and only it, holds the start bin;
+    checked over the item, timestamp, input-context and gap-bin columns at
+    once."""
     items, ts, ctxs, bins = events
     for name, ids, n in (("item", items, n_items),
                          ("input context", ctxs, scheme.n_input_contexts),
@@ -214,11 +213,15 @@ def _check_events(path: str, user_ids: list[str], starts: np.ndarray, lengths: n
     back = np.zeros_like(first)
     np.less(ts[1:], ts[:-1], out=back[1:])  # compared, as a difference can wrap
     back &= ~first
-    if (bad := back | ((bins == scheme.start_bin) != first)).any():
+    expected = input_context(ts, scheme)
+    stray = ctxs != expected
+    if (bad := back | stray | ((bins == scheme.start_bin) != first)).any():
         k = int(np.argmax(bad))
         u = int(np.searchsorted(starts, k, side="right")) - 1
         if back[k]:
             what = f"timestamp {ts[k]}, before the previous {ts[k - 1]}"
+        elif stray[k]:
+            what = f"input context {ctxs[k]}, not the {expected[k]} of its timestamp {ts[k]}"
         elif first[k]:
             what = f"gap bin {bins[k]}, not the start bin {scheme.start_bin}"
         else:

@@ -125,7 +125,7 @@ def _pair_gradients(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
     rows = np.concatenate([items[:, None], negatives], axis=1)
     Rr = p.R.take(rows, axis=0)                             # (L, 1+k, d)
     Ms, Ws = p.M_bank.take(m_slots, axis=0), p.W_bank.take(w_slots, axis=0)
-    # the forward pass of forward_states, from the same gathers
+    # the forward pass, stepped by unroll from the same gathers
     Hfull = unroll(project(Rr[:, :1], Ms), Ws)
     H = Hfull[:-1]
     Q = np.matmul(H[:, None, :], Ws)                        # (L, 1, d)
@@ -301,9 +301,9 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
     per user, forward the train prefix, accumulate pair gradients over every
     predictable position, take one update step. Returns the trained
     parameters and the per-epoch mean pair loss trace."""
-    seqs = split.sequences.sequences
-    if not all(s.annotated for s in seqs):
+    if not split.sequences.annotated:
         raise ConfigError("training requires annotated sequences; run annotation first")
+    seqs = split.sequences.sequences
     # None for a user with nothing to train on; every other view is checked once
     views = [_train_view(s, int(n)) if n >= 1 else None for s, n in zip(seqs, split.n_train)]
     for view in views:

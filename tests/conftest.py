@@ -40,8 +40,8 @@ def patch_cache(path: str, field: str, value: int) -> None:
     ``store.write_cache`` wrote, and reseal it: its ``n_train``, or the first
     entry of its ``items``, ``timestamps`` (i64), ``input_ctxs`` or
     ``trans_bins`` (u32)."""
-    seqs = store.read_cache(path).sequences.sequences
-    n_users, n_events = len(seqs), sum(map(len, seqs))
+    seqs = store.read_cache(path).sequences
+    n_users, n_events = seqs.n_users, len(seqs.items)
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
     # the n_train column, then the item, timestamp, context and bin columns,

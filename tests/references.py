@@ -10,6 +10,7 @@ from carnn.data import SequenceSet, UserSequence
 from carnn.errors import ConfigError
 from carnn.evaluate import _SYNTH_EPOCH, synthetic_partition
 from carnn.linalg import sigmoid_vec
+from carnn.model import check_sequence, step_inputs, unroll
 from carnn.seeding import named_rng
 
 
@@ -36,6 +37,43 @@ def reference_scores(h, ctx, bin_, p):
     the one-state form that ``score_all`` once had as its own branch."""
     m, w = _slots(ctx, bin_, p)
     return p.R @ ((h @ p.W_bank[w]) @ p.M_bank[m].T)
+
+
+def forward_states(seq, p):
+    """States of one annotated sequence, stepped one state at a time by
+    ``unroll``: an (len(seq)+1, d) array whose row 0 is the zero state and
+    row k the state after k events. ``states_at`` of the user at
+    ``np.arange(len(seq) + 1)`` gives the same bits."""
+    check_sequence(seq, p)
+    if not len(seq):
+        return np.zeros((1, p.config.d), dtype=np.float64)
+    return unroll(*step_inputs(seq.items, seq.input_ctxs, seq.trans_bins, p))
+
+
+def sequence_set(sequences, item_vocab, scheme=None):
+    """A SequenceSet of ``UserSequence`` objects, the per-user form the set
+    once held: users numbered in list order, each column the concatenation
+    of theirs, and the context columns None unless every user has them."""
+    def column(name):
+        parts = [getattr(seq, name) for seq in sequences]
+        if any(part is None for part in parts):
+            return None
+        return np.concatenate([np.zeros(0, np.int64), *parts]).astype(np.int64)
+
+    lengths = [len(seq) for seq in sequences]
+    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    return SequenceSet(column("items"), column("timestamps"), offsets, item_vocab,
+                       {seq.user: u for u, seq in enumerate(sequences)},
+                       column("input_ctxs"), column("trans_bins"), scheme)
+
+
+def reference_train_item_counts(split):
+    """Training-event counts per item, one ``np.add.at`` per user, as
+    ``evaluate.train_item_counts`` once summed them."""
+    counts = np.zeros(split.sequences.n_items, dtype=np.float64)
+    for seq, n_tr in zip(split.sequences.sequences, split.n_train.tolist()):
+        np.add.at(counts, seq.items[:n_tr], 1.0)
+    return counts
 
 
 def bpr_pair_loss(y_pos, y_neg):
@@ -145,5 +183,4 @@ def reference_synthetic(n_users, n_items, seq_len, n_contexts, signal="input_ctx
         sequences.append(UserSequence(f"u{u}", items, ts, ctx_ids, bins))
 
     item_vocab = {f"i{v}": v for v in range(n_items)}
-    user_vocab = {f"u{u}": u for u in range(n_users)}
-    return SequenceSet(sequences, item_vocab, user_vocab, scheme=scheme), scheme
+    return sequence_set(sequences, item_vocab, scheme), scheme

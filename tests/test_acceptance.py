@@ -22,10 +22,11 @@ from carnn.data import build_sequences, parse_interactions, split_sequences
 from carnn.evaluate import (evaluate, generate_synthetic, pop_baseline,
                             write_interactions_csv)
 from carnn.linalg import sigmoid_vec
-from carnn.model import ModelConfig, ModelParams, forward_states, init_params, score_all
+from carnn.model import ModelConfig, ModelParams, init_params, score_all, states_at
 from carnn.seeding import named_rng
 from carnn.training import TrainConfig, gradient_check, train
 from conftest import ml1m_path, ml1m_required
+from references import sequence_set
 
 runner = CliRunner()
 MONDAY = 946857600
@@ -107,7 +108,7 @@ def test_plain_variant_reduces_to_constant_matrix_recurrence():
             np.zeros(length, dtype=np.int64),
             np.zeros(length, dtype=np.int64),
         )
-        states = forward_states(seq, params)
+        states = states_at(sequence_set([seq], {}), [np.arange(length + 1)], params)
         h_ref = np.zeros(d)
         for k in range(length):
             h_ref = sigmoid_vec(R[seq.items[k]] @ M + h_ref @ W)
@@ -206,7 +207,7 @@ def ml1m_runs():
         pytest.skip("Movielens-1M not available")
     log = parse_interactions(path, "movielens_dat")
     assert len(log) == 1_000_209
-    assert len({it.user for it in log.interactions}) == 6040
+    assert len(log.user_ids) == 6040
     seqs = build_sequences(log, min_user=10, min_item=3)
     scheme = ContextScheme(factors=("day_of_week", "hour_of_day"))
     seqs = annotate_sequences(seqs, scheme)

@@ -14,7 +14,7 @@ from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatErro
 from carnn.evaluate import generate_synthetic, write_interactions_csv
 from carnn.model import load_params, save_params
 from conftest import corrupt_first_user_id, patch_cache, version_1_cache
-from references import reference_step
+from references import forward_states, reference_step
 
 
 runner = CliRunner()
@@ -327,13 +327,15 @@ class TestTrain:
     @pytest.mark.parametrize("field,value,message", [
         ("n_train", 99, "n_train=99"),
         ("input_ctxs", 500, "input context id 500"),
-        ("timestamps", 2**40, f"before the previous {2**40}"),
+        ("timestamps", 2**40 // 86400 * 86400, "before the previous 10995116"),
         ("trans_bins", 0, "event 0 has gap bin 0, not the start bin"),
     ])
     def test_corrupt_cache_is_format_error(self, workdir, tmp_path, field, value, message):
         cache = str(tmp_path / "cache.bin")
         with open(workdir["cache"], "rb") as src, open(cache, "wb") as dst:
             dst.write(src.read())
+        if field == "timestamps":  # at the old hour of day, so its input context still holds
+            value += int(store.read_cache(cache).sequences.timestamps[0]) % 86400
         patch_cache(cache, field, value)
         result = invoke("train", "--config", workdir["cfg"], "--cache", cache,
                         "--out", str(tmp_path / "o"))
@@ -547,7 +549,7 @@ class TestPredict:
     @pytest.mark.parametrize("variant", ["carnn", "rnn"])
     def test_every_score_is_the_one_state_replay(self, workdir, variant):
         from carnn.context import input_context, transition_bin
-        from carnn.model import forward_states, score_all
+        from carnn.model import score_all
 
         split = store.read_cache(workdir["cache"])
         params = load_params(workdir["models"][variant])

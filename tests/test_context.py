@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from carnn.context import (FACTOR_CARDINALITIES, SECONDS_PER_DAY, ContextScheme,
                            annotate_sequences, input_context, parse_holiday_file, transition_bin)
-from carnn.data import MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT, SequenceSet, UserSequence
+from carnn.data import MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT, UserSequence
 from carnn.errors import ConfigError, DataError
+from references import sequence_set
 
 # 2000-01-03 00:00:00 UTC was a Monday
 MONDAY = 946857600
@@ -245,7 +246,7 @@ class TestAnnotate:
     def make_set(self, timestamps):
         seq = UserSequence("u", np.zeros(len(timestamps), dtype=np.int64),
                            np.array(timestamps, dtype=np.int64))
-        return SequenceSet([seq], {"i": 0}, {"u": 0})
+        return sequence_set([seq], {"i": 0})
 
     def test_single_step_gets_start_bin(self):
         scheme = ContextScheme(factors=("hour_of_day",))
@@ -279,12 +280,14 @@ class TestAnnotate:
         stamps = [[] if k % 3 == 2 else [start, *(start + np.cumsum(gaps)).tolist()]
                   for k, (start, gaps) in enumerate(users)]
         scheme = ContextScheme(factors=("hour_of_day",), max_interval_days=max_days)
-        seqs = SequenceSet([UserSequence(f"u{k}", np.zeros(len(t), dtype=np.int64),
-                                         np.array(t, dtype=np.int64))
-                            for k, t in enumerate(stamps)], {"i": 0},
-                           {f"u{k}": k for k in range(len(stamps))})
+        seqs = sequence_set([UserSequence(f"u{k}", np.zeros(len(t), dtype=np.int64),
+                                          np.array(t, dtype=np.int64))
+                             for k, t in enumerate(stamps)], {"i": 0})
         out = annotate_sequences(seqs, scheme)
         assert out.scheme is scheme and len(out.sequences) == len(stamps)
+        # the new columns are set whole; the item and timestamp columns are shared
+        assert out.items is seqs.items and out.timestamps is seqs.timestamps
+        assert len(out.input_ctxs) == len(out.trans_bins) == len(seqs.items)
         for seq, t in zip(out.sequences, stamps):
             assert seq.input_ctxs.dtype == seq.trans_bins.dtype == np.int64
             assert seq.input_ctxs.tolist() == [input_context(x, scheme) for x in t]

@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, SequenceSet, UserSequence,
+from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, UserSequence,
                         _group_order, build_sequences, full_train_split, parse_interactions,
                         split_sequences, train_length)
 from carnn.errors import ConfigError, DataError, FormatError, InputOutputError
-from references import reference_grouping
+from references import reference_grouping, sequence_set
+
+
+def interactions_of(log):
+    """The log's events as Interaction rows, read off its code and id columns."""
+    return [Interaction(log.user_ids[u], log.item_ids[i], t) for u, i, t
+            in zip(log.user_codes.tolist(), log.item_codes.tolist(), log.timestamps.tolist())]
 
 
 def write(tmp_path, name, text):
@@ -23,18 +29,18 @@ class TestParse:
     def test_movielens_line(self, tmp_path):
         path = write(tmp_path, "r.dat", "1::1193::5::978300760\n")
         log = parse_interactions(path, "movielens_dat")
-        assert log.interactions == [Interaction("1", "1193", 978300760)]
+        assert interactions_of(log) == [Interaction("1", "1193", 978300760)]
         assert log.rejects == 0
 
     def test_csv_line(self, tmp_path):
         path = write(tmp_path, "r.csv", "u1,i2,100\n")
         log = parse_interactions(path, "csv")
-        assert log.interactions == [Interaction("u1", "i2", 100)]
+        assert interactions_of(log) == [Interaction("u1", "i2", 100)]
 
     def test_tsv_line(self, tmp_path):
         path = write(tmp_path, "r.tsv", "u1\ti2\t100\n")
         log = parse_interactions(path, "tsv")
-        assert log.interactions == [Interaction("u1", "i2", 100)]
+        assert interactions_of(log) == [Interaction("u1", "i2", 100)]
 
     def test_header_row_tolerated(self, tmp_path):
         path = write(tmp_path, "r.csv", "user,item,timestamp\nu1,i2,100\n")
@@ -61,7 +67,7 @@ class TestParse:
         rows += [f"u1,late,{TIMESTAMP_LIMIT - 1}", f"u1,x,{TIMESTAMP_LIMIT}",
                  "u1,y,1000000000000", "u1,z,100000000000000000000"]
         log = parse_interactions(write(tmp_path, "r.csv", "\n".join(rows) + "\n"), "csv")
-        assert [it.item for it in log.interactions] == ["i0", "i1", "i2", "i3", "late"]
+        assert [log.item_ids[i] for i in log.item_codes] == ["i0", "i1", "i2", "i3", "late"]
         assert log.rejects == 3
 
     def test_majority_rejects_is_format_error(self, tmp_path):
@@ -97,7 +103,7 @@ class TestParse:
         path.write_bytes(("\ufeff" + sep.join(["user", "item", "timestamp"]) + "\n"
                           + sep.join(["u1", "i1", "100"]) + "\n").encode())
         log = parse_interactions(str(path), fmt)
-        assert log.interactions == [Interaction("u1", "i1", 100)] and log.rejects == 0
+        assert interactions_of(log) == [Interaction("u1", "i1", 100)] and log.rejects == 0
 
     def test_timestamp_past_the_int_digit_limit_rejected(self, tmp_path):
         # int() refuses more than 4,300 digits, so such a field holds no integer
@@ -127,13 +133,11 @@ class TestParse:
     def test_log_keeps_columns_and_derives_interactions(self, tmp_path):
         path = write(tmp_path, "r.csv", "u1,i1,100\nbad\nu2, i2 ,7\n")
         log = parse_interactions(path, "csv")
-        assert (log.users, log.items) == (["u1", "u2"], ["i1", "i2"])
         assert (log.user_ids, log.item_ids) == (["u1", "u2"], ["i1", "i2"])
         assert log.user_codes.tolist() == log.item_codes.tolist() == [0, 1]
-        with pytest.raises(AttributeError):
-            log.users = ["u9", "u9"]  # a derived view, not a column
+        assert not hasattr(log, "users")  # the columns are the log; no derived views
         assert log.timestamps.dtype == np.int64 and log.timestamps.tolist() == [100, 7]
-        assert log.interactions == [Interaction("u1", "i1", 100), Interaction("u2", "i2", 7)]
+        assert interactions_of(log) == [Interaction("u1", "i1", 100), Interaction("u2", "i2", 7)]
         assert (len(log), log.rejects, log.format) == (2, 1, "csv")
 
 
@@ -228,7 +232,7 @@ def build_reference(interactions, min_user, min_item):
         sequences.append(UserSequence(user, np.array([item_vocab[it.item] for it in events],
                                                      dtype=np.int64),
                                       np.array([it.timestamp for it in events], dtype=np.int64)))
-    return SequenceSet(sequences, item_vocab, user_vocab)
+    return sequence_set(sequences, item_vocab)
 
 
 def outcome(fn, *args):
@@ -292,7 +296,7 @@ class TestColumnarPathMatchesReference:
             assert log is expected
             return
         interactions, rejects = expected
-        assert log.interactions == interactions and log.rejects == rejects
+        assert interactions_of(log) == interactions and log.rejects == rejects
         assert log.timestamps.dtype == np.int64
         assert log.user_ids == list(dict.fromkeys(it.user for it in interactions))
         assert log.item_ids == list(dict.fromkeys(it.item for it in interactions))
@@ -316,7 +320,7 @@ class TestColumnarPathMatchesReference:
            st.integers(0, 6), st.integers(0, 6))
     def test_build_on_equal_timestamps_and_thresholds(self, rows, min_user, min_item):
         log = log_of(rows)
-        want = outcome(build_reference, log.interactions, min_user, min_item)
+        want = outcome(build_reference, interactions_of(log), min_user, min_item)
         got = outcome(build_sequences, log, min_user, min_item)
         if want is DataError or got is DataError:
             assert got is want
@@ -450,7 +454,10 @@ class TestGrouping:
         items, stamps = reference_grouping(log.user_codes, log.item_codes, log.timestamps)
         assert list(seqs.user_vocab) == log.user_ids
         assert len(seqs.sequences) == len(items)
-        for seq, want_items, want_ts in zip(seqs.sequences, items, stamps):
+        for u, (seq, want_items, want_ts) in enumerate(zip(seqs.sequences, items, stamps)):
+            # each user's arrays are views of the set's columns
+            assert seqs[u] is seq and np.shares_memory(seq.items, seqs.items)
+            assert np.shares_memory(seq.timestamps, seqs.timestamps)
             assert seq.items.dtype == seq.timestamps.dtype == np.int64
             assert seq.items.tolist() == want_items.tolist()
             assert seq.timestamps.tolist() == want_ts.tolist()

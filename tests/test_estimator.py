@@ -6,7 +6,8 @@ from carnn.context import SECONDS_PER_DAY
 from carnn.errors import ConfigError, DataError, NumericalError
 from carnn.estimator import CARNNRecommender, query_context
 from carnn.evaluate import generate_synthetic
-from carnn.model import forward_states, score_all
+from carnn.model import score_all
+from references import forward_states
 
 
 def interaction_rows(n_users=8, n_items=16, seq_len=15, seed=2):
@@ -311,7 +312,8 @@ class TestStateTable:
         est.predict_scores([["u1", self.T], ["u0", self.T]])
         assert len(replays) == 1
         seqs, positions, _ = replays[0]
-        assert positions == [[len(seq)] for seq in seqs]
+        assert seqs is est.sequences_
+        assert [list(q) for q in positions] == [[len(seq)] for seq in seqs.sequences]
 
     def test_refit_serves_the_new_fit(self, replays):
         est = CARNNRecommender(d=4, epochs=1, context_factors=("hour_of_day",))

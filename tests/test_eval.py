@@ -1,13 +1,14 @@
 import json
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from carnn.context import ContextScheme, annotate_sequences
-from carnn.data import SequenceSet, SplitSet, UserSequence, full_train_split, split_sequences
+from carnn.data import SplitSet, UserSequence, full_train_split, split_sequences
 from carnn import store
 from carnn.errors import CompatibilityError, ConfigError, DataError, InputOutputError
 from carnn.evaluate import (DEFAULT_KS, SIGNALS, MetricsReport, RankRecord, aggregate_ranks,
@@ -16,7 +17,8 @@ from carnn.evaluate import (DEFAULT_KS, SIGNALS, MetricsReport, RankRecord, aggr
                             synthetic_partition,
                             train_item_counts, write_interactions_csv)
 from carnn.model import ModelConfig, init_params, score_all
-from references import reference_step, reference_synthetic
+from references import (reference_step, reference_synthetic, reference_train_item_counts,
+                        sequence_set)
 
 
 class TestRankTarget:
@@ -133,8 +135,7 @@ def ragged_split(seed, shapes=RAGGED, n_items=12, n_ctx=5, n_bins=4, **variant):
                               np.arange(n, dtype=np.int64) * 3600,
                               rng.integers(0, n_ctx, size=n), rng.integers(0, n_bins, size=n))
                  for u, (n, _) in enumerate(shapes)]
-    seqs = SequenceSet(sequences, {f"i{v}": v for v in range(n_items)},
-                       {s.user: u for u, s in enumerate(sequences)})
+    seqs = sequence_set(sequences, {f"i{v}": v for v in range(n_items)})
     config = ModelConfig(d=4, n_items=n_items, n_input_contexts=n_ctx,
                          n_transition_bins=n_bins, seed=seed, **variant)
     return SplitSet(seqs, np.array([t for _, t in shapes], dtype=np.int64)), init_params(config)
@@ -221,8 +222,7 @@ class TestEvaluate:
 
     def test_unannotated_split_is_config_error(self):
         split, _, p = small_model_split()
-        bare = [UserSequence(s.user, s.items, s.timestamps) for s in split.sequences.sequences]
-        seqs = SequenceSet(bare, split.sequences.item_vocab, split.sequences.user_vocab)
+        seqs = replace(split.sequences, input_ctxs=None, trans_bins=None)
         with pytest.raises(ConfigError, match="not annotated"):
             evaluate(SplitSet(seqs, split.n_train), p)
 
@@ -285,6 +285,9 @@ class TestPopBaseline:
     def test_equals_aggregate_ranks_of_its_per_query_records(self):
         split, _ = ragged_split(1)
         counts = train_item_counts(split)
+        # one bincount over the training events, with the bits of per-user sums
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, reference_train_item_counts(split))
         records = [RankRecord(seq.user, j, rank_target(counts, int(seq.items[j])))
                    for seq, n_tr in zip(split.sequences.sequences, split.n_train)
                    for j in range(n_tr, len(seq))]
@@ -323,6 +326,7 @@ def assert_same_synthetic(got, want):
     (seqs, scheme), (ref, ref_scheme) = got, want
     assert scheme == ref_scheme == seqs.scheme == ref.scheme
     assert seqs.item_vocab == ref.item_vocab and seqs.user_vocab == ref.user_vocab
+    assert np.array_equal(seqs.offsets, ref.offsets)
     assert [s.user for s in seqs.sequences] == [s.user for s in ref.sequences]
     for a, b in zip(seqs.sequences, ref.sequences):
         for name in ("items", "timestamps", "input_ctxs", "trans_bins"):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -8,13 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from carnn import model
 from carnn.context import ContextScheme
-from carnn.data import SequenceSet, UserSequence
+from carnn.data import UserSequence
 from carnn.errors import CompatibilityError, ConfigError, FormatError, NumericalError
 from carnn.linalg import sigmoid_vec
-from carnn.model import (ModelConfig, ModelParams, check_compatibility, forward_states,
+from carnn.model import (ModelConfig, ModelParams, check_compatibility,
                          hidden_step, init_params, load_params, save_params, score_all,
                          states_at, step_inputs, top_n)
-from references import reference_score, reference_scores, reference_step, reference_top_n
+from references import (forward_states, reference_score, reference_scores, reference_step,
+                        reference_top_n, sequence_set)
 
 
 def manual_params(R, M_bank, W_bank, use_input=True, use_trans=True):
@@ -35,6 +37,16 @@ def random_annotated_sequence(rng, length, n_items, n_ctx, n_bins):
         rng.integers(0, n_ctx, size=length).astype(np.int64),
         rng.integers(0, n_bins, size=length).astype(np.int64),
     )
+
+
+def as_set(seqs):
+    """The sequences as one SequenceSet, user k named "u{k}"."""
+    return sequence_set([replace(seq, user=f"u{k}") for k, seq in enumerate(seqs)], {})
+
+
+def all_states(seq, p):
+    """The states of one sequence at every position, from ``states_at``."""
+    return states_at(as_set([seq]), [np.arange(len(seq) + 1)], p)
 
 
 class TestConfig:
@@ -154,7 +166,7 @@ class TestHiddenStep:
     def test_state_stays_in_open_unit_interval(self):
         rng = np.random.default_rng(3)
         config = ModelConfig(d=6, n_items=9, n_input_contexts=4, n_transition_bins=5, seed=3)
-        H = forward_states(random_annotated_sequence(rng, 50, 9, 4, 5), init_params(config))
+        H = all_states(random_annotated_sequence(rng, 50, 9, 4, 5), init_params(config))
         assert np.all(H[1:] > 0.0) and np.all(H[1:] < 1.0)
 
     def test_switched_off_contexts_reduce_to_constant_matrices(self):
@@ -170,7 +182,7 @@ class TestHiddenStep:
             # arbitrary ctx/bin labels must be ignored
             seq.input_ctxs[:] = rng.integers(0, 40, size=12)
             seq.trans_bins[:] = rng.integers(0, 30, size=12)
-            states = forward_states(seq, p)
+            states = all_states(seq, p)
             h = np.zeros(d)
             for k in range(12):
                 h = sigmoid_vec(R[seq.items[k]] @ M[0] + h @ W[0])
@@ -242,22 +254,22 @@ class TestForward:
         p = init_params(config)
         for length in (0, 1, 9):
             seq = random_annotated_sequence(rng, length, 7, 3, 5)
-            H = forward_states(seq, p)
+            H = all_states(seq, p)
             assert H.shape == (length + 1, 4)
             h = np.zeros(4)
             assert np.array_equal(H[0].view(np.uint64), h.view(np.uint64))
             for k in range(length):
                 h = reference_step(h, seq.items[k], seq.input_ctxs[k], seq.trans_bins[k], p)
                 assert np.array_equal(H[k + 1].view(np.uint64), h.view(np.uint64))
-            # the lockstep replay gives every row, the zero state included
-            assert np.array_equal(states_at([seq], [np.arange(length + 1)], p).view(np.uint64),
-                                  H.view(np.uint64))
+            # the one-user unroll that training steps gives every row too
+            assert np.array_equal(forward_states(seq, p).view(np.uint64), H.view(np.uint64))
 
     def test_empty_sequence(self):
         p = manual_params(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
         seq = UserSequence("u", np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                            np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert np.array_equal(forward_states(seq, p), np.zeros((1, 2)))
+        assert np.array_equal(all_states(seq, p), np.zeros((1, 2)))
+        # one user's check, which training makes, needs no annotation on no events
         unannotated = UserSequence("u", seq.items, seq.timestamps)
         assert np.array_equal(forward_states(unannotated, p), np.zeros((1, 2)))
 
@@ -266,6 +278,10 @@ class TestForward:
         seq = UserSequence("u", np.array([0, 1]), np.array([0, 5]))
         with pytest.raises(ConfigError, match="annotated"):
             forward_states(seq, p)
+        # a set is annotated as a whole, so an unannotated one is refused even with no events
+        for seqs in ([seq], [UserSequence("u", seq.items[:0], seq.timestamps[:0])]):
+            with pytest.raises(ConfigError, match="annotated"):
+                states_at(as_set(seqs), [[0]], p)
 
     def test_index_out_of_range(self):
         p = manual_params(np.zeros((2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
@@ -274,14 +290,14 @@ class TestForward:
             ids[k][1] = bad
             seq = UserSequence("u", ids[0], np.arange(3, dtype=np.int64), ids[1], ids[2])
             with pytest.raises(ConfigError, match=f" {bad} out of range"):
-                forward_states(seq, p)
+                all_states(seq, p)
 
     def test_single_step_matches_hidden_step(self):
         rng = np.random.default_rng(5)
         config = ModelConfig(d=3, n_items=5, n_input_contexts=2, n_transition_bins=3, seed=5)
         p = init_params(config)
         seq = random_annotated_sequence(rng, 1, 5, 2, 3)
-        states = forward_states(seq, p)
+        states = all_states(seq, p)
         expected = reference_step(np.zeros(3), seq.items[0], seq.input_ctxs[0],
                                   seq.trans_bins[0], p)
         assert len(states) == 2
@@ -292,18 +308,18 @@ class TestForward:
         config = ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3, seed=6)
         p = init_params(config)
         seq = random_annotated_sequence(rng, 3, 6, 2, 3)
-        base = forward_states(seq, p)
+        base = all_states(seq, p)
 
         changed_late = UserSequence(seq.user, seq.items.copy(), seq.timestamps,
                                     seq.input_ctxs, seq.trans_bins)
         changed_late.items[2] = (changed_late.items[2] + 1) % 6
-        after = forward_states(changed_late, p)
+        after = all_states(changed_late, p)
         assert np.array_equal(base[:3], after[:3])
 
         changed_early = UserSequence(seq.user, seq.items.copy(), seq.timestamps,
                                      seq.input_ctxs, seq.trans_bins)
         changed_early.items[0] = (changed_early.items[0] + 1) % 6
-        assert not np.array_equal(forward_states(changed_early, p)[3], base[3])
+        assert not np.array_equal(all_states(changed_early, p)[3], base[3])
 
 
 @st.composite
@@ -328,7 +344,7 @@ class TestStatesAt:
         # positions 0, n_train and len, in either order
         positions = [[0, n, len(seq)] if u % 2 else [len(seq), n, 0]
                      for u, (seq, n) in enumerate(zip(seqs, n_train))]
-        got = states_at(seqs, positions, p)
+        got = states_at(as_set(seqs), positions, p)
         expected = np.concatenate([forward_states(seq, p)[q] for seq, q in zip(seqs, positions)])
         assert got.shape == (3 * len(seqs), 5)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -340,7 +356,8 @@ class TestStatesAt:
     def test_bits_of_forward_states_under_any_window(self, case, variant, window_rows, seed):
         """Any users and positions, under the default window and windows cut
         down to 1, 3 and 16 rows, so window edges fall inside and between
-        the steps' blocks."""
+        the steps' blocks; and the same bits from a set of only the users
+        that want states."""
         lengths, positions = case
         d = 3
         rng = np.random.default_rng(seed)
@@ -348,12 +365,16 @@ class TestStatesAt:
                                     seed=seed, init_scale=0.5, **BLOCK_VARIANTS[variant]))
         seqs = [random_annotated_sequence(rng, n, 7, 3, 4) for n in lengths]
         budget = model.STATE_WINDOW_BYTES if window_rows is None else 8 * d * window_rows
+        wanting = [u for u, q in enumerate(positions) if q]
         with mock.patch.object(model, "STATE_WINDOW_BYTES", budget):
-            got = states_at(seqs, positions, p)
+            got = states_at(as_set(seqs), positions, p)
+            only = states_at(as_set([seqs[u] for u in wanting]),
+                             [positions[u] for u in wanting], p)
         expected = np.concatenate([np.zeros((0, d))] + [forward_states(seq, p)[q]
                                                         for seq, q in zip(seqs, positions)])
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(only.view(np.uint64), got.view(np.uint64))
 
     def test_window_bounds_the_state_buffer(self):
         # twenty 500-event users at d=32: unwindowed, their states take 2.6 MB
@@ -362,10 +383,11 @@ class TestStatesAt:
         seqs = [random_annotated_sequence(rng, 500, 6, 2, 3) for _ in range(20)]
         positions = [[500, 1, 250]] * 20
         expected = np.concatenate([forward_states(seq, p)[q] for seq, q in zip(seqs, positions)])
+        columns = as_set(seqs)
         with mock.patch.object(model, "STATE_WINDOW_BYTES", 1 << 16):
             tracemalloc.start()
             try:
-                got = states_at(seqs, positions, p)
+                got = states_at(columns, positions, p)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -376,15 +398,16 @@ class TestStatesAt:
         rng = np.random.default_rng(9)
         p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3))
         seqs = [random_annotated_sequence(rng, n, 6, 2, 3) for n in (4, 7, 2)]
-        got = states_at(seqs, [[], [7, 3], []], p)
+        got = states_at(as_set(seqs), [[], [7, 3], []], p)
         assert np.array_equal(got, forward_states(seqs[1], p)[[7, 3]])
-        assert states_at(seqs, [[], [], []], p).shape == (0, 3)
-        assert states_at([], [], p).shape == (0, 3)
+        assert states_at(as_set(seqs), [[], [], []], p).shape == (0, 3)
+        assert states_at(as_set([]), [], p).shape == (0, 3)
 
     def test_empty_user_has_the_zero_state(self):
         p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3))
         empty = random_annotated_sequence(np.random.default_rng(0), 0, 6, 2, 3)
-        assert np.array_equal(states_at([empty, empty], [[0], [0, 0]], p), np.zeros((3, 3)))
+        assert np.array_equal(states_at(as_set([empty, empty]), [[0], [0, 0]], p),
+                              np.zeros((3, 3)))
 
     @pytest.mark.parametrize("position", [-1, 5])
     def test_position_outside_the_sequence_rejected(self, position):
@@ -392,7 +415,7 @@ class TestStatesAt:
         p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3))
         seqs = [random_annotated_sequence(rng, n, 6, 2, 3) for n in (6, 4)]
         with pytest.raises(ConfigError, match=f"position {position} outside \\[0, 4\\]"):
-            states_at(seqs, [[6], [position]], p)
+            states_at(as_set(seqs), [[6], [position]], p)
 
     def test_bad_ids_and_unannotated_sequences_rejected(self):
         rng = np.random.default_rng(11)
@@ -400,9 +423,9 @@ class TestStatesAt:
         seq = random_annotated_sequence(rng, 4, 6, 2, 3)
         seq.trans_bins[2] = 3
         with pytest.raises(ConfigError, match="transition bin 3 out of range"):
-            states_at([seq], [[1]], p)
+            states_at(as_set([seq]), [[1]], p)
         with pytest.raises(ConfigError, match="annotated"):
-            states_at([UserSequence("u", np.array([0, 1]), np.array([0, 5]))], [[1]], p)
+            states_at(as_set([UserSequence("u", np.array([0, 1]), np.array([0, 5]))]), [[1]], p)
 
 
 class TestScore:
@@ -538,7 +561,7 @@ class TestPersistence:
 
     @staticmethod
     def sequence_set(n_items, scheme=None):
-        return SequenceSet([], {f"i{v}": v for v in range(n_items)}, {}, scheme)
+        return sequence_set([], {f"i{v}": v for v in range(n_items)}, scheme)
 
     def test_vocab_compatibility_names_both_sizes(self):
         p = self.make_params()

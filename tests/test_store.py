@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from carnn import store
 from carnn.context import FACTOR_CARDINALITIES, ContextScheme, annotate_sequences
-from carnn.data import MAX_TZ_OFFSET_SECONDS, SequenceSet, SplitSet, UserSequence, split_sequences
+from carnn.data import MAX_TZ_OFFSET_SECONDS, SplitSet, UserSequence, split_sequences
 from carnn.errors import CompatibilityError, FormatError, InputOutputError
-from carnn.evaluate import generate_synthetic
+from carnn.evaluate import _SYNTH_EPOCH, generate_synthetic
 from conftest import (corrupt_first_user_id, patch_cache, reseal, user_lengths_offset,
                       version_1_cache)
+from references import sequence_set
 
 
 def make_split(holidays=frozenset()):
@@ -36,6 +37,8 @@ class TestCache:
         assert again.sequences.item_vocab == split.sequences.item_vocab
         assert again.sequences.scheme == split.sequences.scheme
         assert np.array_equal(again.n_train, split.n_train)
+        for name in ("items", "timestamps", "input_ctxs", "trans_bins", "offsets"):
+            assert np.array_equal(getattr(again.sequences, name), getattr(split.sequences, name))
         for a, b in zip(again.sequences.sequences, split.sequences.sequences):
             assert a.user == b.user
             assert np.array_equal(a.items, b.items)
@@ -88,11 +91,14 @@ class TestCache:
         ("input_ctxs", 24, r"input context id 24 out of range \[0, 24\)"),
         ("trans_bins", 32, r"gap bin id 32 out of range \[0, 32\)"),
         ("trans_bins", 0, "user 'u0' event 0 has gap bin 0, not the start bin 31"),
-        ("timestamps", 2**40, f"user 'u0' event 1 has timestamp .*, before the previous {2**40}"),
+        ("timestamps", 2**40 // 86400 * 86400,
+         r"user 'u0' event 1 has timestamp .*, before the previous 10995116\d{5}$"),
     ])
     def test_corrupt_fields_rejected(self, tmp_path, field, value, message):
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, make_split())
+        if field == "timestamps":  # at the old hour of day, so its input context still holds
+            value += int(store.read_cache(path).sequences.timestamps[0]) % 86400
         patch_cache(path, field, value)
         with pytest.raises(FormatError, match=message):
             store.read_cache(path)
@@ -130,14 +136,29 @@ class TestCache:
 
     def test_largest_stored_ids_accepted(self, tmp_path):
         path = str(tmp_path / "cache.bin")
-        store.write_cache(path, make_split())
-        for field, value in (("n_train", 12), ("items", 9), ("input_ctxs", 23),
-                             ("trans_bins", 31)):
+        split = make_split()
+        seqs = split.sequences
+        # input context 23, the largest, is the hour of a first event at 23:00
+        seqs.timestamps[0] = _SYNTH_EPOCH + 23 * 3600
+        store.write_cache(path, SplitSet(annotate_sequences(seqs, seqs.scheme), split.n_train))
+        for field, value in (("n_train", 12), ("items", 9), ("trans_bins", 31)):
             patch_cache(path, field, value)
         split = store.read_cache(path)
         first = split.sequences.sequences[0]
         assert split.n_train[0] == 12
         assert (first.items[0], first.input_ctxs[0], first.trans_bins[0]) == (9, 23, 31)
+
+    @pytest.mark.parametrize("field, shift", [("input_ctxs", 1), ("timestamps", 3600)])
+    def test_input_context_its_timestamp_does_not_give_rejected(self, tmp_path, field, shift):
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, make_split())
+        first = store.read_cache(path).sequences[0]
+        ctx, t = int(first.input_ctxs[0]), int(first.timestamps[0])
+        patch_cache(path, field, int(getattr(first, field)[0]) + shift)
+        stored, t = (ctx + 1, t) if field == "input_ctxs" else (ctx, t + 3600)
+        with pytest.raises(FormatError, match=f"user 'u0' event 0 has input context {stored}, "
+                                              f"not the {(t // 3600) % 24} of its timestamp {t}"):
+            store.read_cache(path)
 
     def test_largest_max_interval_days_round_trips(self, tmp_path):
         split = make_split()
@@ -163,28 +184,36 @@ class TestCache:
         before = second.items.copy()
         first.items[-1] = 7  # the users' arrays share a column, not elements
         assert np.array_equal(second.items, before)
+        # each user's arrays are views of the set's columns, built once
+        seqs = split.sequences
+        assert seqs[1] is seqs.sequences[1] is second
+        for name in ("items", "timestamps", "input_ctxs", "trans_bins"):
+            assert np.shares_memory(getattr(second, name), getattr(seqs, name))
+        assert seqs.items[seqs.offsets[1] - 1] == 7
 
-    @pytest.mark.parametrize("users", [[], ["u0", "u1"]])
-    def test_split_without_events_round_trips(self, tmp_path, users):
+    @pytest.mark.parametrize("lengths", [[], [0, 0], [0, 3, 0, 2, 0]])
+    def test_split_with_empty_users_round_trips(self, tmp_path, lengths):
         scheme = make_split().sequences.scheme
-        seqs = SequenceSet([UserSequence(u, np.zeros(0, np.int64), np.zeros(0, np.int64))
-                            for u in users], {"i0": 0}, {u: i for i, u in enumerate(users)})
+        users = [f"u{k}" for k in range(len(lengths))]
+        seqs = sequence_set([UserSequence(u, np.zeros(n, np.int64), 3600 * np.arange(n))
+                             for u, n in zip(users, lengths)], {"i0": 0})
         split = SplitSet(annotate_sequences(seqs, scheme), np.zeros(len(users), np.int64))
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, split)
         again = store.read_cache(path)
         assert again.sequences.user_ids() == users
         assert again.sequences.item_ids() == ["i0"]
-        assert [len(s) for s in again.sequences.sequences] == [0] * len(users)
+        assert [len(s) for s in again.sequences.sequences] == lengths
         assert again.n_train.tolist() == [0] * len(users)
+        for name in ("items", "timestamps", "input_ctxs", "trans_bins", "offsets"):
+            got, want = getattr(again.sequences, name), getattr(split.sequences, name)
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
 
     def test_multibyte_ids_round_trip(self, tmp_path):
         split = make_split()
         seqs = split.sequences
         names = ["\u00e9", "", "\u4e2d\u6587", "\U0001f600x", "a\u00e9b", "z"]
         seqs.user_vocab = {name: i for i, name in enumerate(names)}
-        for seq, name in zip(seqs.sequences, names):
-            seq.user = name
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, split)
         again = store.read_cache(path).sequences
@@ -211,8 +240,6 @@ class TestCache:
         seqs = split.sequences
         names = ["\u00e9", "x"] + seqs.user_ids()[2:]  # the blob starts c3 a9 78
         seqs.user_vocab = {name: i for i, name in enumerate(names)}
-        for seq, name in zip(seqs.sequences, names):
-            seq.user = name
         path = tmp_path / "cache.bin"
         store.write_cache(str(path), split)
         at = user_lengths_offset(str(path))
@@ -295,8 +322,7 @@ def annotated_splits(draw):
                             max_size=len(gaps)))
         sequences.append(UserSequence(user, np.array(ids, dtype=np.int64), timestamps))
         n_train.append(draw(st.integers(0, len(gaps))))
-    seqs = SequenceSet(sequences, {it: i for i, it in enumerate(items)},
-                       {u: i for i, u in enumerate(users)})
+    seqs = sequence_set(sequences, {it: i for i, it in enumerate(items)})
     return SplitSet(annotate_sequences(seqs, scheme), np.array(n_train, dtype=np.int64))
 
 
@@ -306,9 +332,12 @@ def test_write_read_write_is_byte_identical(split):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a.bin"), os.path.join(tmp, "b.bin")
         store.write_cache(first, split)
-        store.write_cache(second, store.read_cache(first))
+        again = store.read_cache(first)
+        store.write_cache(second, again)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
+    for name in ("items", "timestamps", "input_ctxs", "trans_bins", "offsets"):
+        assert np.array_equal(getattr(again.sequences, name), getattr(split.sequences, name))
 
 
 class _FailingFile:

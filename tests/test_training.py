@@ -1,6 +1,7 @@
 import copy
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,17 +9,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carnn import training as training_module
-from carnn.data import UserSequence, split_sequences
+from carnn.data import SplitSet, UserSequence, split_sequences
 from carnn.errors import ConfigError, NumericalError
 from carnn.evaluate import generate_synthetic
-from carnn.model import (ModelConfig, ModelParams, forward_states, init_params, load_params,
-                         save_params)
+from carnn.model import ModelConfig, ModelParams, init_params, load_params, save_params
 from carnn.seeding import named_rng
 from carnn.training import (EpochStats, GradientBuffer, TrainConfig, _pair_gradients,
                             _recurrence_grads, backprop_sequence, gradient_check, make_examples,
                             sequence_loss, sgd_step, train, write_loss_trace)
-from references import (bpr_pair_loss, reference_recurrence_grads, reference_score,
-                        sample_negative)
+from references import (bpr_pair_loss, forward_states, reference_recurrence_grads,
+                        reference_score, sample_negative)
 
 
 def tiny_fixture(seed=0, init_scale=0.1, d=3, n_items=5, n_ctx=2, n_bins=3, length=6):
@@ -630,9 +630,7 @@ class TestTrain:
 
     def test_requires_annotated_sequences(self):
         split, scheme = planted_split()
-        for seq in split.sequences.sequences:
-            seq.input_ctxs = None
-            seq.trans_bins = None
+        split = SplitSet(replace(split.sequences, input_ctxs=None, trans_bins=None), split.n_train)
         p = self.make_model(scheme, split.sequences.n_items)
         with pytest.raises(ConfigError):
             train(split, p, TrainConfig(epochs=1))
