@@ -88,14 +88,15 @@ class UserSequence:
         return self.input_ctxs is not None and self.trans_bins is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceSet:
     """Every user's events as flat int64 columns, plus the dense user/item
     vocabularies. User u's events are ``[offsets[u], offsets[u + 1])`` of
     each column, in time order; ``input_ctxs`` and ``trans_bins`` are None
     until annotated. ``seqs[u]`` is user u as a ``UserSequence`` of slice
     views, so a write to it reaches the columns; ``sequences`` lists every
-    user's, built once per set."""
+    user's, built once per set. The fields cannot be rebound, so the views
+    never go stale; ``dataclasses.replace`` makes a set with other fields."""
 
     items: np.ndarray
     timestamps: np.ndarray

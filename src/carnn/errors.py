@@ -40,7 +40,7 @@ class FormatError(CarnnError):
 class CompatibilityError(CarnnError):
     """Model file and prepared dataset disagree on the item count, or on the
     number of input contexts or gap bins of a switched-on bank; or a cache
-    is in a format that is no longer read."""
+    or a model file is in a format that is no longer read."""
 
     exit_code = 6
 

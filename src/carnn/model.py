@@ -32,25 +32,29 @@ count and switched-on bank sizes against the context scheme) and
 step into one contiguous run once, and keeps the states in a window of at
 most STATE_WINDOW_BYTES in which each step reads the previous step's rows
 and writes its own right after them.
+
+``save_params`` and ``load_params`` keep the parameters in model file
+format 2, a header and the f64 banks inside the checksummed frame of
+``store``; a header that ``ModelConfig`` refuses is a ``FormatError``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
 
 from .base import as_flag, as_real, as_whole
-from .errors import (CompatibilityError, ConfigError, FormatError, InputOutputError,
-                     NumericalError)
+from .errors import CompatibilityError, ConfigError, FormatError, NumericalError
 from .linalg import sigmoid_vec
 from .seeding import named_rng
-from .store import write_atomic
+from .store import SealedReader, write_sealed
 
 MAGIC = b"CARN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -307,78 +311,40 @@ def top_n(scores: np.ndarray, n: int) -> np.ndarray:
 
 # --- model file format -------------------------------------------------------
 #
-# magic "CARN", then little-endian: u32 version, u32 d, u32 n_items,
-# u32 n_input_contexts, u32 n_transition_bins, u8 use_input_contexts,
-# u8 use_transition_contexts, then R, M bank, W bank as f64 in that order.
-# The stored context counts are the bank sizes, so a model trained with a
-# switch off declares a single shared matrix.
-
-_HEADER = struct.Struct("<4sIIIIIBB")
+# A ``store.write_sealed`` frame: magic "CARN", version 2, then little-endian
+# u32 d, u32 n_items, u32 n_input_contexts, u32 n_transition_bins,
+# u8 use_input_contexts, u8 use_transition_contexts, then R, M bank, W bank
+# as f64 in that order, and the frame's CRC-32. The stored context counts
+# are the bank sizes, so a model trained with a switch off declares a single
+# shared matrix.
 
 
 def save_params(p: ModelParams, path: str) -> None:
     cfg = p.config
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        cfg.d,
-        cfg.n_items,
-        p.M_bank.shape[0],
-        p.W_bank.shape[0],
-        1 if cfg.use_input_contexts else 0,
-        1 if cfg.use_transition_contexts else 0,
-    )
-    write_atomic(path, b"".join([header, p.R.astype("<f8").tobytes(),
-                                 p.M_bank.astype("<f8").tobytes(),
-                                 p.W_bank.astype("<f8").tobytes()]), "model file")
+    header = struct.pack("<IIIIBB", cfg.d, cfg.n_items, p.M_bank.shape[0],
+                         p.W_bank.shape[0], cfg.use_input_contexts, cfg.use_transition_contexts)
+    write_sealed(path, MAGIC, FORMAT_VERSION,
+                 [header, *(a.astype("<f8") for a in (p.R, p.M_bank, p.W_bank))], "model file")
 
 
 def load_params(path: str, seed: int = 0) -> ModelParams:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise InputOutputError(f"cannot read model file {path}: {exc}") from exc
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated model file")
-    magic, version, d, n_items, n_m, n_w, flag_in, flag_tr = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic bytes {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported model format version {version}")
-    expected = _HEADER.size + 8 * (n_items * d + n_m * d * d + n_w * d * d)
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: wrong length {len(blob)} bytes, header implies {expected}"
-        )
-    use_in = bool(flag_in)
-    use_tr = bool(flag_tr)
+    r = SealedReader(path, MAGIC, FORMAT_VERSION, "model file", "train")
+    d, n_items, n_m, n_w, use_in, use_tr = r.take("<IIIIBB")
+    # sizes are Python ints, so a huge header is "truncated", never an overflow;
+    # astype copies, as the reader's views are read-only
+    R, M_bank, W_bank = (r.take_column("<f8", math.prod(s)).reshape(s).astype(np.float64)
+                         for s in ((n_items, d), (n_m, d, d), (n_w, d, d)))
+    r.close()
     if (not use_in and n_m != 1) or (not use_tr and n_w != 1):
         raise FormatError(f"{path}: bank sizes inconsistent with context switches")
-    config = ModelConfig(
-        d=d,
-        n_items=n_items,
-        n_input_contexts=n_m,
-        n_transition_bins=n_w,
-        use_input_contexts=use_in,
-        use_transition_contexts=use_tr,
-        seed=seed,
-    )
-    offset = _HEADER.size
-    def take(shape):
-        nonlocal offset
-        n = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
-        return arr.astype(np.float64)  # a copy: frombuffer's view is read-only
-
-    R = take((n_items, d))
-    M_bank = take((n_m, d, d))
-    W_bank = take((n_w, d, d))
+    try:
+        config = ModelConfig(d, n_items, n_m, n_w, bool(use_in), bool(use_tr))
+    except ConfigError as exc:
+        raise FormatError(f"{path}: invalid model header: {exc}") from exc
     for name, bank in (("R", R), ("M_bank", M_bank), ("W_bank", W_bank)):
         if (bad := first_non_finite(bank)) is not None:
             raise NumericalError(f"{path}: non-finite value in {name}[{bad}]")
-    return ModelParams(config, R, M_bank, W_bank)
+    return ModelParams(replace(config, seed=seed), R, M_bank, W_bank)
 
 
 def first_non_finite(block: np.ndarray) -> int | None:

@@ -1,20 +1,24 @@
-"""Deterministic binary cache for prepared datasets.
+"""The checksummed binary frame that the cache and the model file share,
+and the deterministic cache for prepared datasets.
 
-Holds the vocabularies, the annotated sequences, the context scheme, and
-the train/test boundary. A custom little-endian layout (rather than pickle
-or npz) keeps reruns byte-identical, which the reproducibility contract
-requires.
+A frame (``write_sealed``) is a 4-byte magic, a ``<u4`` version, the parts,
+and a CRC-32 of every byte before it; ``SealedReader`` reads one back.
 
-Format 2 is columnar. After the magic, the version and the context scheme
-come ``n_users`` and ``n_items``; each vocabulary as a ``<u2`` column of
+The cache holds the vocabularies, the annotated sequences, the context
+scheme, and the train/test boundary. A custom little-endian layout (rather
+than pickle or npz) keeps reruns byte-identical, which the reproducibility
+contract requires.
+
+Format 2 is columnar. Inside the frame come the context scheme,
+``n_users`` and ``n_items``; each vocabulary as a ``<u2`` column of
 UTF-8 byte lengths and one blob; a ``<u4`` length column and a ``<u4``
-``n_train`` column, one entry per user; the item (``<u4``), timestamp
+``n_train`` column, one entry per user; and the item (``<u4``), timestamp
 (``<i8``), input-context (``<u4``) and gap-bin (``<u4``) columns over every
-user's events in user order; and a CRC-32 of every byte before it.
+user's events in user order.
 
 The event columns are a ``SequenceSet``'s and the lengths its offsets'
-differences. ``read_cache`` checks ids, timestamp order, start bins, and
-each input context against its timestamp.
+differences. ``read_cache`` checks ids, timestamp range and order, start
+bins, and each input context against its timestamp.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import zlib
 import numpy as np
 
 from .context import FACTOR_CARDINALITIES, ContextScheme, input_context
-from .data import SequenceSet, SplitSet
+from .data import TIMESTAMP_LIMIT, SequenceSet, SplitSet
 from .errors import CompatibilityError, ConfigError, FormatError, InputOutputError
 
 MAGIC = b"CASQ"
@@ -68,35 +72,56 @@ def write_cache(path: str, split: SplitSet) -> None:
     if scheme is None:
         raise FormatError("only annotated splits can be cached")
     holidays = sorted(day.toordinal() for day in scheme.holiday_dates)
-    parts = [MAGIC,
-             struct.pack("<IqII", VERSION, scheme.timezone_offset_seconds,
-                         scheme.max_interval_days, len(scheme.factors)),
+    parts = [struct.pack("<qII", scheme.timezone_offset_seconds, scheme.max_interval_days,
+                         len(scheme.factors)),
              bytes(_FACTOR_ORDER.index(f) for f in scheme.factors),
              struct.pack(f"<I{len(holidays)}i", len(holidays), *holidays),
              struct.pack("<II", seqs.n_users, seqs.n_items),
              *_vocab_parts(seqs.user_ids()), *_vocab_parts(seqs.item_ids()),
              seqs.lengths.astype("<u4"), np.asarray(split.n_train).astype("<u4"),
              *(getattr(seqs, field).astype(dtype) for field, dtype in _EVENT_COLUMNS)]
+    write_sealed(path, MAGIC, VERSION, parts, "cache")
+
+
+def write_sealed(path: str, magic: bytes, version: int, parts: list, what: str) -> None:
+    """Write a frame through ``write_atomic``: ``magic``, ``version`` as
+    ``<u4``, the bytes of each part, and a CRC-32 of all of them."""
+    parts = [magic, struct.pack("<I", version), *parts]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
-    parts.append(struct.pack("<I", crc))
-    write_atomic(path, b"".join(parts), "cache")
+    write_atomic(path, b"".join([*parts, struct.pack("<I", crc)]), what)
 
 
-class _Reader:
-    """A cursor over a cache; every step checks that its bytes are there."""
+class SealedReader:
+    """A cursor over a frame that ``write_sealed`` wrote, past its magic and
+    version; every step checks that its bytes are there. A file that cannot
+    be read is InputOutputError, a wrong magic FormatError. An older
+    version is CompatibilityError, naming the command that rebuilds the
+    file (``rerun``); any other wrong version is FormatError."""
 
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.off = 0
-        self.path = path
+    def __init__(self, path: str, magic: bytes, version: int, what: str, rerun: str):
+        try:
+            with open(path, "rb") as fh:
+                self.blob = fh.read()
+        except OSError as exc:
+            raise InputOutputError(f"cannot read {what} {path}: {exc}") from exc
+        self.off, self.path, self.what = 0, path, what
+        (found,) = self.take("<4s")
+        if found != magic:
+            raise FormatError(f"{path}: bad {what} magic {found!r}")
+        (found,) = self.take("<I")
+        if 0 < found < version:
+            raise CompatibilityError(f"{path}: {what} format {found} is no longer read; "
+                                     f"re-run `carnn {rerun}` to rebuild it")
+        if found != version:
+            raise FormatError(f"{path}: unsupported {what} version {found}")
 
     def skip(self, size: int) -> int:
         """Step over ``size`` bytes and return where they start."""
         start = self.off
         if start + size > len(self.blob):
-            raise FormatError(f"{self.path}: truncated cache file")
+            raise FormatError(f"{self.path}: truncated {self.what}")
         self.off += size
         return start
 
@@ -107,6 +132,18 @@ class _Reader:
         """A read-only view of the ``count`` values at the cursor."""
         dt = np.dtype(dtype)
         return np.frombuffer(self.blob, dt, count, self.skip(dt.itemsize * count))
+
+    def close(self) -> None:
+        """Read the CRC-32 trailer: FormatError if bytes follow it, or if it
+        is not the checksum of every byte before it."""
+        end = self.off
+        (crc,) = self.take("<I")
+        if self.off != len(self.blob):
+            raise FormatError(f"{self.path}: {len(self.blob) - self.off} trailing bytes "
+                              f"in {self.what}")
+        if (actual := zlib.crc32(memoryview(self.blob)[:end])) != crc:
+            raise FormatError(f"{self.path}: {self.what} checksum {actual:#010x} does not "
+                              f"match the stored {crc:#010x}")
 
 
 def _decode_ids(path: str, blob: bytes, at: int, lengths: np.ndarray) -> list[str]:
@@ -133,22 +170,7 @@ def _decode_ids(path: str, blob: bytes, at: int, lengths: np.ndarray) -> list[st
 
 
 def read_cache(path: str) -> SplitSet:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise InputOutputError(f"cannot read cache {path}: {exc}") from exc
-    r = _Reader(blob, path)
-    (magic,) = r.take("<4s")
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad cache magic {magic!r}")
-    (version,) = r.take("<I")
-    if version == 1:
-        raise CompatibilityError(f"{path}: cache format 1 is no longer read; "
-                                 "re-run `carnn prepare` to rebuild the cache")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-
+    r = SealedReader(path, MAGIC, VERSION, "cache", "prepare")
     # every size the header gives must fit the file exactly, before the checksum
     tz, max_days, n_factors = r.take("<qII")
     factors = r.take_column("u1", n_factors)
@@ -162,13 +184,7 @@ def read_cache(path: str) -> SplitSet:
     n_train = r.take_column("<u4", n_users)
     n_events = int(lengths.sum(dtype=np.int64))
     columns = [r.take_column(dtype, n_events) for _, dtype in _EVENT_COLUMNS]
-    end = r.off
-    (crc,) = r.take("<I")
-    if r.off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - r.off} trailing bytes in cache")
-    if (actual := zlib.crc32(memoryview(blob)[:end])) != crc:
-        raise FormatError(f"{path}: cache checksum {actual:#010x} does not match "
-                          f"the stored {crc:#010x}")
+    r.close()
 
     if factors.size and (fi := int(factors.max())) >= len(_FACTOR_ORDER):
         raise FormatError(f"{path}: unknown factor index {fi}")
@@ -178,7 +194,7 @@ def read_cache(path: str) -> SplitSet:
                                holidays, max_days, tz)
     except (ValueError, ConfigError) as exc:
         raise FormatError(f"{path}: invalid context scheme in cache: {exc}") from exc
-    user_ids, item_ids = (_decode_ids(path, blob, at, n) for at, n in vocabs)
+    user_ids, item_ids = (_decode_ids(path, r.blob, at, n) for at, n in vocabs)
     if (over := n_train > lengths).any():
         u = int(over.argmax())
         raise FormatError(f"{path}: user {user_ids[u]!r} has n_train={n_train[u]} "
@@ -196,8 +212,9 @@ def read_cache(path: str) -> SplitSet:
 
 def _check_events(path: str, user_ids: list[str], starts: np.ndarray, lengths: np.ndarray,
                   events: list[np.ndarray], n_items: int, scheme: ContextScheme) -> None:
-    """FormatError unless every stored id is in range, each user's timestamps
-    never decrease, each input context is the one ``input_context`` gives its
+    """FormatError unless every stored id is in range, every timestamp is in
+    [0, TIMESTAMP_LIMIT), each user's timestamps never decrease, each input
+    context is the one ``input_context`` gives its
     timestamp, and a user's first event, and only it, holds the start bin;
     checked over the item, timestamp, input-context and gap-bin columns at
     once."""
@@ -213,12 +230,15 @@ def _check_events(path: str, user_ids: list[str], starts: np.ndarray, lengths: n
     back = np.zeros_like(first)
     np.less(ts[1:], ts[:-1], out=back[1:])  # compared, as a difference can wrap
     back &= ~first
+    outside = (ts < 0) | (ts >= TIMESTAMP_LIMIT)
     expected = input_context(ts, scheme)
     stray = ctxs != expected
-    if (bad := back | stray | ((bins == scheme.start_bin) != first)).any():
+    if (bad := outside | back | stray | ((bins == scheme.start_bin) != first)).any():
         k = int(np.argmax(bad))
         u = int(np.searchsorted(starts, k, side="right")) - 1
-        if back[k]:
+        if outside[k]:
+            what = f"timestamp {ts[k]}, outside [0, {TIMESTAMP_LIMIT})"
+        elif back[k]:
             what = f"timestamp {ts[k]}, before the previous {ts[k - 1]}"
         elif stray[k]:
             what = f"input context {ctxs[k]}, not the {expected[k]} of its timestamp {ts[k]}"

@@ -25,9 +25,9 @@ ml1m_required = pytest.mark.skipif(
 
 
 def reseal(path: str) -> None:
-    """Rewrite the CRC-32 trailer of a cache over every byte before it, so a
-    cache edited in place fails the structural check the edit aims at, not
-    the checksum."""
+    """Rewrite the CRC-32 trailer of a cache or model file over every byte
+    before it, so a file edited in place fails the structural check the edit
+    aims at, not the checksum."""
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
     struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]))
@@ -97,6 +97,18 @@ def version_1_cache(split) -> bytes:
         parts += [seq.items.astype("<u4").tobytes(), seq.timestamps.astype("<i8").tobytes(),
                   seq.input_ctxs.astype("<u4").tobytes(), seq.trans_bins.astype("<u4").tobytes()]
     return b"".join(parts)
+
+
+def version_1_model(params) -> bytes:
+    """``params`` in model file format 1: the ``<4sIIIIIBB`` header (magic,
+    version 1, d, item count, bank sizes, context switches), then the R, M and
+    W banks as f64, and no checksum."""
+    cfg = params.config
+    header = struct.pack("<4sIIIIIBB", b"CARN", 1, cfg.d, cfg.n_items, len(params.M_bank),
+                         len(params.W_bank), cfg.use_input_contexts,
+                         cfg.use_transition_contexts)
+    return header + b"".join(a.astype("<f8").tobytes()
+                             for a in (params.R, params.M_bank, params.W_bank))
 
 
 # One summary line per acceptance criterion at the end of the run.

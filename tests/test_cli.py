@@ -13,7 +13,7 @@ from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatErro
                           InputOutputError, NumericalError)
 from carnn.evaluate import generate_synthetic, write_interactions_csv
 from carnn.model import load_params, save_params
-from conftest import corrupt_first_user_id, patch_cache, version_1_cache
+from conftest import corrupt_first_user_id, patch_cache, version_1_cache, version_1_model
 from references import forward_states, reference_step
 
 
@@ -327,7 +327,7 @@ class TestTrain:
     @pytest.mark.parametrize("field,value,message", [
         ("n_train", 99, "n_train=99"),
         ("input_ctxs", 500, "input context id 500"),
-        ("timestamps", 2**40 // 86400 * 86400, "before the previous 10995116"),
+        ("timestamps", 2**37 // 86400 * 86400, "before the previous 1374389"),
         ("trans_bins", 0, "event 0 has gap bin 0, not the start bin"),
     ])
     def test_corrupt_cache_is_format_error(self, workdir, tmp_path, field, value, message):
@@ -436,6 +436,18 @@ class TestEval:
         assert result.exit_code == CompatibilityError.exit_code, result.output
         assert "re-run `carnn prepare`" in result.output
         assert not os.path.exists(out / "metrics.json")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_version_1_model_exits_compatibility(self, workdir, tmp_path, command):
+        model = tmp_path / "model.carn"
+        model.write_bytes(version_1_model(load_params(workdir["models"]["carnn"])))
+        extra = (["--variant", "carnn", "--out", str(tmp_path / "o")] if command == "eval"
+                 else ["--user", "u0", "--timestamp", "2000000000"])
+        result = invoke(command, "--config", workdir["cfg"], "--cache", workdir["cache"],
+                        "--model", str(model), *extra)
+        assert result.exit_code == CompatibilityError.exit_code, result.output
+        assert "model file format 1 is no longer read; re-run `carnn train`" in result.output
+        assert not os.path.exists(tmp_path / "o" / "metrics.json")
 
     def test_non_utf8_user_id_in_cache_exits_format(self, workdir, tmp_path):
         cache = str(tmp_path / "cache.bin")

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tempfile
 from collections import Counter
@@ -367,6 +368,18 @@ class TestBuildSequences:
         rows += [("fat", f"i{k % 3}", k) for k in range(12)]
         seqs = build_sequences(log_of(rows), min_user=10, min_item=3)
         assert set(seqs.user_vocab) == {"fat"}
+
+    def test_fields_cannot_be_rebound_and_a_replaced_set_has_its_own_views(self):
+        rows = [(f"u{k % 2}", f"i{k % 3}", k) for k in range(8)]
+        seqs = build_sequences(log_of(rows), min_user=2, min_item=1)
+        assert seqs[0].user == "u0"  # the views are built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seqs.user_vocab = {"x0": 0, "x1": 1}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seqs.items = seqs.items + 1
+        renamed = dataclasses.replace(seqs, user_vocab={"x0": 0, "x1": 1})
+        assert renamed[0].user == "x0" and seqs[0].user == "u0"
+        assert np.shares_memory(renamed[0].items, seqs.items)
 
     def test_rare_item_removed_before_user_counting(self):
         # u has 10 records but 2 hit a rare item; after item filtering only 8 remain

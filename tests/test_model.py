@@ -1,4 +1,6 @@
+import struct
 import tracemalloc
+import zlib
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from carnn import model
+from carnn import model, store
 from carnn.context import ContextScheme
 from carnn.data import UserSequence
 from carnn.errors import CompatibilityError, ConfigError, FormatError, NumericalError
@@ -15,6 +17,7 @@ from carnn.linalg import sigmoid_vec
 from carnn.model import (ModelConfig, ModelParams, check_compatibility,
                          hidden_step, init_params, load_params, save_params, score_all,
                          states_at, step_inputs, top_n)
+from conftest import reseal, version_1_model
 from references import (forward_states, reference_score, reference_scores, reference_step,
                         reference_top_n, sequence_set)
 
@@ -545,8 +548,94 @@ class TestPersistence:
         save_params(p, path)
         blob = Path(path).read_bytes()
         Path(path).write_bytes(blob[:-8])
-        with pytest.raises(FormatError, match="length"):
+        with pytest.raises(FormatError, match="truncated model file"):
             load_params(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.carn"
+        save_params(self.make_params(), str(path))
+        with open(path, "ab") as fh:
+            fh.write(b"extra")
+        with pytest.raises(FormatError, match="5 trailing bytes in model file"):
+            load_params(str(path))
+
+    def test_file_is_a_sealed_frame_around_the_f64_banks(self, tmp_path):
+        p = self.make_params(use_transition_contexts=False)
+        path = tmp_path / "m.carn"
+        save_params(p, str(path))
+        blob = path.read_bytes()
+        assert blob[:8] == b"CARN" + struct.pack("<I", 2)
+        assert struct.unpack_from("<IIIIBB", blob, 8) == (3, 6, 4, 1, 1, 0)
+        assert blob[26:-4] == b"".join(a.astype("<f8").tobytes()
+                                       for a in (p.R, p.M_bank, p.W_bank))
+        assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[:-4])
+
+    def test_every_single_bit_flip_rejected(self, tmp_path):
+        p = init_params(ModelConfig(d=2, n_items=3, n_input_contexts=2, n_transition_bins=2))
+        path = tmp_path / "m.carn"
+        save_params(p, str(path))
+        blob = path.read_bytes()
+        assert len(blob) == 206
+        accepted = []
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_params(str(path))
+            except FormatError:
+                continue
+            accepted.append(bit)
+        assert accepted == []
+
+    def test_version_1_model_is_compatibility_error(self, tmp_path):
+        path = tmp_path / "m.carn"
+        path.write_bytes(version_1_model(self.make_params()))
+        with pytest.raises(CompatibilityError,
+                           match="model file format 1 is no longer read; re-run `carnn train`"):
+            load_params(str(path))
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unknown_version_is_format_error(self, tmp_path, version):
+        path = tmp_path / "m.carn"
+        save_params(self.make_params(), str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 4, version)
+        path.write_bytes(bytes(blob))
+        reseal(str(path))
+        with pytest.raises(FormatError, match=f"unsupported model file version {version}"):
+            load_params(str(path))
+
+    @pytest.mark.parametrize("sizes,message", [
+        ((0, 3, 2, 2), "d must be >= 1, got 0"),
+        ((2, 0, 2, 2), "n_items must be >= 1, got 0"),
+        ((2, 3, 0, 2), "context cardinalities must be >= 1"),
+        ((2, 3, 2, 0), "context cardinalities must be >= 1"),
+    ])
+    def test_header_model_config_refuses_is_format_error(self, tmp_path, sizes, message):
+        d, n_items, n_m, n_w = sizes
+        path = str(tmp_path / "m.carn")
+        banks = np.zeros(n_items * d + (n_m + n_w) * d * d, dtype="<f8")
+        store.write_sealed(path, model.MAGIC, model.FORMAT_VERSION,
+                           [struct.pack("<IIIIBB", *sizes, 1, 1), banks], "model file")
+        with pytest.raises(FormatError) as info:
+            load_params(path)
+        assert str(info.value) == f"{path}: invalid model header: {message}"
+
+    def test_huge_header_is_truncated_without_allocating(self, tmp_path):
+        # 2**32 - 1 items of 2**32 - 1 dimensions: a bank size past int64
+        path = str(tmp_path / "m.carn")
+        store.write_sealed(path, model.MAGIC, model.FORMAT_VERSION,
+                           [struct.pack("<IIIIBB", 2**32 - 1, 2**32 - 1, 1, 1, 1, 1)],
+                           "model file")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated model file"):
+                load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("bank,index,value", [("R", 4, float("nan")),
                                                    ("M_bank", 2, float("inf")),

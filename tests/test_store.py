@@ -2,6 +2,7 @@ import datetime as dt
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from carnn import store
 from carnn.context import FACTOR_CARDINALITIES, ContextScheme, annotate_sequences
-from carnn.data import MAX_TZ_OFFSET_SECONDS, SplitSet, UserSequence, split_sequences
+from carnn.data import (MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT, SplitSet, UserSequence,
+                        split_sequences)
 from carnn.errors import CompatibilityError, FormatError, InputOutputError
 from carnn.evaluate import _SYNTH_EPOCH, generate_synthetic
 from conftest import (corrupt_first_user_id, patch_cache, reseal, user_lengths_offset,
@@ -55,7 +57,7 @@ class TestCache:
 
     def test_unannotated_split_rejected(self, tmp_path):
         split = make_split()
-        split.sequences.scheme = None
+        split = SplitSet(replace(split.sequences, scheme=None), split.n_train)
         with pytest.raises(FormatError):
             store.write_cache(str(tmp_path / "c.bin"), split)
 
@@ -91,8 +93,8 @@ class TestCache:
         ("input_ctxs", 24, r"input context id 24 out of range \[0, 24\)"),
         ("trans_bins", 32, r"gap bin id 32 out of range \[0, 32\)"),
         ("trans_bins", 0, "user 'u0' event 0 has gap bin 0, not the start bin 31"),
-        ("timestamps", 2**40 // 86400 * 86400,
-         r"user 'u0' event 1 has timestamp .*, before the previous 10995116\d{5}$"),
+        ("timestamps", 2**37 // 86400 * 86400,
+         r"user 'u0' event 1 has timestamp .*, before the previous 1374389\d{5}$"),
     ])
     def test_corrupt_fields_rejected(self, tmp_path, field, value, message):
         path = str(tmp_path / "cache.bin")
@@ -102,6 +104,27 @@ class TestCache:
         patch_cache(path, field, value)
         with pytest.raises(FormatError, match=message):
             store.read_cache(path)
+
+    @pytest.mark.parametrize("move", [lambda t: -1, lambda t: TIMESTAMP_LIMIT,
+                                      lambda t: t - 200_000 * 7 * 86400],
+                             ids=["below-0", "at-the-limit", "200000-weeks-earlier"])
+    def test_timestamp_outside_the_parsed_range_rejected(self, tmp_path, move):
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, make_split())
+        value = move(int(store.read_cache(path).sequences.timestamps[0]))
+        patch_cache(path, "timestamps", value)
+        with pytest.raises(FormatError, match=rf"user 'u0' event 0 has timestamp {value}, "
+                                              rf"outside \[0, {TIMESTAMP_LIMIT}\)$"):
+            store.read_cache(path)
+
+    def test_first_and_last_parsed_timestamps_round_trip(self, tmp_path):
+        ts = np.array([0, TIMESTAMP_LIMIT - 1], dtype=np.int64)
+        seqs = sequence_set([UserSequence("u0", np.zeros(2, np.int64), ts)], {"i0": 0})
+        split = SplitSet(annotate_sequences(seqs, make_split().sequences.scheme),
+                         np.ones(1, np.int64))
+        path = str(tmp_path / "cache.bin")
+        store.write_cache(path, split)
+        assert store.read_cache(path).sequences.timestamps.tolist() == ts.tolist()
 
     def test_non_utf8_identifier_rejected(self, tmp_path):
         path = str(tmp_path / "cache.bin")
@@ -213,7 +236,8 @@ class TestCache:
         split = make_split()
         seqs = split.sequences
         names = ["\u00e9", "", "\u4e2d\u6587", "\U0001f600x", "a\u00e9b", "z"]
-        seqs.user_vocab = {name: i for i, name in enumerate(names)}
+        split = SplitSet(replace(seqs, user_vocab={name: i for i, name in enumerate(names)}),
+                         split.n_train)
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, split)
         again = store.read_cache(path).sequences
@@ -226,7 +250,9 @@ class TestCache:
         path = tmp_path / "cache.bin"
         for size in (0xFFFF, 0x10000):
             items[1] = "\u00e9" * (size // 2) + "x" * (size % 2)  # size UTF-8 bytes
-            split.sequences.item_vocab = {item: i for i, item in enumerate(items)}
+            split = SplitSet(replace(split.sequences,
+                                     item_vocab={item: i for i, item in enumerate(items)}),
+                             split.n_train)
             if size == 0xFFFF:
                 store.write_cache(str(path), split)
                 assert store.read_cache(str(path)).sequences.item_ids() == items
@@ -239,7 +265,8 @@ class TestCache:
         split = make_split()
         seqs = split.sequences
         names = ["\u00e9", "x"] + seqs.user_ids()[2:]  # the blob starts c3 a9 78
-        seqs.user_vocab = {name: i for i, name in enumerate(names)}
+        split = SplitSet(replace(seqs, user_vocab={name: i for i, name in enumerate(names)}),
+                         split.n_train)
         path = tmp_path / "cache.bin"
         store.write_cache(str(path), split)
         at = user_lengths_offset(str(path))
