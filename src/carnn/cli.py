@@ -27,7 +27,7 @@ from .estimator import query_context
 from .evaluate import (evaluate, format_report_table, metric_keys, metric_pairs, pop_baseline,
                        report_to_json)
 from .model import (ModelConfig, ModelParams, check_compatibility, init_params,
-                    load_params, save_params, score_all, states_at, top_n)
+                    load_params, save_params, score_all, step_inputs, top_n, unroll)
 from .seeding import named_rng
 from .training import TrainConfig, configs, gradient_check, train, write_loss_trace
 
@@ -336,13 +336,15 @@ def predict_cmd(config_path, seed, out, user, timestamp, k, cache, model):
     uidx = seqs.user_vocab.get(user)
     if uidx is None:
         raise DataError(f"unknown user {user!r}")
-    n_tr = int(split.n_train[uidx])
+    n_tr, start = int(split.n_train[uidx]), seqs.offsets.item(uidx)
+    at = slice(start, start + n_tr)
+    events = seqs.items[at], seqs.input_ctxs[at], seqs.trans_bins[at]
+    params.check_ids(*events)
     # with no training history the query is the user's first step: start bin, zero state
-    last_t = seqs.timestamps.item(seqs.offsets.item(uidx) + n_tr - 1) if n_tr else None
+    last_t = seqs.timestamps.item(start + n_tr - 1) if n_tr else None
     ctx, bin_ = query_context(timestamp, last_t, seqs.scheme)
-    positions = [()] * seqs.n_users
-    positions[uidx] = [n_tr]
-    scores = score_all(states_at(seqs, positions, params), ctx, bin_, params)[0]
+    h = unroll(*step_inputs(*events, params))[-1]
+    scores = score_all(h[None], ctx, bin_, params)[0]
     item_ids = seqs.item_ids()
     click.echo(f"user={user} timestamp={timestamp} input_context={ctx} transition_bin={bin_}")
     for rank, idx in enumerate(top_n(scores, k).tolist(), start=1):

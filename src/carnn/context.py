@@ -21,7 +21,7 @@ from itertools import pairwise, repeat
 import numpy as np
 
 from .base import as_whole
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InputOutputError
 from . import data as _data
 
 SECONDS_PER_DAY = 86400
@@ -176,6 +176,8 @@ def parse_holiday_file(path: str) -> frozenset[_dt.date]:
                     dates.add(_dt.date.fromisoformat(text))
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: not an ISO date: {text!r}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read holiday file {path}: {exc}") from exc
+    except OSError as exc:
+        raise InputOutputError(f"cannot read holiday file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"holiday file {path} is not UTF-8 text: {exc}") from exc
     return frozenset(dates)

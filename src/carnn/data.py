@@ -8,8 +8,8 @@ order breaking ties, which makes every downstream artifact reproducible: one
 stable argsort of a single int64 (user, timestamp) key orders all events.
 
 A ``SequenceSet`` holds the sorted events as flat int64 columns and per-user
-``offsets``: the layout of the cache and of ``model.states_at``, so no stage
-between them builds per-user arrays.
+``offsets``: the layout of the cache, of training and of ``model.states_at``,
+so no stage between the cache and the model builds per-user arrays.
 
 A log is held as columns: int64 user and item codes, which number the ids
 by first appearance, beside the id strings in code order and int64
@@ -148,9 +148,9 @@ class SequenceSet:
 
 @dataclass
 class SplitSet:
-    """A SequenceSet with a per-sequence boundary: the first ``n_train[i]``
-    steps train, the remainder test. Concatenating both views reproduces the
-    full sequence."""
+    """A SequenceSet with a per-sequence boundary: the first ``n_train[u]``
+    events of user u train and the rest are held out, by the one rule that
+    ``heldout`` states."""
 
     sequences: "SequenceSet"
     n_train: np.ndarray  # int64, one entry per sequence
@@ -158,6 +158,14 @@ class SplitSet:
     @property
     def n_test_positions(self) -> int:
         return int(np.sum(self.sequences.lengths - self.n_train))
+
+    def heldout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each event's position in its user's sequence, and the mask over the
+        columns of the held-out events: each user's past its first ``n_train``,
+        so user u trains on ``[offsets[u], offsets[u] + n_train[u])``."""
+        lengths = self.sequences.lengths
+        pos = np.arange(lengths.sum()) - np.repeat(self.sequences.offsets[:-1], lengths)
+        return pos, pos >= np.repeat(self.n_train, lengths)
 
 
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")  # what int() reads in base 10, once stripped

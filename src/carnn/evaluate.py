@@ -76,15 +76,6 @@ def _report(ranks: np.ndarray, ks) -> MetricsReport:
 SCORE_BLOCK_BYTES = 1 << 20
 
 
-def _heldout(split: SplitSet) -> tuple[np.ndarray, np.ndarray]:
-    """Each event's position in its user's sequence, and the mask over the
-    split's columns of the held-out events: each user's past its first
-    ``n_train``."""
-    lengths = split.sequences.lengths
-    pos = np.arange(lengths.sum()) - np.repeat(split.sequences.offsets[:-1], lengths)
-    return pos, pos >= np.repeat(split.n_train, lengths)
-
-
 def _model_ranks(split: SplitSet, p: ModelParams) -> np.ndarray:
     """Rank of the true item at every held-out position, in report order:
     user by user, each user's positions in time order.
@@ -94,7 +85,7 @@ def _model_ranks(split: SplitSet, p: ModelParams) -> np.ndarray:
     at most SCORE_BLOCK_BYTES, each into the same buffer.
     """
     seqs = split.sequences
-    pos, held = _heldout(split)
+    pos, held = split.heldout()
     cuts = np.cumsum(seqs.lengths - split.n_train)[:-1]
     states = states_at(seqs, np.split(pos[held], cuts), p)
     items, ctxs, bins = seqs.items[held], seqs.input_ctxs[held], seqs.trans_bins[held]
@@ -128,12 +119,12 @@ def evaluate(split: SplitSet, p: ModelParams, *, ks=DEFAULT_KS) -> MetricsReport
 def train_item_counts(split: SplitSet) -> np.ndarray:
     """How often each item occurs among the training events, as float64."""
     seqs = split.sequences
-    return np.bincount(seqs.items[~_heldout(split)[1]], minlength=seqs.n_items).astype(np.float64)
+    return np.bincount(seqs.items[~split.heldout()[1]], minlength=seqs.n_items).astype(np.float64)
 
 
 def pop_baseline(split: SplitSet, ks=DEFAULT_KS) -> MetricsReport:
     """Rank every item by its training-set frequency, constant across queries."""
-    targets = split.sequences.items[_heldout(split)[1]]
+    targets = split.sequences.items[split.heldout()[1]]
     return _report(shared_ranks(train_item_counts(split), targets), ks)
 
 

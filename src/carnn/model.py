@@ -15,10 +15,10 @@ shared matrix, which reproduces a conventional recurrent model.
 the input projections r @ M[ctx] and transition matrices that
 ``step_inputs`` gathers for a run of steps; it writes the new state in
 place when given ``out``. ``unroll`` steps one user a state at a time for
-training, which passes the gathers its scoring path shares; evaluation,
-``carnn predict`` and the estimator's state table take theirs from
-``states_at``, which steps every user of a ``SequenceSet`` in lockstep as
-(B, d) blocks, read from the set's columns. A block row goes through the
+training, which passes the gathers its scoring path shares, and for
+``carnn predict``; evaluation and the estimator's state table take theirs
+from ``states_at``, which steps every user of a ``SequenceSet`` in lockstep
+as (B, d) blocks, read from the set's columns. A block row goes through the
 same vector-matrix BLAS call (a stacked ``np.matmul``) as one state, so
 both have the same bits. ``score_all`` scores a (B, d) block of states under one context and
 bin, or one per row; a single query is the block ``h[None]``.
@@ -41,6 +41,7 @@ format 2, a header and the f64 banks inside the checksummed frame of
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -125,11 +126,18 @@ def init_params(config: ModelConfig) -> ModelParams:
     """Draw every parameter i.i.d. uniform on [-init_scale, +init_scale].
 
     Draw order is fixed (R, M bank, W bank) so a seed pins the exact
-    parameter values.
+    parameter values. ConfigError, before anything is drawn, if the banks
+    take more bytes than the machine's physical memory holds.
     """
+    d = config.d
+    n_bytes = 8 * (config.n_items * d + (config.m_slots + config.w_slots) * d * d)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n_bytes > memory:
+        raise ConfigError(f"the banks of d={d}, {config.n_items} items, {config.m_slots} input "
+                          f"and {config.w_slots} transition matrices take {n_bytes} bytes, "
+                          f"more than the {memory} bytes of physical memory")
     rng = named_rng(config.seed, "init")
     s = config.init_scale
-    d = config.d
 
     def draw(shape):
         return rng.uniform(-s, s, size=shape)
@@ -169,15 +177,6 @@ def hidden_step(h_prev: np.ndarray, u: np.ndarray, w: np.ndarray,
     z = np.matmul(h_prev[..., None, :], w)[..., 0, :]
     z += u
     return sigmoid_vec(z, out=out)
-
-
-def check_sequence(seq, p: ModelParams) -> None:
-    """ConfigError unless ``seq`` is empty, or annotated with ids that
-    ``ModelParams.check_ids`` accepts."""
-    if len(seq):
-        if not seq.annotated:
-            raise ConfigError("sequence must be annotated with contexts before the forward pass")
-        p.check_ids(seq.items, seq.input_ctxs, seq.trans_bins)
 
 
 def unroll(U: np.ndarray, W: np.ndarray) -> np.ndarray:

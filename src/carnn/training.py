@@ -4,9 +4,9 @@ The objective for one (positive, sampled negative) pair is
 ln(1 + e^-(y_pos - y_neg)); gradients flow through the bilinear scoring
 path and back through the unrolled recurrence, so every selected input
 matrix, transition matrix, and touched embedding row receives its exact
-contribution. Updates are per user sequence: one forward pass, one
-gradient accumulation over all predictable positions, one SGD step with
-L2 decay applied lazily to touched parameters only.
+contribution. Updates are per user, on a slice of the split's columns:
+one forward pass, one gradient accumulation over all predictable positions,
+one SGD step with L2 decay applied lazily to touched parameters only.
 
 The forward pass and the scoring path share one gather of the sequence's
 rows of R and of both banks; the backward sweep and the SGD step update
@@ -26,7 +26,7 @@ import numpy as np
 from .base import as_flag, as_real, as_whole, pick
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
-from .model import ModelConfig, ModelParams, check_sequence, first_non_finite, project, unroll
+from .model import ModelConfig, ModelParams, first_non_finite, project, unroll
 from .seeding import named_rng
 from .store import write_atomic
 
@@ -101,9 +101,11 @@ class GradientBuffer:
             touched[:] = False
 
 
-def _pair_gradients(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
-                    cfg: TrainConfig, buf: GradientBuffer) -> float:
-    """Accumulate gradients of the summed pair losses of ``seq`` into ``buf``.
+def _pair_gradients(items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray,
+                    negatives: np.ndarray, p: ModelParams, cfg: TrainConfig,
+                    buf: GradientBuffer) -> float:
+    """Accumulate gradients of the summed pair losses of one user's run of
+    events into ``buf``: their item, input-context and gap-bin ids.
 
     ``negatives`` is what ``make_examples`` returns: row j holds the
     negatives scored against the item at position j. Every position is
@@ -111,16 +113,15 @@ def _pair_gradients(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
     are reduced into the banks once, from per-position buffers. A pair whose
     derivative underflows to 0 touches nothing. Returns the summed loss.
 
-    Nothing is checked here: ``train`` checks its sequences once, before
-    the first epoch, and draws valid negatives; ``backprop_sequence`` and
-    ``sequence_loss`` check what they are given.
+    Nothing is checked here: ``train`` checks every training event once,
+    before the first epoch, and draws valid negatives; ``backprop_sequence``
+    and ``sequence_loss`` check what they are given.
     """
-    items = seq.items
     if not len(items):  # an empty sequence may carry no annotations
         return 0.0
     zeros = np.zeros(len(items), dtype=np.int64)
-    m_slots = seq.input_ctxs if p.config.use_input_contexts else zeros
-    w_slots = seq.trans_bins if p.config.use_transition_contexts else zeros
+    m_slots = ctxs if p.config.use_input_contexts else zeros
+    w_slots = bins if p.config.use_transition_contexts else zeros
     # column 0 is each position's positive, the others its negatives
     rows = np.concatenate([items[:, None], negatives], axis=1)
     Rr = p.R.take(rows, axis=0)                             # (L, 1+k, d)
@@ -172,12 +173,17 @@ def _scatter_add(bank: np.ndarray, index: np.ndarray, values: np.ndarray) -> Non
     np.add.at(bank.reshape(-1), flat, values.ravel())
 
 
-def _check_inputs(seq: UserSequence, negatives, p: ModelParams) -> np.ndarray:
-    """``negatives`` as an array; ConfigError unless ``model.check_sequence``
-    accepts ``seq`` and ``negatives`` has one row of item ids per position,
-    each in [0, n_items) and not that position's positive."""
-    check_sequence(seq, p)
-    items, n_items = seq.items, p.config.n_items
+def _check_inputs(seq: UserSequence, negatives, p: ModelParams) -> tuple[np.ndarray, ...]:
+    """The item, input-context and gap-bin ids of ``seq`` and ``negatives``
+    as an array; ConfigError unless ``seq`` is empty or annotated with ids
+    that ``ModelParams.check_ids`` accepts, and ``negatives`` has one row of
+    item ids per position, each in [0, n_items) and not that position's
+    positive."""
+    items, ctxs, bins, n_items = seq.items, seq.input_ctxs, seq.trans_bins, p.config.n_items
+    if len(items):
+        if not seq.annotated:
+            raise ConfigError("sequence must be annotated with contexts before the forward pass")
+        p.check_ids(items, ctxs, bins)
     negatives = np.asarray(negatives)
     if negatives.ndim != 2 or len(negatives) != len(items) or negatives.dtype.kind not in "iu":
         raise ConfigError(f"negatives must be integer ids with one row for each of the "
@@ -189,7 +195,7 @@ def _check_inputs(seq: UserSequence, negatives, p: ModelParams) -> np.ndarray:
     if same.any():
         j = int(np.argmax(same))
         raise ConfigError(f"negative item {items[j]} at position {j} equals its positive")
-    return negatives
+    return items, ctxs, bins, negatives
 
 
 def _recurrence_grads(dh: np.ndarray, act: np.ndarray, Ws: np.ndarray,
@@ -230,7 +236,7 @@ def backprop_sequence(seq: UserSequence, negatives: np.ndarray, p: ModelParams,
                       cfg: TrainConfig) -> GradientBuffer:
     """Exact gradient of the summed pair losses (regularizer excluded)."""
     buf = GradientBuffer(p)
-    _pair_gradients(seq, _check_inputs(seq, negatives, p), p, cfg, buf)
+    _pair_gradients(*_check_inputs(seq, negatives, p), p, cfg, buf)
     return buf
 
 
@@ -238,20 +244,20 @@ def sequence_loss(seq: UserSequence, negatives: np.ndarray, p: ModelParams) -> f
     """Summed pair loss of the given negatives under the current parameters,
     scored by ``_pair_gradients`` itself; its scoring-path gradients go to a
     scratch buffer and nothing is back-propagated."""
-    return _pair_gradients(seq, _check_inputs(seq, negatives, p), p, TrainConfig(bptt_window=0),
+    return _pair_gradients(*_check_inputs(seq, negatives, p), p, TrainConfig(bptt_window=0),
                            GradientBuffer(p))
 
 
-def make_examples(seq: UserSequence, n_items: int, rng: np.random.Generator,
+def make_examples(items: np.ndarray, n_items: int, rng: np.random.Generator,
                   negatives_per_positive: int = 1) -> np.ndarray:
-    """Fresh uniform negatives for every predictable position: an int64
-    (len(seq), negatives_per_positive) array from one draw. Each is uniform
-    over the items other than its position's positive: a draw from
-    [0, n_items - 1) that skips the positive."""
+    """Fresh uniform negatives for every position of the positives ``items``:
+    an int64 (len(items), negatives_per_positive) array from one draw. Each
+    is uniform over the items other than its position's positive: a draw
+    from [0, n_items - 1) that skips the positive."""
     if n_items < 2:
         raise ConfigError("need at least 2 items to sample a negative")
-    draws = rng.integers(0, n_items - 1, size=(len(seq), negatives_per_positive))
-    return draws + (draws >= seq.items[:, None])
+    draws = rng.integers(0, n_items - 1, size=(len(items), negatives_per_positive))
+    return draws + (draws >= items[:, None])
 
 
 def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams:
@@ -291,24 +297,18 @@ def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams
     return p
 
 
-def _train_view(seq: UserSequence, n: int) -> UserSequence:
-    return UserSequence(seq.user, seq.items[:n], seq.timestamps[:n],
-                        seq.input_ctxs[:n], seq.trans_bins[:n])
-
-
 def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
     """SGD over users: per epoch, one pass in (optionally shuffled) order;
     per user, forward the train prefix, accumulate pair gradients over every
     predictable position, take one update step. Returns the trained
-    parameters and the per-epoch mean pair loss trace."""
-    if not split.sequences.annotated:
+    parameters and the per-epoch mean pair loss trace. Every training event's
+    ids are checked once, through the mask of ``SplitSet.heldout``."""
+    seqs = split.sequences
+    if not seqs.annotated:
         raise ConfigError("training requires annotated sequences; run annotation first")
-    seqs = split.sequences.sequences
-    # None for a user with nothing to train on; every other view is checked once
-    views = [_train_view(s, int(n)) if n >= 1 else None for s, n in zip(seqs, split.n_train)]
-    for view in views:
-        if view is not None:
-            check_sequence(view, p)
+    trained = ~split.heldout()[1]
+    p.check_ids(seqs.items[trained], seqs.input_ctxs[trained], seqs.trans_bins[trained])
+    starts, n_train = seqs.offsets[:-1].tolist(), split.n_train.tolist()
     n_items = p.config.n_items
     shuffle_rng = named_rng(cfg.seed, "shuffle")
     neg_rng = named_rng(cfg.seed, "negatives")
@@ -317,19 +317,21 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        order = shuffle_rng.permutation(len(seqs)) if cfg.shuffle else np.arange(len(seqs))
+        order = shuffle_rng.permutation(len(starts)).tolist() if cfg.shuffle else range(len(starts))
         loss_sum = 0.0
         loss_count = 0
         # huge parameters overflow the forward pass; the loss check and the
         # isfinite screen in sgd_step report that as NumericalError, so
         # numpy's own RuntimeWarning would only repeat it on stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            for si in order:
-                view = views[si]
-                if view is None:
+            for u in order:
+                if n_train[u] < 1:  # nothing to train on
                     continue
-                negatives = make_examples(view, n_items, neg_rng, cfg.negatives_per_positive)
-                loss = _pair_gradients(view, negatives, p, cfg, buf)
+                at = slice(starts[u], starts[u] + n_train[u])
+                items = seqs.items[at]
+                negatives = make_examples(items, n_items, neg_rng, cfg.negatives_per_positive)
+                loss = _pair_gradients(items, seqs.input_ctxs[at], seqs.trans_bins[at],
+                                       negatives, p, cfg, buf)
                 loss_sum += loss
                 loss_count += negatives.size
                 try:
@@ -337,7 +339,8 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
                         raise NumericalError(f"non-finite pair loss {loss}")
                     sgd_step(p, buf, cfg)
                 except NumericalError as exc:
-                    raise NumericalError(f"epoch {epoch}, user {view.user!r}: {exc}") from exc
+                    user = seqs.user_ids()[u]
+                    raise NumericalError(f"epoch {epoch}, user {user!r}: {exc}") from exc
                 buf.clear()
         mean_loss = loss_sum / loss_count if loss_count else float("nan")
         trace.append(EpochStats(epoch, mean_loss, time.perf_counter() - t0))
@@ -372,7 +375,7 @@ def gradient_check(p: ModelParams, seq: UserSequence, cfg: TrainConfig,
     the unlimited-window configuration, whose gradients are exact.
     """
     if negatives is None:
-        negatives = make_examples(seq, p.config.n_items, named_rng(cfg.seed, "negatives"),
+        negatives = make_examples(seq.items, p.config.n_items, named_rng(cfg.seed, "negatives"),
                                   cfg.negatives_per_positive)
     buf = backprop_sequence(seq, negatives, p, cfg)
 

@@ -10,7 +10,7 @@ from carnn.data import SequenceSet, UserSequence
 from carnn.errors import ConfigError
 from carnn.evaluate import _SYNTH_EPOCH, synthetic_partition
 from carnn.linalg import sigmoid_vec
-from carnn.model import check_sequence, step_inputs, unroll
+from carnn.model import step_inputs, unroll
 from carnn.seeding import named_rng
 
 
@@ -44,9 +44,11 @@ def forward_states(seq, p):
     ``unroll``: an (len(seq)+1, d) array whose row 0 is the zero state and
     row k the state after k events. ``states_at`` of the user at
     ``np.arange(len(seq) + 1)`` gives the same bits."""
-    check_sequence(seq, p)
     if not len(seq):
         return np.zeros((1, p.config.d), dtype=np.float64)
+    if not seq.annotated:
+        raise ConfigError("sequence must be annotated with contexts before the forward pass")
+    p.check_ids(seq.items, seq.input_ctxs, seq.trans_bins)
     return unroll(*step_inputs(seq.items, seq.input_ctxs, seq.trans_bins, p))
 
 

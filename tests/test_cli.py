@@ -255,6 +255,15 @@ class TestPrepare:
         assert result.exit_code == error.exit_code, result.output
         assert "UTF-8" in result.output or "utf-8" in result.output
 
+    def test_missing_holiday_file_is_an_io_error(self, tmp_path):
+        (tmp_path / "events.csv").write_bytes(b"u1,i1,100\nu1,i2,200\nu2,i1,300\nu2,i2,400\n")
+        (tmp_path / "run.cfg").write_text(f"min_user=2\nmin_item=1\n"
+                                          f"holidays={tmp_path / 'no' / 'such' / 'file'}\n")
+        result = invoke("prepare", "--config", str(tmp_path / "run.cfg"),
+                        "--dataset", str(tmp_path / "events.csv"), "--out", str(tmp_path / "o"))
+        assert result.exit_code == InputOutputError.exit_code, result.output
+        assert "cannot read holiday file" in result.output
+
 
 class TestTrain:
     def test_model_and_loss_trace_written(self, workdir):
@@ -263,6 +272,13 @@ class TestTrain:
         loss = Path(os.path.join(os.path.dirname(model), "loss.csv")).read_text().splitlines()
         assert loss[0] == "epoch,mean_pair_loss,wall_seconds"
         assert len(loss) == 11
+
+    def test_banks_past_physical_memory_exit_2(self, workdir, tmp_path):
+        result = invoke("train", "--config", workdir["cfg"], "--out", str(tmp_path),
+                        "--cache", workdir["cache"], "--d", "1000000000000")
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert "bytes of physical memory" in result.output
+        assert not os.path.exists(tmp_path / "model.carn")
 
     def test_context_blind_variant_declares_singleton_banks(self, workdir):
         params = load_params(workdir["models"]["rnn"])
@@ -577,6 +593,19 @@ class TestPredict:
                 lines = self.predicted(workdir, workdir["cache"], workdir["models"][variant],
                                        seq.user, t, k)
                 assert lines[1:] == self.expected_lines(split, scores, k)
+
+    def test_checks_only_the_users_training_events(self, workdir, monkeypatch):
+        from carnn.model import ModelParams
+
+        split = store.read_cache(workdir["cache"])
+        sizes = []
+        real = ModelParams.check_ids
+        monkeypatch.setattr(ModelParams, "check_ids",
+                            lambda p, ids, *rest: sizes.append(len(ids)) or real(p, ids, *rest))
+        for u in (0, 5):
+            self.predicted(workdir, workdir["cache"], workdir["models"]["carnn"],
+                           split.sequences.user_ids()[u], 2_000_000_000, 3)
+        assert sizes == [int(split.n_train[0]), int(split.n_train[5])]
 
     @pytest.mark.parametrize("k", ["0", "-38", "2.5", "ten"])
     def test_k_not_a_whole_number_of_at_least_1_is_config_error(self, workdir, k):

@@ -172,9 +172,16 @@ def real_value(value):
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
+def banks_fit(d):
+    """Whether the banks of a d-dimensional model of ``ROWS`` (6 items, 7 x 24
+    input contexts, 32 gap bins) fit in physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return 8 * (6 * int(d) + (7 * 24 + 32) * int(d) ** 2) <= memory
+
+
 # estimator parameter -> whether it accepts a hostile value
 ACCEPTS = {
-    "d": lambda v: whole_value(v) and v >= 1,
+    "d": lambda v: whole_value(v) and v >= 1 and banks_fit(v),
     "learning_rate": lambda v: real_value(v) and v >= 0,
     "l2": lambda v: real_value(v) and v >= 0,
     "epochs": lambda v: whole_value(v) and v >= 1,
@@ -192,8 +199,9 @@ ACCEPTS = {
     "shuffle": lambda v: False,
     "seed": whole_value,
 }
-# a whole number this large would allocate or loop that much
-SIZES = {"d", "epochs", "negatives_per_positive"}
+# a whole number this large would loop or allocate that much; a d whose banks
+# pass physical memory is refused before they are drawn
+SIZES = {"epochs", "negatives_per_positive"}
 ROWS = [(f"u{u}", f"i{(u + k) % 6}", 946857600 + 3600 * (5 * u + k))
         for u in range(4) for k in range(5)]
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, UserSequence,
-                        _group_order, build_sequences, full_train_split, parse_interactions,
-                        split_sequences, train_length)
+from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, SequenceSet, SplitSet,
+                        UserSequence, _group_order, build_sequences, full_train_split,
+                        parse_interactions, split_sequences, train_length)
 from carnn.errors import ConfigError, DataError, FormatError, InputOutputError
 from references import reference_grouping, sequence_set
 
@@ -513,6 +513,17 @@ class TestSplit:
         split = split_sequences(seqs, 0.8)
         assert split.n_train.tolist() == [8]
         assert split.n_test_positions == 2
+
+    def test_heldout_positions_and_mask_on_ragged_users(self):
+        # n_train 0 of 3 events (all held out), 1 of 1 and 2 of 2 (none held
+        # out), 0 of an empty user's none, and 2 of 4
+        seqs = SequenceSet(np.arange(10), np.arange(10), np.array([0, 3, 4, 4, 8, 10]),
+                           {f"i{k}": k for k in range(10)}, {f"u{u}": u for u in range(5)})
+        split = SplitSet(seqs, np.array([0, 1, 0, 2, 2]))
+        pos, held = split.heldout()
+        assert pos.tolist() == [0, 1, 2, 0, 0, 1, 2, 3, 0, 1]
+        assert held.tolist() == [True] * 3 + [False] + [False, False, True, True] + [False] * 2
+        assert int(held.sum()) == split.n_test_positions
 
     def test_full_train_split_has_no_test(self):
         rows = [("u", f"i{k}", k) for k in range(10)]

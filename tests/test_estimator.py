@@ -49,6 +49,12 @@ class TestParamsContract:
     def test_repr_shows_parameters(self):
         assert "d=7" in repr(CARNNRecommender(d=7))
 
+    # 2**32 - 2 days is 2**32 gap bins, so 2**32 W matrices
+    @pytest.mark.parametrize("params", [dict(d=10**12), dict(d=1000, max_interval_days=2**32 - 2)])
+    def test_banks_past_physical_memory_are_config_errors(self, params):
+        with pytest.raises(ConfigError, match="bytes of physical memory"):
+            CARNNRecommender(epochs=1, **params).fit(interaction_rows())
+
 
 class TestFitPredict:
     def fitted(self, **kwargs):

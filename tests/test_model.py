@@ -140,6 +140,15 @@ class TestInit:
         assert p.M_bank.shape == (42, 10, 10) and p.W_bank.shape == (32, 10, 10)
         assert p.R.size + p.M_bank.size + p.W_bank.size == 100 * 10 + 42 * 100 + 32 * 100 == 8400
 
+    def test_banks_past_physical_memory_are_config_errors(self):
+        # d=10**12 asks for about 3.2e25 bytes: refused before anything is drawn
+        config = ModelConfig(d=10**12, n_items=3, n_input_contexts=2, n_transition_bins=2)
+        with mock.patch.object(model, "named_rng", side_effect=AssertionError("drew")):
+            with pytest.raises(ConfigError, match=r"d=1000000000000, 3 items, 2 input and 2 "
+                                                  r"transition matrices take \d+ bytes, more "
+                                                  r"than the \d+ bytes of physical memory"):
+                init_params(config)
+
     def test_bounded_by_init_scale(self):
         config = ModelConfig(d=5, n_items=10, n_input_contexts=3, n_transition_bins=3,
                              init_scale=0.1)

@@ -166,7 +166,7 @@ class TestBackprop:
         # lr=0 training leaves parameters untouched while gradients exist
         params, seq = tiny_fixture(4)
         before = copy.deepcopy(params)
-        negatives = make_examples(seq, 5, named_rng(4, "negatives"))
+        negatives = make_examples(seq.items, 5, named_rng(4, "negatives"))
         buf = backprop_sequence(seq, negatives, params, TrainConfig(learning_rate=0.0))
         assert np.abs(buf.dR).sum() > 0
         sgd_step(params, buf, TrainConfig(learning_rate=0.0, l2=0.0))
@@ -195,7 +195,7 @@ class TestBackprop:
 
     def test_truncated_window_covering_sequence_equals_full(self):
         params, seq = tiny_fixture(3)
-        negatives = make_examples(seq, 5, named_rng(3, "negatives"))
+        negatives = make_examples(seq.items, 5, named_rng(3, "negatives"))
         full = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=None))
         wide = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=len(seq)))
         assert np.allclose(full.dR, wide.dR, atol=1e-15)
@@ -204,14 +204,14 @@ class TestBackprop:
 
     def test_short_window_truncates(self):
         params, seq = tiny_fixture(3)
-        negatives = make_examples(seq, 5, named_rng(3, "negatives"))
+        negatives = make_examples(seq.items, 5, named_rng(3, "negatives"))
         full = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=None))
         short = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=1))
         assert not np.allclose(full.dR, short.dR)
 
     def test_zero_window_touches_only_scoring_parameters(self):
         params, seq = tiny_fixture(3)
-        negatives = make_examples(seq, 5, named_rng(3, "negatives"))
+        negatives = make_examples(seq.items, 5, named_rng(3, "negatives"))
         buf = backprop_sequence(seq, negatives, params, TrainConfig(bptt_window=0))
         # without unrolling, only the positives and their negatives carry gradient
         expected = np.zeros(5, dtype=bool)
@@ -220,7 +220,7 @@ class TestBackprop:
 
     def test_example_requires_distinct_items(self):
         params, seq = tiny_fixture(0)
-        negatives = make_examples(seq, 5, named_rng(0, "negatives"))
+        negatives = make_examples(seq.items, 5, named_rng(0, "negatives"))
         negatives[2, 0] = seq.items[2]
         with pytest.raises(ConfigError, match="position 2 equals its positive"):
             backprop_sequence(seq, negatives, params, TrainConfig())
@@ -240,7 +240,7 @@ class TestBackprop:
     def test_out_of_range_negatives_rejected(self, bad):
         # -1 would otherwise train R's last row; n_items would index past R
         params, seq = tiny_fixture(0)
-        negatives = make_examples(seq, 5, named_rng(0, "negatives"))
+        negatives = make_examples(seq.items, 5, named_rng(0, "negatives"))
         negatives[4, 0] = bad
         before = copy.deepcopy(params)
         with pytest.raises(ConfigError, match=f"negative item {bad} out of range"):
@@ -254,7 +254,7 @@ class TestBackprop:
         # the draws behind byte-identical model files: position by position,
         # then negative by negative, one sample_negative call each
         params, seq = tiny_fixture(1, length=9)
-        negatives = make_examples(seq, 5, named_rng(1, "negatives"), k)
+        negatives = make_examples(seq.items, 5, named_rng(1, "negatives"), k)
         rng = named_rng(1, "negatives")
         expected = [[sample_negative(rng, int(pos), 5) for _ in range(k)] for pos in seq.items]
         assert negatives.dtype == np.int64 and negatives.shape == (9, k)
@@ -262,7 +262,7 @@ class TestBackprop:
 
     def test_make_examples_of_an_empty_sequence(self):
         params, seq = tiny_fixture(0, length=0)
-        negatives = make_examples(seq, 5, named_rng(0, "negatives"), 2)
+        negatives = make_examples(seq.items, 5, named_rng(0, "negatives"), 2)
         assert negatives.shape == (0, 2) and negatives.dtype == np.int64
         assert sequence_loss(seq, negatives, params) == 0.0
         # an empty sequence needs no annotations, as in forward_states
@@ -342,7 +342,7 @@ GRADIENT_ULPS = 16
 def assert_matches_reference(seq, negatives, p, cfg):
     loss, ref = reference_pair_gradients(seq, negatives, p, cfg)
     buf = GradientBuffer(p)
-    got = _pair_gradients(seq, negatives, p, cfg, buf)
+    got = _pair_gradients(seq.items, seq.input_ctxs, seq.trans_bins, negatives, p, cfg, buf)
     eps = np.finfo(np.float64).eps
     assert abs(got - loss) <= GRADIENT_ULPS * eps * loss
     for name in ("dR", "dM_bank", "dW_bank"):
@@ -373,7 +373,7 @@ class TestAgainstReferenceLoop:
             seq = UserSequence("u", rng.integers(0, 7, size=length),
                                np.arange(length, dtype=np.int64) * 86400,
                                rng.integers(0, 3, size=length), rng.integers(0, 4, size=length))
-            negatives = make_examples(seq, 7, named_rng(length, "negatives"), k)
+            negatives = make_examples(seq.items, 7, named_rng(length, "negatives"), k)
             assert_matches_reference(seq, negatives, p, TrainConfig(bptt_window=window))
 
     @pytest.mark.parametrize("use_in,use_tr", [(True, True), (True, False), (False, True),
@@ -392,7 +392,8 @@ class TestAgainstReferenceLoop:
         rng = named_rng(5, "synthetic")
         seq = UserSequence("u", rng.integers(0, 7, size=30), np.arange(30) * 86400,
                            rng.integers(0, 3, size=30), rng.integers(0, 4, size=30))
-        _pair_gradients(seq, make_examples(seq, 7, rng, 2), p, TrainConfig(), GradientBuffer(p))
+        _pair_gradients(seq.items, seq.input_ctxs, seq.trans_bins,
+                        make_examples(seq.items, 7, rng, 2), p, TrainConfig(), GradientBuffer(p))
         assert len(seen) == 1
         assert np.array_equal(seen[0].view(np.uint64), forward_states(seq, p).view(np.uint64))
 
@@ -451,8 +452,8 @@ class TestSgdStep:
 
     def test_clear_zeroes_touched_groups_and_masks(self):
         params, seq = tiny_fixture(2)
-        buf = backprop_sequence(seq, make_examples(seq, 5, named_rng(2, "negatives")), params,
-                                TrainConfig())
+        negatives = make_examples(seq.items, 5, named_rng(2, "negatives"))
+        buf = backprop_sequence(seq, negatives, params, TrainConfig())
         assert buf.touched_items.any() and buf.touched_m.any() and buf.touched_w.any()
         buf.clear()
         for name in ("dR", "dM_bank", "dW_bank", "touched_items", "touched_m", "touched_w"):
@@ -662,6 +663,29 @@ class TestTrain:
                 for bank in ("R", "M_bank", "W_bank"):
                     assert np.array_equal(getattr(got, bank), getattr(expected, bank))
 
+    def test_steps_slices_of_the_columns_and_builds_no_views(self):
+        split, scheme = planted_split()
+        train(split, self.make_model(scheme, 20), TrainConfig(epochs=1))
+        assert "sequences" not in split.sequences.__dict__
+
+    def test_checks_the_training_events_once_and_only_them(self, monkeypatch):
+        _, scheme = planted_split()
+        expected, _ = train(planted_split()[0], self.make_model(scheme, 20), TrainConfig(epochs=1))
+        split, _ = planted_split()
+        items, first_held = split.sequences.items, split.sequences.offsets[3] + split.n_train[3]
+        items[first_held] = -1  # a held-out event, which training never reads
+        sizes = []
+        real = ModelParams.check_ids
+        monkeypatch.setattr(ModelParams, "check_ids",
+                            lambda p, ids, *rest: sizes.append(len(ids)) or real(p, ids, *rest))
+        got, _ = train(split, self.make_model(scheme, 20), TrainConfig(epochs=1))
+        assert sizes == [int(split.n_train.sum())]
+        for bank in ("R", "M_bank", "W_bank"):
+            assert np.array_equal(getattr(got, bank), getattr(expected, bank))
+        items[first_held - 1] = 20  # user 3's last training event
+        with pytest.raises(ConfigError, match=r"item index 20 out of range \[0, 20\)"):
+            train(split, self.make_model(scheme, 20), TrainConfig(epochs=1))
+
     def test_loss_trace_csv_round_trip(self, tmp_path):
         trace = [EpochStats(1, 0.6931, 0.5), EpochStats(2, 0.5120, 0.4)]
         path = str(tmp_path / "loss.csv")
@@ -675,7 +699,7 @@ class TestTrain:
 class TestObjectiveHelpers:
     def test_sequence_loss_matches_pair_loss_sum(self):
         params, seq = tiny_fixture(2)
-        negatives = make_examples(seq, 5, named_rng(2, "negatives"), 2)
+        negatives = make_examples(seq.items, 5, named_rng(2, "negatives"), 2)
         states = forward_states(seq, params)
         expected = 0.0
         for j, negs in enumerate(negatives):
