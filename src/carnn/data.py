@@ -162,8 +162,13 @@ class SplitSet:
     def heldout(self) -> tuple[np.ndarray, np.ndarray]:
         """Each event's position in its user's sequence, and the mask over the
         columns of the held-out events: each user's past its first ``n_train``,
-        so user u trains on ``[offsets[u], offsets[u] + n_train[u])``."""
+        so user u trains on ``[offsets[u], offsets[u] + n_train[u])``.
+        ConfigError unless every ``n_train[u]`` is in [0, user u's length]."""
         lengths = self.sequences.lengths
+        if (bad := (self.n_train < 0) | (self.n_train > lengths)).any():
+            u = int(np.argmax(bad))
+            raise ConfigError(f"user {self.sequences.user_ids()[u]!r} has "
+                              f"n_train={self.n_train[u]} outside [0, {lengths[u]}]")
         pos = np.arange(lengths.sum()) - np.repeat(self.sequences.offsets[:-1], lengths)
         return pos, pos >= np.repeat(self.n_train, lengths)
 

@@ -525,6 +525,17 @@ class TestSplit:
         assert held.tolist() == [True] * 3 + [False] + [False, False, True, True] + [False] * 2
         assert int(held.sum()) == split.n_test_positions
 
+    @pytest.mark.parametrize("n_train, message",
+                             [([-1, 2], r"user 'u0' has n_train=-1 outside \[0, 2\]"),
+                              ([2, 4], r"user 'u1' has n_train=4 outside \[0, 3\]")])
+    def test_heldout_refuses_n_train_outside_the_sequence(self, n_train, message):
+        # training steps [offsets[u], offsets[u] + n_train[u]), which past the
+        # user's length would read the next user's events
+        seqs = SequenceSet(np.arange(5), np.arange(5), np.array([0, 2, 5]),
+                           {f"i{k}": k for k in range(5)}, {"u0": 0, "u1": 1})
+        with pytest.raises(ConfigError, match=message):
+            SplitSet(seqs, np.array(n_train)).heldout()
+
     def test_full_train_split_has_no_test(self):
         rows = [("u", f"i{k}", k) for k in range(10)]
         seqs = build_sequences(log_of(rows), min_user=2, min_item=1)

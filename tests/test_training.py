@@ -686,6 +686,15 @@ class TestTrain:
         with pytest.raises(ConfigError, match=r"item index 20 out of range \[0, 20\)"):
             train(split, self.make_model(scheme, 20), TrainConfig(epochs=1))
 
+    def test_n_train_past_a_users_length_is_a_config_error(self):
+        # the slice would run into user 3's events
+        split, scheme = planted_split()
+        n_train = split.n_train.copy()
+        n_train[2] = 31
+        with pytest.raises(ConfigError, match=r"user 'u2' has n_train=31 outside \[0, 30\]"):
+            train(SplitSet(split.sequences, n_train), self.make_model(scheme, 20),
+                  TrainConfig(epochs=1))
+
     def test_loss_trace_csv_round_trip(self, tmp_path):
         trace = [EpochStats(1, 0.6931, 0.5), EpochStats(2, 0.5120, 0.4)]
         path = str(tmp_path / "loss.csv")
