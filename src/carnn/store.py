@@ -9,16 +9,16 @@ scheme, and the train/test boundary. A custom little-endian layout (rather
 than pickle or npz) keeps reruns byte-identical, which the reproducibility
 contract requires.
 
-Format 2 is columnar. Inside the frame come the context scheme,
+Format 4 is columnar. Inside the frame come the context scheme,
 ``n_users`` and ``n_items``; each vocabulary as a ``<u2`` column of
 UTF-8 byte lengths and one blob; a ``<u4`` length column and a ``<u4``
 ``n_train`` column, one entry per user; and the item (``<u4``), timestamp
-(``<i8``), input-context (``<u4``) and gap-bin (``<u4``) columns over every
-user's events in user order.
+(``<i8``) and gap-bin (``<u4``) columns over every user's events in user
+order.
 
 The event columns are a ``SequenceSet``'s and the lengths its offsets'
-differences. ``read_cache`` checks ids, timestamp range and order, start
-bins, and each input context against its timestamp.
+differences. ``read_cache`` checks ids, timestamp range and order, and start
+bins, then derives the input contexts with one ``input_context`` call.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ from .data import TIMESTAMP_LIMIT, SequenceSet, SplitSet
 from .errors import CompatibilityError, ConfigError, FormatError, InputOutputError
 
 MAGIC = b"CASQ"
-VERSION = 2
+# 4, not 3: 3 is one bit away from 2 and from 1, so a flipped version bit
+# would read as an older format (CompatibilityError) rather than damage
+VERSION = 4
 
 _FACTOR_ORDER = list(FACTOR_CARDINALITIES)
-_EVENT_COLUMNS = (("items", "<u4"), ("timestamps", "<i8"), ("input_ctxs", "<u4"),
-                  ("trans_bins", "<u4"))
+_EVENT_COLUMNS = (("items", "<u4"), ("timestamps", "<i8"), ("trans_bins", "<u4"))
 
 
 def write_atomic(path: str, data: bytes | str, what: str) -> None:
@@ -204,7 +205,9 @@ def read_cache(path: str) -> SplitSet:
     # one writeable int64 block: four separate copies left a heap layout in
     # which later evaluate calls measured slower (glibc trimmed and refaulted
     # their score blocks)
-    items, ts, ctxs, bins = np.stack(columns, dtype=np.int64)
+    items, ts, bins = columns
+    items, ts, ctxs, bins = np.stack([items, ts, input_context(ts, scheme), bins],
+                                     dtype=np.int64)
     seqs = SequenceSet(items, ts, offsets, dict(zip(item_ids, range(n_items))),
                        dict(zip(user_ids, range(n_users))), ctxs, bins, scheme)
     return SplitSet(seqs, n_train.astype(np.int64))
@@ -213,15 +216,11 @@ def read_cache(path: str) -> SplitSet:
 def _check_events(path: str, user_ids: list[str], starts: np.ndarray, lengths: np.ndarray,
                   events: list[np.ndarray], n_items: int, scheme: ContextScheme) -> None:
     """FormatError unless every stored id is in range, every timestamp is in
-    [0, TIMESTAMP_LIMIT), each user's timestamps never decrease, each input
-    context is the one ``input_context`` gives its
-    timestamp, and a user's first event, and only it, holds the start bin;
-    checked over the item, timestamp, input-context and gap-bin columns at
-    once."""
-    items, ts, ctxs, bins = events
-    for name, ids, n in (("item", items, n_items),
-                         ("input context", ctxs, scheme.n_input_contexts),
-                         ("gap bin", bins, scheme.n_transition_bins)):
+    [0, TIMESTAMP_LIMIT), each user's timestamps never decrease, and a user's
+    first event, and only it, holds the start bin; checked over the item,
+    timestamp and gap-bin columns at once."""
+    items, ts, bins = events
+    for name, ids, n in (("item", items, n_items), ("gap bin", bins, scheme.n_transition_bins)):
         # stored unsigned, so only the upper bound can fail
         if ids.size and (top := int(ids.max())) >= n:
             raise FormatError(f"{path}: {name} id {top} out of range [0, {n})")
@@ -231,17 +230,13 @@ def _check_events(path: str, user_ids: list[str], starts: np.ndarray, lengths: n
     np.less(ts[1:], ts[:-1], out=back[1:])  # compared, as a difference can wrap
     back &= ~first
     outside = (ts < 0) | (ts >= TIMESTAMP_LIMIT)
-    expected = input_context(ts, scheme)
-    stray = ctxs != expected
-    if (bad := outside | back | stray | ((bins == scheme.start_bin) != first)).any():
+    if (bad := outside | back | ((bins == scheme.start_bin) != first)).any():
         k = int(np.argmax(bad))
         u = int(np.searchsorted(starts, k, side="right")) - 1
         if outside[k]:
             what = f"timestamp {ts[k]}, outside [0, {TIMESTAMP_LIMIT})"
         elif back[k]:
             what = f"timestamp {ts[k]}, before the previous {ts[k - 1]}"
-        elif stray[k]:
-            what = f"input context {ctxs[k]}, not the {expected[k]} of its timestamp {ts[k]}"
         elif first[k]:
             what = f"gap bin {bins[k]}, not the start bin {scheme.start_bin}"
         else:

@@ -1,7 +1,9 @@
 import os
 import struct
+import tempfile
 import zlib
 
+import numpy as np
 import pytest
 
 from carnn import store
@@ -38,18 +40,16 @@ def reseal(path: str) -> None:
 def patch_cache(path: str, field: str, value: int) -> None:
     """Overwrite one value of the first user in a cache that
     ``store.write_cache`` wrote, and reseal it: its ``n_train``, or the first
-    entry of its ``items``, ``timestamps`` (i64), ``input_ctxs`` or
-    ``trans_bins`` (u32)."""
+    entry of its ``items``, ``timestamps`` (i64) or ``trans_bins`` (u32)."""
     seqs = store.read_cache(path).sequences
     n_users, n_events = seqs.n_users, len(seqs.items)
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
-    # the n_train column, then the item, timestamp, context and bin columns,
-    # then the 4-byte trailer end the file
-    items = len(blob) - 4 - 20 * n_events
+    # the n_train column, then the item, timestamp and bin columns, 16 bytes
+    # an event, then the 4-byte trailer end the file
+    items = len(blob) - 4 - 16 * n_events
     offset = {"n_train": items - 4 * n_users, "items": items,
-              "timestamps": items + 4 * n_events, "input_ctxs": items + 12 * n_events,
-              "trans_bins": items + 16 * n_events}[field]
+              "timestamps": items + 4 * n_events, "trans_bins": items + 12 * n_events}[field]
     struct.pack_into("<q" if field == "timestamps" else "<I", blob, offset, value)
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -97,6 +97,30 @@ def version_1_cache(split) -> bytes:
         parts += [seq.items.astype("<u4").tobytes(), seq.timestamps.astype("<i8").tobytes(),
                   seq.input_ctxs.astype("<u4").tobytes(), seq.trans_bins.astype("<u4").tobytes()]
     return b"".join(parts)
+
+
+def version_2_cache(split) -> bytes:
+    """``split`` in the columnar layout of cache format 2: today's frame with
+    a ``<u4`` input-context column between the timestamps and the gap bins."""
+    seqs, scheme = split.sequences, split.sequences.scheme
+    holidays = sorted(day.toordinal() for day in scheme.holiday_dates)
+    vocabs = []
+    for ids in (seqs.user_ids(), seqs.item_ids()):
+        raw = [s.encode("utf-8") for s in ids]
+        vocabs += [np.array([len(r) for r in raw], "<u2"), b"".join(raw)]
+    parts = [struct.pack("<qII", scheme.timezone_offset_seconds, scheme.max_interval_days,
+                         len(scheme.factors)),
+             bytes(list(FACTOR_CARDINALITIES).index(f) for f in scheme.factors),
+             struct.pack(f"<I{len(holidays)}i", len(holidays), *holidays),
+             struct.pack("<II", seqs.n_users, seqs.n_items), *vocabs,
+             seqs.lengths.astype("<u4"), split.n_train.astype("<u4"),
+             seqs.items.astype("<u4"), seqs.timestamps.astype("<i8"),
+             seqs.input_ctxs.astype("<u4"), seqs.trans_bins.astype("<u4")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.bin")
+        store.write_sealed(path, store.MAGIC, 2, parts, "cache")
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 def version_1_model(params) -> bytes:

@@ -13,14 +13,15 @@ from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatErro
                           InputOutputError, NumericalError)
 from carnn.evaluate import generate_synthetic, write_interactions_csv
 from carnn.model import load_params, save_params
-from conftest import corrupt_first_user_id, patch_cache, version_1_cache, version_1_model
+from conftest import (corrupt_first_user_id, patch_cache, version_1_cache, version_1_model,
+                      version_2_cache)
 from references import forward_states, reference_step
 
 
 runner = CliRunner()
-# the cache of TestPrepare.test_cache_is_byte_identical_across_formats, as
-# the line-by-line parser wrote it
-FORMATS_CACHE_SHA256 = "67cd9adeecca2e91d7623dff5e96d09e1fc403576f68cc96f41b9745a8b89f8d"
+# the cache of TestPrepare.test_cache_is_byte_identical_across_formats in
+# format 4; it reads back as the line-by-line parser's format-2 cache did
+FORMATS_CACHE_SHA256 = "78c8492d13921cc92e4c965e1da96cd1b4ca613a58a5434c73de36da058f9550"
 
 
 def invoke(*args):
@@ -342,16 +343,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value,message", [
         ("n_train", 99, "n_train=99"),
-        ("input_ctxs", 500, "input context id 500"),
-        ("timestamps", 2**37 // 86400 * 86400, "before the previous 1374389"),
+        ("timestamps", 2**37 // 86400 * 86400, "before the previous 137438899200"),
         ("trans_bins", 0, "event 0 has gap bin 0, not the start bin"),
     ])
     def test_corrupt_cache_is_format_error(self, workdir, tmp_path, field, value, message):
         cache = str(tmp_path / "cache.bin")
         with open(workdir["cache"], "rb") as src, open(cache, "wb") as dst:
             dst.write(src.read())
-        if field == "timestamps":  # at the old hour of day, so its input context still holds
-            value += int(store.read_cache(cache).sequences.timestamps[0]) % 86400
         patch_cache(cache, field, value)
         result = invoke("train", "--config", workdir["cfg"], "--cache", cache,
                         "--out", str(tmp_path / "o"))
@@ -442,9 +440,10 @@ class TestEval:
         assert "non-finite value in R[0]" in result.output
         assert not os.path.exists(os.path.join(out, "metrics.json"))
 
-    def test_version_1_cache_exits_compatibility(self, workdir, tmp_path):
+    @pytest.mark.parametrize("old_cache", [version_1_cache, version_2_cache])
+    def test_version_1_cache_exits_compatibility(self, workdir, tmp_path, old_cache):
         cache = tmp_path / "cache.bin"
-        cache.write_bytes(version_1_cache(store.read_cache(workdir["cache"])))
+        cache.write_bytes(old_cache(store.read_cache(workdir["cache"])))
         out = tmp_path / "o"
         result = invoke("eval", "--config", workdir["cfg"], "--variant", "carnn",
                         "--out", str(out), "--cache", str(cache),

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carnn import store
-from carnn.context import FACTOR_CARDINALITIES, ContextScheme, annotate_sequences
+from carnn.context import FACTOR_CARDINALITIES, ContextScheme, annotate_sequences, input_context
 from carnn.data import (MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT, SplitSet, UserSequence,
                         split_sequences)
 from carnn.errors import CompatibilityError, FormatError, InputOutputError
 from carnn.evaluate import _SYNTH_EPOCH, generate_synthetic
 from conftest import (corrupt_first_user_id, patch_cache, reseal, user_lengths_offset,
-                      version_1_cache)
+                      version_1_cache, version_2_cache)
 from references import sequence_set
 
 
@@ -89,18 +89,14 @@ class TestCache:
     @pytest.mark.parametrize("field,value,message", [
         ("n_train", 99, "n_train=99 beyond its 12 events"),
         ("items", 10, r"item id 10 out of range \[0, 10\)"),
-        ("input_ctxs", 500, r"input context id 500 out of range \[0, 24\)"),
-        ("input_ctxs", 24, r"input context id 24 out of range \[0, 24\)"),
         ("trans_bins", 32, r"gap bin id 32 out of range \[0, 32\)"),
         ("trans_bins", 0, "user 'u0' event 0 has gap bin 0, not the start bin 31"),
         ("timestamps", 2**37 // 86400 * 86400,
-         r"user 'u0' event 1 has timestamp .*, before the previous 1374389\d{5}$"),
+         r"user 'u0' event 1 has timestamp .*, before the previous 137438899200$"),
     ])
     def test_corrupt_fields_rejected(self, tmp_path, field, value, message):
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, make_split())
-        if field == "timestamps":  # at the old hour of day, so its input context still holds
-            value += int(store.read_cache(path).sequences.timestamps[0]) % 86400
         patch_cache(path, field, value)
         with pytest.raises(FormatError, match=message):
             store.read_cache(path)
@@ -171,17 +167,16 @@ class TestCache:
         assert split.n_train[0] == 12
         assert (first.items[0], first.input_ctxs[0], first.trans_bins[0]) == (9, 23, 31)
 
-    @pytest.mark.parametrize("field, shift", [("input_ctxs", 1), ("timestamps", 3600)])
-    def test_input_context_its_timestamp_does_not_give_rejected(self, tmp_path, field, shift):
+    def test_input_context_follows_a_moved_timestamp(self, tmp_path):
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, make_split())
-        first = store.read_cache(path).sequences[0]
-        ctx, t = int(first.input_ctxs[0]), int(first.timestamps[0])
-        patch_cache(path, field, int(getattr(first, field)[0]) + shift)
-        stored, t = (ctx + 1, t) if field == "input_ctxs" else (ctx, t + 3600)
-        with pytest.raises(FormatError, match=f"user 'u0' event 0 has input context {stored}, "
-                                              f"not the {(t // 3600) % 24} of its timestamp {t}"):
-            store.read_cache(path)
+        t0, t1 = store.read_cache(path).sequences[0].timestamps[:2].tolist()
+        assert t0 + 3600 <= t1  # still in order once moved
+        patch_cache(path, "timestamps", t0 + 3600)
+        seqs = store.read_cache(path).sequences
+        assert seqs.timestamps[0] == t0 + 3600
+        # the hour_of_day scheme's context is the hour, one past the old one
+        assert seqs.input_ctxs[0] == input_context(t0 + 3600, seqs.scheme) == (t0 // 3600 + 1) % 24
 
     def test_largest_max_interval_days_round_trips(self, tmp_path):
         split = make_split()
@@ -305,10 +300,12 @@ class TestCache:
             accepted.append(bit)
         assert accepted == []
 
-    def test_version_1_cache_is_compatibility_error(self, tmp_path):
+    @pytest.mark.parametrize("version, old_cache", [(1, version_1_cache), (2, version_2_cache)])
+    def test_version_1_cache_is_compatibility_error(self, tmp_path, version, old_cache):
         path = tmp_path / "cache.bin"
-        path.write_bytes(version_1_cache(make_split()))
-        with pytest.raises(CompatibilityError, match="cache format 1 .*re-run `carnn prepare`"):
+        path.write_bytes(old_cache(make_split()))
+        with pytest.raises(CompatibilityError,
+                           match=f"cache format {version} .*re-run `carnn prepare`"):
             store.read_cache(str(path))
 
     def test_frombuffer_calls_do_not_grow_with_users(self, tmp_path, monkeypatch):
