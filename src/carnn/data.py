@@ -157,7 +157,7 @@ class SplitSet:
 
     @property
     def n_test_positions(self) -> int:
-        return int(np.sum(self.sequences.lengths - self.n_train))
+        return int(np.count_nonzero(self.heldout()[1]))
 
     def heldout(self) -> tuple[np.ndarray, np.ndarray]:
         """Each event's position in its user's sequence, and the mask over the

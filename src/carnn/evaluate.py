@@ -112,8 +112,7 @@ def evaluate(split: SplitSet, p: ModelParams, *, ks=DEFAULT_KS) -> MetricsReport
         raise ConfigError("sequences are not annotated: annotate them with "
                           "context.annotate_sequences before evaluating")
     check_compatibility(p, split.sequences)
-    ranks = _model_ranks(split, p) if split.n_test_positions else np.zeros(0, np.int64)
-    return _report(ranks, ks)
+    return _report(_model_ranks(split, p), ks)
 
 
 def train_item_counts(split: SplitSet) -> np.ndarray:

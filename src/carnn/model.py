@@ -122,6 +122,11 @@ class ModelParams:
                 raise ConfigError(f"{name} {ids[np.argmax(bad)]} out of range [0, {n})")
 
 
+def physical_memory() -> int:
+    """The machine's physical memory, in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Draw every parameter i.i.d. uniform on [-init_scale, +init_scale].
 
@@ -131,8 +136,7 @@ def init_params(config: ModelConfig) -> ModelParams:
     """
     d = config.d
     n_bytes = 8 * (config.n_items * d + (config.m_slots + config.w_slots) * d * d)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if n_bytes > memory:
+    if n_bytes > (memory := physical_memory()):
         raise ConfigError(f"the banks of d={d}, {config.n_items} items, {config.m_slots} input "
                           f"and {config.w_slots} transition matrices take {n_bytes} bytes, "
                           f"more than the {memory} bytes of physical memory")

@@ -26,7 +26,7 @@ import numpy as np
 from .base import as_flag, as_real, as_whole, pick
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
-from .model import ModelConfig, ModelParams, first_non_finite, project, unroll
+from .model import ModelConfig, ModelParams, first_non_finite, physical_memory, project, unroll
 from .seeding import named_rng
 from .store import write_atomic
 
@@ -302,13 +302,20 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
     per user, forward the train prefix, accumulate pair gradients over every
     predictable position, take one update step. Returns the trained
     parameters and the per-epoch mean pair loss trace. Every training event's
-    ids are checked once, through the mask of ``SplitSet.heldout``."""
+    ids are checked once, through the mask of ``SplitSet.heldout``; a user's
+    (n_train, 1 + negatives_per_positive, d) float64 block of scored rows
+    larger than physical memory is a ConfigError before anything is drawn."""
     seqs = split.sequences
     if not seqs.annotated:
         raise ConfigError("training requires annotated sequences; run annotation first")
     trained = ~split.heldout()[1]
     p.check_ids(seqs.items[trained], seqs.input_ctxs[trained], seqs.trans_bins[trained])
     starts, n_train = seqs.offsets[:-1].tolist(), split.n_train.tolist()
+    longest, k, d = max(n_train, default=0), cfg.negatives_per_positive, p.config.d
+    if (n_bytes := 8 * longest * (1 + k) * d) > (memory := physical_memory()):
+        raise ConfigError(f"negatives_per_positive={k} takes {n_bytes} bytes for a user's "
+                          f"{longest} training events at d={d}, more than the {memory} bytes "
+                          f"of physical memory")
     n_items = p.config.n_items
     shuffle_rng = named_rng(cfg.seed, "shuffle")
     neg_rng = named_rng(cfg.seed, "negatives")

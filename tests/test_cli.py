@@ -333,6 +333,20 @@ class TestTrain:
         assert result.exit_code == ConfigError.exit_code, result.output
         assert not os.path.exists(tmp_path / "o" / "model.carn")
 
+    def test_negatives_past_physical_memory_is_config_error(self, workdir, tmp_path,
+                                                            monkeypatch):
+        def unreached(*args):
+            raise AssertionError("negatives drawn")
+
+        monkeypatch.setattr(training, "make_examples", unreached)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(Path(workdir["cfg"]).read_text() + "negatives=1000000000000000\n")
+        result = invoke("train", "--config", str(cfg), "--cache", workdir["cache"],
+                        "--out", str(tmp_path / "o"))
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert "negatives_per_positive=1000000000000000 takes" in result.output
+        assert not os.path.exists(tmp_path / "o" / "model.carn")
+
     def test_overflowing_step_exits_numerical(self, workdir, tmp_path):
         out = tmp_path / "o"
         result = invoke("train", "--config", workdir["cfg"], "--cache", workdir["cache"],

@@ -172,11 +172,19 @@ def real_value(value):
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
+MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def banks_fit(d):
     """Whether the banks of a d-dimensional model of ``ROWS`` (6 items, 7 x 24
     input contexts, 32 gap bins) fit in physical memory."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    return 8 * (6 * int(d) + (7 * 24 + 32) * int(d) ** 2) <= memory
+    return 8 * (6 * int(d) + (7 * 24 + 32) * int(d) ** 2) <= MEMORY
+
+
+def block_fits(k):
+    """Whether one user's scored rows at k negatives per positive fit in
+    physical memory: ``ROWS`` trains every user on all 5 events, at d = 2."""
+    return 8 * 5 * (1 + int(k)) * 2 <= MEMORY
 
 
 # estimator parameter -> whether it accepts a hostile value
@@ -185,7 +193,7 @@ ACCEPTS = {
     "learning_rate": lambda v: real_value(v) and v >= 0,
     "l2": lambda v: real_value(v) and v >= 0,
     "epochs": lambda v: whole_value(v) and v >= 1,
-    "negatives_per_positive": lambda v: whole_value(v) and v >= 1,
+    "negatives_per_positive": lambda v: whole_value(v) and v >= 1 and block_fits(v),
     "bptt_window": lambda v: whole_value(v) and v >= 0,
     "use_input_contexts": lambda v: False,
     "use_transition_contexts": lambda v: False,
@@ -199,9 +207,10 @@ ACCEPTS = {
     "shuffle": lambda v: False,
     "seed": whole_value,
 }
-# a whole number this large would loop or allocate that much; a d whose banks
-# pass physical memory is refused before they are drawn
-SIZES = {"epochs", "negatives_per_positive"}
+# a whole number of epochs this large would loop that long; a d whose banks,
+# or a negatives_per_positive whose scored rows, pass physical memory is
+# refused before anything is drawn
+SIZES = {"epochs"}
 ROWS = [(f"u{u}", f"i{(u + k) % 6}", 946857600 + 3600 * (5 * u + k))
         for u in range(4) for k in range(5)]
 

@@ -220,6 +220,17 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(full_train_split(split.sequences), p)
 
+    def test_n_train_past_the_sequence_is_the_config_error_of_pop_baseline(self):
+        # 6 - 9 and 6 - 3 sum to 0, so a held-out count by subtraction would
+        # find no test positions instead of the bad n_train
+        split, _, p = small_model_split(n_users=2, seq_len=6)
+        split = SplitSet(split.sequences, np.array([9, 3]))
+        message = r"user 'u0' has n_train=9 outside \[0, 6\]"
+        with pytest.raises(ConfigError, match=message):
+            pop_baseline(split)
+        with pytest.raises(ConfigError, match=message):
+            evaluate(split, p)
+
     def test_unannotated_split_is_config_error(self):
         split, _, p = small_model_split()
         seqs = replace(split.sequences, input_ctxs=None, trans_bins=None)
