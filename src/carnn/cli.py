@@ -224,13 +224,13 @@ def prepare(config_path, seed, out, dataset, fmt):
     cfg = load_run_config(config_path, seed=seed, out=out, dataset=dataset, format=fmt)
     if cfg.dataset is None:
         raise ConfigError("prepare needs a dataset (config key 'dataset' or --dataset)")
+    # the scheme and holiday file are checked before any output or parse
+    holiday_dates = parse_holiday_file(cfg.holidays) if cfg.holidays else ()
+    scheme = ContextScheme(**pick(ContextScheme, vars(cfg)), holiday_dates=holiday_dates)
     os.makedirs(cfg.out, exist_ok=True)
     log = parse_interactions(cfg.dataset, cfg.format)
     users_before, items_before = len(log.user_ids), len(log.item_ids)
-    seqs = build_sequences(log, cfg.min_user, cfg.min_item)
-    holiday_dates = parse_holiday_file(cfg.holidays) if cfg.holidays else ()
-    scheme = ContextScheme(**pick(ContextScheme, vars(cfg)), holiday_dates=holiday_dates)
-    seqs = annotate_sequences(seqs, scheme)
+    seqs = annotate_sequences(build_sequences(log, cfg.min_user, cfg.min_item), scheme)
     split = split_sequences(seqs, cfg.split_ratio)
     store.write_cache(cfg.cache_path(), split)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field, replace
-from itertools import pairwise, repeat
+from itertools import chain, pairwise, repeat
 
 import numpy as np
 
@@ -132,35 +132,46 @@ def input_context(t, scheme: ContextScheme):
     return cid if isinstance(cid, np.ndarray) else int(cid)
 
 
-def transition_bin(t_curr: int, t_prev: int | None, scheme: ContextScheme) -> int:
-    """Whole-day gap bin, capped at max_interval_days; start bin if no predecessor."""
+def transition_bin(t_curr, t_prev, scheme: ContextScheme):
+    """Whole-day gap bin, capped at max_interval_days; start bin if no predecessor.
+
+    ``t_curr`` and ``t_prev`` are Unix seconds as Python ints or numpy int64
+    scalars, and ``t_prev`` may be None. Nothing is coerced, so an int64 gap
+    gives an int64 bin of the same value. A descending pair is a DataError.
+    """
     if t_prev is None:
         return scheme.start_bin
     if t_curr < t_prev:
         raise DataError(f"timestamps out of order: {t_curr} < {t_prev}")
-    days = (int(t_curr) - int(t_prev)) // SECONDS_PER_DAY
-    return days if days < scheme.max_interval_days else scheme.max_interval_days
+    top = scheme.max_interval_days
+    days = (t_curr - t_prev) // SECONDS_PER_DAY
+    return days if days < top else top
 
 
 def annotate_sequences(seqs: "_data.SequenceSet", scheme: ContextScheme) -> "_data.SequenceSet":
     """Attach (input context id, transition bin) to every step of every sequence.
 
-    The first step of each sequence gets the reserved start bin. Annotation
+    The first step of each non-empty sequence gets the reserved start bin
+    in one assignment, never through ``transition_bin``. Annotation
     recomputes everything from timestamps, so re-annotating is idempotent.
     Every input context comes from one ``input_context`` call over the
-    timestamp column; every later step's bin from one ``transition_bin``
-    call on its gap. The result shares the input's item and timestamp
-    columns and holds the two new ones.
+    timestamp column. Every later step's bin comes from one
+    ``transition_bin`` call on its gap within one user, looked up by name
+    when annotating and made on Python ints; the calls feed one
+    ``np.fromiter``, so no list as long as the column is built. The result
+    shares the input's item and timestamp columns and holds the two new ones.
     """
-    ts = seqs.timestamps
-    bins = []
-    for a, b in pairwise(seqs.offsets.tolist()):
-        t = ts[a:b].tolist()
-        if t:  # an empty user has no start
-            bins.append(scheme.start_bin)
-        bins += map(transition_bin, t[1:], t, repeat(scheme))
-    return replace(seqs, input_ctxs=input_context(ts, scheme),
-                   trans_bins=np.array(bins, dtype=np.int64), scheme=scheme)
+    ts, offsets = seqs.timestamps, seqs.offsets
+    firsts = offsets[:-1][offsets[:-1] < offsets[1:]]  # each non-empty user's first event
+    later = np.ones(len(ts), dtype=bool)
+    later[firsts] = False
+    bins = np.empty(len(ts), dtype=np.int64)
+    bins[firsts] = scheme.start_bin
+    bins[later] = np.fromiter(chain.from_iterable(
+        map(transition_bin, t[1:], t, repeat(scheme))
+        for t in (ts[a:b].tolist() for a, b in pairwise(offsets.tolist()))),
+        dtype=np.int64, count=len(ts) - len(firsts))
+    return replace(seqs, input_ctxs=input_context(ts, scheme), trans_bins=bins, scheme=scheme)
 
 
 def parse_holiday_file(path: str) -> frozenset[_dt.date]:

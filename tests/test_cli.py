@@ -22,6 +22,9 @@ runner = CliRunner()
 # the cache of TestPrepare.test_cache_is_byte_identical_across_formats in
 # format 4; it reads back as the line-by-line parser's format-2 cache did
 FORMATS_CACHE_SHA256 = "78c8492d13921cc92e4c965e1da96cd1b4ca613a58a5434c73de36da058f9550"
+# the cache of the workdir fixture's corpus; it holds no floats, so the digest
+# does not depend on the BLAS build
+WORKDIR_CACHE_SHA256 = "2b86735fd72e2434ed755803f1fe89e79e870329c599c5689f0ddd9bfab9a572"
 
 
 def invoke(*args):
@@ -151,6 +154,9 @@ class TestPrepare:
         assert split.sequences.n_items == 40
         assert split.sequences.annotated
 
+    def test_cache_matches_its_pinned_digest(self, workdir):
+        assert hashlib.sha256(Path(workdir["cache"]).read_bytes()).hexdigest() == WORKDIR_CACHE_SHA256
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         result = invoke("prepare", "--out", str(tmp_path / "o"))
         assert result.exit_code == ConfigError.exit_code
@@ -255,6 +261,21 @@ class TestPrepare:
                         "--dataset", str(tmp_path / "events.csv"), "--out", str(tmp_path / "o"))
         assert result.exit_code == error.exit_code, result.output
         assert "UTF-8" in result.output or "utf-8" in result.output
+
+    @pytest.mark.parametrize("key, error, message", [
+        ("max_interval_days=0", ConfigError, "max_interval_days must be in"),
+        ("holidays={holidays}", InputOutputError, "cannot read holiday file {holidays}")],
+        ids=["max_interval_days", "holiday_file"])
+    def test_scheme_is_checked_before_the_dataset(self, tmp_path, key, error, message):
+        # a bad scheme or holiday file fails before any output or parse, so a
+        # missing dataset is not what is reported
+        holidays = tmp_path / "no" / "holidays.txt"
+        (tmp_path / "run.cfg").write_text(key.format(holidays=holidays) + "\n")
+        result = invoke("prepare", "--config", str(tmp_path / "run.cfg"),
+                        "--dataset", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o"))
+        assert result.exit_code == error.exit_code, result.output
+        assert message.format(holidays=holidays) in result.output
+        assert not os.path.exists(tmp_path / "o")
 
     def test_missing_holiday_file_is_an_io_error(self, tmp_path):
         (tmp_path / "events.csv").write_bytes(b"u1,i1,100\nu1,i2,200\nu2,i1,300\nu2,i2,400\n")

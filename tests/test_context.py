@@ -228,9 +228,21 @@ class TestTransitionBin:
     def test_missing_predecessor_gets_start_bin(self):
         assert transition_bin(MONDAY, None, self.scheme) == self.scheme.start_bin == 31
 
-    def test_out_of_order_rejected(self):
-        with pytest.raises(DataError):
-            transition_bin(MONDAY - 1, MONDAY, self.scheme)
+    @pytest.mark.parametrize("as_time", [int, np.int64])
+    def test_out_of_order_rejected(self, as_time):
+        with pytest.raises(DataError, match=f"^timestamps out of order: {MONDAY - 1} < {MONDAY}$"):
+            transition_bin(as_time(MONDAY - 1), as_time(MONDAY), self.scheme)
+
+    @pytest.mark.parametrize("gap, expected", [(0, 0), (3 * SECONDS_PER_DAY, 3),
+                                               (45 * SECONDS_PER_DAY, 30), (None, 31)],
+                             ids=["zero", "day_multiple", "past_cap", "no_predecessor"])
+    def test_int64_scalars_give_the_python_int_bin(self, gap, expected):
+        t_prev = None if gap is None else MONDAY
+        t_curr = MONDAY + (gap or 0)
+        assert transition_bin(t_curr, t_prev, self.scheme) == expected
+        as_int64 = None if t_prev is None else np.int64(t_prev)
+        assert transition_bin(np.int64(t_curr), as_int64, self.scheme) == expected
+        assert transition_bin(np.int64(t_curr), t_prev, self.scheme) == expected
 
     @given(st.integers(min_value=0, max_value=10**8), st.integers(min_value=0, max_value=10**8))
     def test_monotone_in_gap(self, g1, g2):
@@ -243,10 +255,10 @@ class TestTransitionBin:
 
 
 class TestAnnotate:
-    def make_set(self, timestamps):
-        seq = UserSequence("u", np.zeros(len(timestamps), dtype=np.int64),
-                           np.array(timestamps, dtype=np.int64))
-        return sequence_set([seq], {"i": 0})
+    def make_set(self, *users):
+        return sequence_set([UserSequence(f"u{k}", np.zeros(len(t), dtype=np.int64),
+                                          np.array(t, dtype=np.int64))
+                             for k, t in enumerate(users)], {"i": 0})
 
     def test_single_step_gets_start_bin(self):
         scheme = ContextScheme(factors=("hour_of_day",))
@@ -303,6 +315,23 @@ class TestAnnotate:
         scheme = ContextScheme(factors=("hour_of_day",))
         out = annotate_sequences(self.make_set([MONDAY, MONDAY, MONDAY + 3600]), scheme)
         assert out.sequences[0].trans_bins.tolist() == [scheme.start_bin, 7, 7]
+
+    def test_first_descending_pair_is_reported(self):
+        # the second user holds two descending pairs; annotation stops at the first
+        scheme = ContextScheme(factors=("hour_of_day",))
+        seqs = self.make_set([MONDAY, MONDAY + 5],
+                             [MONDAY + 10, MONDAY + 7, MONDAY + 9, MONDAY + 2])
+        with pytest.raises(DataError, match=f"^timestamps out of order: {MONDAY + 7} < {MONDAY + 10}$"):
+            annotate_sequences(seqs, scheme)
+
+    def test_descent_across_a_user_boundary_is_a_start(self):
+        # the column descends from u0's last event to u2's first, past the
+        # empty u1; a user's first event has no predecessor
+        scheme = ContextScheme(factors=("hour_of_day",))
+        day = SECONDS_PER_DAY
+        out = annotate_sequences(self.make_set([MONDAY + 5 * day, MONDAY + 6 * day], [],
+                                               [MONDAY, MONDAY + 2 * day]), scheme)
+        assert out.trans_bins.tolist() == [scheme.start_bin, 1, scheme.start_bin, 2]
 
     def test_reannotation_is_idempotent(self):
         scheme = ContextScheme(factors=("day_of_week", "hour_of_day"))
