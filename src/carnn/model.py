@@ -14,14 +14,16 @@ shared matrix, which reproduces a conventional recurrent model.
 ``hidden_step`` is the only code that computes a recurrence step, from
 the input projections r @ M[ctx] and transition matrices that
 ``step_inputs`` gathers for a run of steps; it writes the new state in
-place when given ``out``. ``unroll`` steps one user a state at a time for
+place when given ``out``, and works in a scratch buffer when given one.
+``unroll`` steps one user a state at a time through one scratch buffer for
 training, which passes the gathers its scoring path shares, and for
 ``carnn predict``; evaluation and the estimator's state table take theirs
 from ``states_at``, which steps every user of a ``SequenceSet`` in lockstep
 as (B, d) blocks, read from the set's columns. A block row goes through the
-same vector-matrix BLAS call (a stacked ``np.matmul``) as one state, so
-both have the same bits. ``score_all`` scores a (B, d) block of states under one context and
-bin, or one per row; a single query is the block ``h[None]``.
+same vector-matrix BLAS call (``np.vecmat``, which has the bits of a
+stacked ``np.matmul``) as one state, so both have the same bits.
+``score_all`` scores a (B, d) block of states under one context and bin, or
+one per row; a single query is the block ``h[None]``.
 
 ``step_inputs`` and ``score_all`` index the banks unchecked. Two checks keep
 every id in range: ``check_compatibility`` at the dataset boundary (item
@@ -174,24 +176,29 @@ def project(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def hidden_step(h_prev: np.ndarray, u: np.ndarray, w: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """One recurrence step, f(u + h_prev @ w), of one state (d,) or a (B, d)
     block, from the input projections and transition matrices that
-    ``step_inputs`` gives; the state is written to ``out`` if given."""
-    z = np.matmul(h_prev[..., None, :], w)[..., 0, :]
+    ``step_inputs`` gives; the state is written to ``out`` if given. The
+    float64 ``scratch`` of shape (3, *h_prev.shape), if given, holds the
+    pre-activation in row 0 and ``sigmoid_vec``'s work in the other two."""
+    if scratch is None:
+        scratch = np.empty((3, *h_prev.shape))
+    z = np.vecmat(h_prev, w, out=scratch[0])
     z += u
-    return sigmoid_vec(z, out=out)
+    return sigmoid_vec(z, out=out, scratch=scratch[1:])
 
 
 def unroll(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """States of n steps from the zero state, given their (n, d) input
     projections and transition matrices, (n, d, d) or one shared (d, d):
     an (n+1, d) array whose row k + 1 ``hidden_step`` writes in place from
-    row k."""
+    row k, every step through one scratch buffer."""
     n, d = U.shape
     H = np.zeros((n + 1, d), dtype=np.float64)
+    scratch = np.empty((3, d))
     for h, u, w, out in zip(H, U, W if W.ndim == 3 else repeat(W, n), H[1:]):
-        hidden_step(h, u, w, out=out)
+        hidden_step(h, u, w, out=out, scratch=scratch)
     return H
 
 
@@ -301,15 +308,16 @@ def top_n(scores: np.ndarray, n: int) -> np.ndarray:
     exactly ``np.argsort(-scores, kind="stable")[:n]``, so equal scores keep
     the lower index first and NaN ranks last.
 
-    A partition finds the n-th best score; only the entries not worse than it
-    are sorted. Ties at that score stay candidates in index order, and a NaN
-    n-th score makes every entry one.
+    An in-place partition of the negated scores finds the n-th best score;
+    only the entries not worse than it are sorted. Ties at that score stay
+    candidates in index order, and a NaN n-th score makes every entry one.
     """
     neg = -scores
     n = min(n, len(neg))
-    kth = np.partition(neg, n - 1)[n - 1]
-    cand = np.flatnonzero(~(neg > kth))
-    return cand[np.argsort(neg[cand], kind="stable")][:n]
+    neg.partition(n - 1)
+    kth = neg[n - 1]
+    cand = np.arange(len(neg)) if math.isnan(kth) else (scores >= -kth).nonzero()[0]
+    return cand[np.argsort(-scores[cand], kind="stable")][:n]
 
 
 # --- model file format -------------------------------------------------------

@@ -9,8 +9,11 @@ one forward pass, one gradient accumulation over all predictable positions,
 one SGD step with L2 decay applied lazily to touched parameters only.
 
 The forward pass and the scoring path share one gather of the sequence's
-rows of R and of both banks; the backward sweep and the SGD step update
-their buffers in place. Each keeps the bits of its textbook form.
+rows of R and of both banks; the forward pass steps its states through one
+scratch buffer that ``unroll`` reuses, and the backward sweep and the SGD
+step update their buffers in place. Each keeps the bits of its textbook
+form. ``train`` refuses, before anything is drawn, a user whose largest
+gathered block would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from .base import as_flag, as_real, as_whole, pick
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
+from .linalg import MINUS_ONE, ONE, ZERO
 from .model import ModelConfig, ModelParams, first_non_finite, physical_memory, project, unroll
 from .seeding import named_rng
 from .store import write_atomic
@@ -97,7 +101,7 @@ class GradientBuffer:
     def clear(self) -> None:
         for grad, touched in ((self.dR, self.touched_items), (self.dM_bank, self.touched_m),
                               (self.dW_bank, self.touched_w)):
-            grad[touched] = 0.0
+            grad[touched.nonzero()[0]] = 0.0
             touched[:] = False
 
 
@@ -131,30 +135,30 @@ def _pair_gradients(items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray,
     H = Hfull[:-1]
     Q = np.matmul(H[:, None, :], Ws)                        # (L, 1, d)
     P = np.matmul(Rr, Ms)                                   # (L, 1+k, d)
-    y = np.matmul(P, np.swapaxes(Q, 1, 2))[:, :, 0]
+    y = np.matmul(P, Q.transpose(0, 2, 1))[:, :, 0]
     x = y[:, :1] - y[:, 1:]
     # ln(1 + e^-x) and its derivative -sigmoid(-x), with e = exp(-|x|) <= 1:
     # the numerator is e for x >= 0 and 1 below, max(e, x < 0)
-    e = np.exp(np.copysign(x, -1.0))
-    total_loss = float(np.sum(np.maximum(-x, 0.0) + np.log1p(e)))
-    num = np.maximum(e, x < 0.0)
-    e += 1.0
+    e = np.exp(np.copysign(x, MINUS_ONE))
+    total_loss = float((np.maximum(-x, ZERO) + np.log1p(e)).sum())
+    num = np.maximum(e, x < ZERO)
+    e += ONE
     g = -num / e
-    live = g != 0.0
+    live = g != ZERO
     # d loss / d score of each row: the positive's sums its pairs' g, a negative's is -g
     coef = np.concatenate([g.sum(axis=1, keepdims=True), -g], axis=1)
     D = np.matmul(coef[:, None, :], P)[:, 0]                # d loss / d q
-    dh = np.matmul(D[:, None, :], np.swapaxes(Ws, 1, 2))[:, 0]
+    dh = np.matmul(D[:, None, :], Ws.transpose(0, 2, 1))[:, 0]
 
-    dZ, stepped = _recurrence_grads(dh, Hfull * (1.0 - Hfull), Ws, cfg.bptt_window)
+    dZ, stepped = _recurrence_grads(dh, Hfull * (ONE - Hfull), Ws, cfg.bptt_window)
 
     # position j's scoring and step j share R[item j], M[m_j], W[w_j] and h_j, so
     # d loss / d (r @ M) of each row is its score's derivative times q, plus
     # step j's error for the item it reads; d loss / d (h @ W) is D plus that error
     B = coef[:, :, None] * Q
     B[:, 0] += dZ
-    _scatter_add(buf.dR, rows, np.matmul(B, np.swapaxes(Ms, 1, 2)))
-    _scatter_add(buf.dM_bank, m_slots, np.matmul(np.swapaxes(Rr, 1, 2), B))
+    _scatter_add(buf.dR, rows, np.matmul(B, Ms.transpose(0, 2, 1)))
+    _scatter_add(buf.dM_bank, m_slots, np.matmul(Rr.transpose(0, 2, 1), B))
     _scatter_add(buf.dW_bank, w_slots, H[:, :, None] * (D + dZ)[:, None, :])
 
     active = live.any(axis=1) | stepped
@@ -210,7 +214,7 @@ def _recurrence_grads(dh: np.ndarray, act: np.ndarray, Ws: np.ndarray,
     Returns the (L, d) error on each step's pre-activation and which steps
     the sweep went through: those touch their parameters."""
     # step j sends the error e on state j+1 back to state j as e @ K[j]
-    K = act[1:, :, None] * np.swapaxes(Ws, 1, 2)
+    K = act[1:, :, None] * Ws.transpose(0, 2, 1)
     E = np.zeros_like(dh)  # error on the state each step produces
     # row views, so each step adds into its row with no indexing or copy-back
     rows, Ks = list(E), list(K)
@@ -223,7 +227,7 @@ def _recurrence_grads(dh: np.ndarray, act: np.ndarray, Ws: np.ndarray,
         stepped = E.any(axis=1)
     else:
         stepped = np.zeros(len(dh), dtype=bool)
-        for j in np.flatnonzero(dh.any(axis=1)).tolist():
+        for j in dh.any(axis=1).nonzero()[0].tolist():
             cur, lo = dh[j], max(j - window, 0)
             stepped[lo:j] = True
             for s in range(j - 1, lo - 1, -1):
@@ -271,7 +275,7 @@ def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams
     l2 = cfg.l2
 
     def apply(theta, grad, touched, name):
-        idx = np.flatnonzero(touched)
+        idx = touched.nonzero()[0]
         block = grad.take(idx, axis=0)
         rows = theta.take(idx, axis=0)
         step = rows * l2
@@ -302,9 +306,10 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
     per user, forward the train prefix, accumulate pair gradients over every
     predictable position, take one update step. Returns the trained
     parameters and the per-epoch mean pair loss trace. Every training event's
-    ids are checked once, through the mask of ``SplitSet.heldout``; a user's
-    (n_train, 1 + negatives_per_positive, d) float64 block of scored rows
-    larger than physical memory is a ConfigError before anything is drawn."""
+    ids are checked once, through the mask of ``SplitSet.heldout``. A user's
+    largest float64 block, its (n_train, 1 + negatives_per_positive, d)
+    scored rows or one of its (n_train, d, d) gathers of a bank, larger than
+    physical memory is a ConfigError before anything is drawn."""
     seqs = split.sequences
     if not seqs.annotated:
         raise ConfigError("training requires annotated sequences; run annotation first")
@@ -312,10 +317,11 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
     p.check_ids(seqs.items[trained], seqs.input_ctxs[trained], seqs.trans_bins[trained])
     starts, n_train = seqs.offsets[:-1].tolist(), split.n_train.tolist()
     longest, k, d = max(n_train, default=0), cfg.negatives_per_positive, p.config.d
-    if (n_bytes := 8 * longest * (1 + k) * d) > (memory := physical_memory()):
+    if (n_bytes := 8 * longest * d * max(1 + k, d)) > (memory := physical_memory()):
         raise ConfigError(f"negatives_per_positive={k} takes {n_bytes} bytes for a user's "
-                          f"{longest} training events at d={d}, more than the {memory} bytes "
-                          f"of physical memory")
+                          f"{longest} training events at d={d} (the larger of its scored "
+                          f"rows and its d x d gathers), more than the {memory} bytes of "
+                          f"physical memory")
     n_items = p.config.n_items
     shuffle_rng = named_rng(cfg.seed, "shuffle")
     neg_rng = named_rng(cfg.seed, "negatives")

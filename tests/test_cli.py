@@ -368,6 +368,21 @@ class TestTrain:
         assert "negatives_per_positive=1000000000000000 takes" in result.output
         assert not os.path.exists(tmp_path / "o" / "model.carn")
 
+    def test_bank_gathers_past_physical_memory_is_config_error(self, workdir, tmp_path,
+                                                               monkeypatch):
+        # at d=40 a user's (n_train, d, d) gathers take 20 times the bytes of
+        # its (n_train, 2, d) scored rows; the memory sits between the two
+        def unreached(*args):
+            raise AssertionError("negatives drawn")
+
+        monkeypatch.setattr(training, "make_examples", unreached)
+        monkeypatch.setattr(training, "physical_memory", lambda: 100_000)
+        result = invoke("train", "--config", workdir["cfg"], "--cache", workdir["cache"],
+                        "--out", str(tmp_path / "o"), "--d", "40")
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert "training events at d=40" in result.output
+        assert not os.path.exists(tmp_path / "o" / "model.carn")
+
     def test_overflowing_step_exits_numerical(self, workdir, tmp_path):
         out = tmp_path / "o"
         result = invoke("train", "--config", workdir["cfg"], "--cache", workdir["cache"],

@@ -99,3 +99,39 @@ def test_sigmoid_vec_into_a_row_view():
     sigmoid_vec(x, out=H[1])
     assert_bits_of_masked_formula(H[1], x)
     assert not H[0].any() and not H[2].any()
+
+
+TINY = np.finfo(np.float64).smallest_subnormal
+# both zeros, both infinities, NaN, subnormals and |x| up to 745
+EXTREMES = np.concatenate([EDGES, [TINY, -TINY, 1e-310, -1e-310, 744.9, -744.9, 709.9,
+                                   -709.9, 37.0, -37.0]])
+
+
+@pytest.mark.parametrize("x", INPUTS + (EXTREMES,))
+def test_sigmoid_vec_with_scratch_has_the_bits_of_the_masked_formula(x):
+    scratch = np.full((2, *x.shape), 7.0)
+    assert_bits_of_masked_formula(sigmoid_vec(x, scratch=scratch), x)
+    buf = np.full_like(x, 7.0)
+    assert sigmoid_vec(x, out=buf, scratch=scratch) is buf
+    assert_bits_of_masked_formula(buf, x)
+    inplace = x.copy()
+    assert sigmoid_vec(inplace, out=inplace, scratch=scratch) is inplace
+    assert_bits_of_masked_formula(inplace, x)
+
+
+def test_sigmoid_vec_with_scratch_into_a_row_view():
+    H = np.zeros((3, len(EXTREMES)))
+    sigmoid_vec(EXTREMES, out=H[1], scratch=np.empty((2, len(EXTREMES))))
+    assert_bits_of_masked_formula(H[1], EXTREMES)
+    assert not H[0].any() and not H[2].any()
+
+
+def test_sigmoid_vec_gives_an_element_the_same_bits_at_any_position():
+    # one exp covers both halves of the scratch, so a value lands at other
+    # offsets of the vector loops than in a lone call
+    x = np.concatenate([EXTREMES, DRAWS[:40]])
+    alone = np.array([sigmoid_vec(x[i:i + 1])[0] for i in range(len(x))]).view(np.uint64)
+    for start in range(9):
+        for stop in (len(x), len(x) - 3):
+            got = sigmoid_vec(x[start:stop]).view(np.uint64)
+            assert np.array_equal(got, alone[start:stop])

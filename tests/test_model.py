@@ -2,6 +2,7 @@ import struct
 import tracemalloc
 import zlib
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ from carnn.errors import CompatibilityError, ConfigError, FormatError, Numerical
 from carnn.linalg import sigmoid_vec
 from carnn.model import (ModelConfig, ModelParams, check_compatibility,
                          hidden_step, init_params, load_params, save_params, score_all,
-                         states_at, step_inputs, top_n)
+                         states_at, step_inputs, top_n, unroll)
 from conftest import reseal, version_1_model
 from references import (forward_states, reference_score, reference_scores, reference_step,
                         reference_top_n, sequence_set)
@@ -174,6 +175,41 @@ class TestHiddenStep:
         assert u.tolist() == [[2.0]] and w.tolist() == [[[-1.0]]]
         h = hidden_step(np.array([0.5]), u[0], w[0])
         assert h[0] == pytest.approx(0.8175744761936437, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3, 10, 17])
+    def test_scratch_gives_the_bits_of_a_step_row_by_row(self, d):
+        rng = np.random.default_rng(d)
+        for shape in ((d,), (5, d)):
+            h, u = rng.uniform(0.0, 1.0, shape), rng.normal(0.0, 3.0, shape)
+            # a transition matrix per row, and one shared by every row
+            for w in (rng.normal(0.0, 1.0, (*shape[:-1], d, d)), rng.normal(0.0, 1.0, (d, d))):
+                rows = zip(h.reshape(-1, d), u.reshape(-1, d),
+                           w.reshape(-1, d, d) if w.ndim == len(shape) + 1 else repeat(w))
+                want = np.array([sigmoid_vec(ur + hr @ wr) for hr, ur, wr in rows])
+                want = want.reshape(shape).view(np.uint64)
+                scratch = np.full((3, *shape), 7.0)
+                assert np.array_equal(hidden_step(h, u, w).view(np.uint64), want)
+                assert np.array_equal(hidden_step(h, u, w, scratch=scratch).view(np.uint64), want)
+                out = np.full(shape, 7.0)
+                assert hidden_step(h, u, w, out=out, scratch=scratch) is out
+                assert np.array_equal(out.view(np.uint64), want)
+                # the new state may overwrite the previous one
+                inplace = h.copy()
+                hidden_step(inplace, u, w, out=inplace, scratch=scratch)
+                assert np.array_equal(inplace.view(np.uint64), want)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_unroll_is_a_loop_of_hidden_steps(self, shared):
+        rng = np.random.default_rng(11)
+        n, d = 9, 4
+        U = rng.normal(0.0, 2.0, (n, d))
+        W = rng.normal(0.0, 1.0, (d, d) if shared else (n, d, d))
+        H = unroll(U, W)
+        assert H.shape == (n + 1, d) and not H[0].any()
+        h = np.zeros(d)
+        for k in range(n):
+            h = hidden_step(h, U[k], W if shared else W[k])
+            assert np.array_equal(H[k + 1].view(np.uint64), h.view(np.uint64))
 
     def test_state_stays_in_open_unit_interval(self):
         rng = np.random.default_rng(3)
@@ -506,6 +542,15 @@ class TestTopN:
         expected = reference_top_n(scores, n)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(TIE_VALUES), st.integers(-3, 3).map(float)),
+                    min_size=100, max_size=300),
+           st.integers(1, 320))
+    def test_is_the_stable_argsort_prefix_of_long_score_rows(self, values, n):
+        # long rows with many ties across the cut, NaN n-th scores and n past the length
+        scores = np.array(values, dtype=np.float64)
+        assert np.array_equal(top_n(scores, n), reference_top_n(scores, n))
 
     def test_ties_keep_the_lower_index_first(self):
         scores = np.array([0.0, 2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0])

@@ -459,6 +459,33 @@ class TestSgdStep:
         for name in ("dR", "dM_bank", "dW_bank", "touched_items", "touched_m", "touched_w"):
             assert not getattr(buf, name).any(), name
 
+    @pytest.mark.parametrize("window", [None, 0, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    # at 30.0 many pair derivatives underflow to 0 while the recurrence still steps
+    @pytest.mark.parametrize("init_scale", [0.5, 30.0])
+    @pytest.mark.parametrize("use_in,use_tr", [(True, True), (True, False), (False, True),
+                                               (False, False)])
+    def test_clear_after_real_steps_leaves_every_bank_zero(self, use_in, use_tr, init_scale,
+                                                           k, window):
+        # clear zeroes the touched rows only, so every row a step wrote must be touched
+        config = ModelConfig(d=4, n_items=7, n_input_contexts=3, n_transition_bins=4,
+                             use_input_contexts=use_in, use_transition_contexts=use_tr,
+                             seed=k, init_scale=init_scale)
+        p = init_params(config)
+        cfg = TrainConfig(learning_rate=0.1, bptt_window=window)
+        buf = GradientBuffer(p)
+        for length in (1, 2, 9, 40):
+            rng = named_rng(length, "synthetic")
+            items = rng.integers(0, 7, size=length)
+            negatives = make_examples(items, 7, named_rng(length, "negatives"), k)
+            _pair_gradients(items, rng.integers(0, 3, size=length),
+                            rng.integers(0, 4, size=length), negatives, p, cfg, buf)
+            sgd_step(p, buf, cfg)
+            buf.clear()
+            for name in ("dR", "dM_bank", "dW_bank", "touched_items", "touched_m",
+                         "touched_w"):
+                assert not getattr(buf, name).any(), (length, name)
+
     def test_plain_arithmetic(self):
         p = self.scalar_params(1.0)
         buf = GradientBuffer(p)
