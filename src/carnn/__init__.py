@@ -8,7 +8,7 @@ ranking-metric evaluation, and a reproducible experiment CLI.
 """
 
 from .context import ContextScheme, annotate_sequences, input_context, transition_bin
-from .data import (Interaction, InteractionLog, SequenceSet, SplitSet, UserSequence,
+from .data import (Interaction, InteractionLog, SequenceSet, SplitSet, UserEvents, UserSequence,
                    build_sequences, full_train_split, parse_interactions, split_sequences)
 from .errors import (CarnnError, CompatibilityError, ConfigError, DataError,
                      FormatError, InputOutputError, NumericalError)
@@ -27,7 +27,7 @@ __all__ = [
     "CarnnError", "CompatibilityError", "ConfigError", "DataError",
     "FormatError", "InputOutputError", "NumericalError",
     "ContextScheme", "annotate_sequences", "input_context", "transition_bin",
-    "Interaction", "InteractionLog", "SequenceSet", "SplitSet", "UserSequence",
+    "Interaction", "InteractionLog", "SequenceSet", "SplitSet", "UserEvents", "UserSequence",
     "build_sequences", "full_train_split", "parse_interactions", "split_sequences",
     "ModelConfig", "ModelParams", "init_params", "load_params", "save_params",
     "score_all", "states_at", "top_n",

@@ -15,7 +15,7 @@ that takes an int or a whole int64 array of timestamps.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, pairwise, repeat
 
 import numpy as np
@@ -148,12 +148,14 @@ def transition_bin(t_curr, t_prev, scheme: ContextScheme):
     return days if days < top else top
 
 
-def annotate_sequences(seqs: "_data.SequenceSet", scheme: ContextScheme) -> "_data.SequenceSet":
-    """Attach (input context id, transition bin) to every step of every sequence.
+def annotate_sequences(seqs: "_data.UserEvents", scheme: ContextScheme) -> "_data.SequenceSet":
+    """The ``SequenceSet`` of ``seqs``: (input context id, transition bin) of
+    every step of every sequence under ``scheme``.
 
     The first step of each non-empty sequence gets the reserved start bin
     in one assignment, never through ``transition_bin``. Annotation
-    recomputes everything from timestamps, so re-annotating is idempotent.
+    recomputes everything from timestamps, so ``seqs`` may be any
+    ``UserEvents``, a ``SequenceSet`` too, and re-annotating is idempotent.
     Every input context comes from one ``input_context`` call over the
     timestamp column. Every later step's bin comes from one
     ``transition_bin`` call on its gap within one user, looked up by name
@@ -171,7 +173,8 @@ def annotate_sequences(seqs: "_data.SequenceSet", scheme: ContextScheme) -> "_da
         map(transition_bin, t[1:], t, repeat(scheme))
         for t in (ts[a:b].tolist() for a, b in pairwise(offsets.tolist()))),
         dtype=np.int64, count=len(ts) - len(firsts))
-    return replace(seqs, input_ctxs=input_context(ts, scheme), trans_bins=bins, scheme=scheme)
+    return _data.SequenceSet(seqs.items, ts, offsets, seqs.item_vocab, seqs.user_vocab,
+                             input_context(ts, scheme), bins, scheme)
 
 
 def parse_holiday_file(path: str) -> frozenset[_dt.date]:

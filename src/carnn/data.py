@@ -7,9 +7,12 @@ iteration). Each surviving user's events are sorted by timestamp with file
 order breaking ties, which makes every downstream artifact reproducible: one
 stable argsort of a single int64 (user, timestamp) key orders all events.
 
-A ``SequenceSet`` holds the sorted events as flat int64 columns and per-user
-``offsets``: the layout of the cache, of training and of ``model.states_at``,
-so no stage between the cache and the model builds per-user arrays.
+``build_sequences`` gives ``UserEvents``: the sorted events as flat int64
+columns and per-user ``offsets``. A ``SequenceSet`` is ``UserEvents`` with
+each event's input context and gap bin beside them, as only
+``context.annotate_sequences`` and ``store.read_cache`` make it. That is the
+layout of the cache, of training and of ``model.states_at``, so no stage
+between the cache and the model builds per-user arrays.
 
 A log is held as columns: int64 user and item codes, which number the ids
 by first appearance, beside the id strings in code order and int64
@@ -72,40 +75,30 @@ class InteractionLog:
 
 @dataclass
 class UserSequence:
-    """Time-ordered events of one user, with optional context annotations."""
+    """Time-ordered events of one user, with their context annotations."""
 
     user: str
     items: np.ndarray          # int64 item indices
     timestamps: np.ndarray     # int64 Unix seconds
-    input_ctxs: np.ndarray | None = None
-    trans_bins: np.ndarray | None = None
+    input_ctxs: np.ndarray
+    trans_bins: np.ndarray
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def annotated(self) -> bool:
-        return self.input_ctxs is not None and self.trans_bins is not None
-
 
 @dataclass(frozen=True)
-class SequenceSet:
+class UserEvents:
     """Every user's events as flat int64 columns, plus the dense user/item
-    vocabularies. User u's events are ``[offsets[u], offsets[u + 1])`` of
-    each column, in time order; ``input_ctxs`` and ``trans_bins`` are None
-    until annotated. ``seqs[u]`` is user u as a ``UserSequence`` of slice
-    views, so a write to it reaches the columns; ``sequences`` lists every
-    user's, built once per set. The fields cannot be rebound, so the views
-    never go stale; ``dataclasses.replace`` makes a set with other fields."""
+    vocabularies: what ``build_sequences`` groups from a log. User u's
+    events are ``[offsets[u], offsets[u + 1])`` of each column, in time
+    order. ``context.annotate_sequences`` makes a ``SequenceSet`` of it."""
 
     items: np.ndarray
     timestamps: np.ndarray
     offsets: np.ndarray
     item_vocab: dict[str, int]
     user_vocab: dict[str, int]
-    input_ctxs: np.ndarray | None = None
-    trans_bins: np.ndarray | None = None
-    scheme: "ContextScheme | None" = None
 
     @property
     def n_items(self) -> int:
@@ -118,20 +111,6 @@ class SequenceSet:
     @property
     def lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    @property
-    def annotated(self) -> bool:
-        return self.input_ctxs is not None and self.trans_bins is not None
-
-    @cached_property
-    def sequences(self) -> list[UserSequence]:
-        cuts = self.offsets.tolist()
-        columns = (self.items, self.timestamps, self.input_ctxs, self.trans_bins)
-        return [UserSequence(user, *(c if c is None else c[a:b] for c in columns))
-                for user, a, b in zip(self.user_ids(), cuts, cuts[1:])]
-
-    def __getitem__(self, u: int) -> UserSequence:
-        return self.sequences[u]
 
     def item_ids(self) -> list[str]:
         ids = [""] * len(self.item_vocab)
@@ -146,13 +125,37 @@ class SequenceSet:
         return ids
 
 
+@dataclass(frozen=True)
+class SequenceSet(UserEvents):
+    """``UserEvents`` annotated under ``scheme``: each event's input-context
+    id and gap bin, as two more columns. ``seqs[u]`` is user u as a
+    ``UserSequence`` of slice views, so a write to it reaches the columns;
+    ``sequences`` lists every user's, built once per set. The fields cannot
+    be rebound, so the views never go stale; ``dataclasses.replace`` makes a
+    set with other fields."""
+
+    input_ctxs: np.ndarray
+    trans_bins: np.ndarray
+    scheme: ContextScheme
+
+    @cached_property
+    def sequences(self) -> list[UserSequence]:
+        cuts = self.offsets.tolist()
+        columns = (self.items, self.timestamps, self.input_ctxs, self.trans_bins)
+        return [UserSequence(user, *(c[a:b] for c in columns))
+                for user, a, b in zip(self.user_ids(), cuts, cuts[1:])]
+
+    def __getitem__(self, u: int) -> UserSequence:
+        return self.sequences[u]
+
+
 @dataclass
 class SplitSet:
     """A SequenceSet with a per-sequence boundary: the first ``n_train[u]``
     events of user u train and the rest are held out, by the one rule that
     ``heldout`` states."""
 
-    sequences: "SequenceSet"
+    sequences: SequenceSet
     n_train: np.ndarray  # int64, one entry per sequence
 
     @property
@@ -375,7 +378,7 @@ def _renumber(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return new[codes], old
 
 
-def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) -> SequenceSet:
+def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) -> UserEvents:
     """Filter sparse items then sparse users, group per user, sort by time.
 
     The user threshold is floored at 2 because a sequence needs at least two
@@ -384,7 +387,7 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
     codes are counted with ``np.bincount``, the survivors' renumbered, and
     all events sorted with one stable argsort of an int64 (user, timestamp)
     key (``_group_order``; DataError if it could overflow), so file order
-    breaks ties. The sorted columns are the set's, cut per user at the
+    breaks ties. The sorted columns are the result's, cut per user at the
     ``np.bincount`` offsets, and no id string is hashed.
     """
     from .base import as_whole  # base imports this module
@@ -409,7 +412,7 @@ def build_sequences(log: InteractionLog, min_user: int = 10, min_item: int = 3) 
     ts = log.timestamps[keep]
     order = _group_order(users, ts, len(user_old))
     offsets = np.concatenate(([0], np.cumsum(np.bincount(users))))
-    return SequenceSet(items[order], ts[order], offsets, item_vocab, user_vocab)
+    return UserEvents(items[order], ts[order], offsets, item_vocab, user_vocab)
 
 
 def _group_order(users: np.ndarray, ts: np.ndarray, n_users: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import SECONDS_PER_DAY, ContextScheme, annotate_sequences
-from .data import SequenceSet, SplitSet
+from .data import SequenceSet, SplitSet, UserEvents
 from .errors import ConfigError, DataError
 from .model import ModelParams, check_compatibility, score_all, states_at
 from .seeding import named_rng
@@ -105,12 +105,8 @@ def evaluate(split: SplitSet, p: ModelParams, *, ks=DEFAULT_KS) -> MetricsReport
     """Rank the true item at every held-out position under the test step's
     own contexts, advancing the hidden state on ground truth.
 
-    The contexts are the split's own annotation: an unannotated split is a
-    ConfigError. Raises CompatibilityError unless the model fits the
-    sequences, by ``model.check_compatibility``."""
-    if not split.sequences.annotated:
-        raise ConfigError("sequences are not annotated: annotate them with "
-                          "context.annotate_sequences before evaluating")
+    The contexts are the split's own annotation. Raises CompatibilityError
+    unless the model fits the sequences, by ``model.check_compatibility``."""
     check_compatibility(p, split.sequences)
     return _report(_model_ranks(split, p), ks)
 
@@ -191,9 +187,9 @@ def generate_synthetic(n_users: int, n_items: int, seq_len: int, n_contexts: int
     signal="input_ctx" keys items to the event's hour of day (one of
     ``n_contexts`` planted hours, timestamp-encoded so annotation recovers
     them exactly); "transition_bin" keys items to the whole-day gap since
-    the previous event; "none" draws items uniformly. The returned set is
-    annotated by ``annotate_sequences`` under the returned hour-of-day
-    scheme, which recovers the planted ids.
+    the previous event; "none" draws items uniformly. The drawn
+    ``UserEvents`` are annotated by ``annotate_sequences`` under the
+    returned hour-of-day scheme, which recovers the planted ids.
     """
     if signal not in SIGNALS:
         raise ConfigError(f"signal must be one of {SIGNALS}")
@@ -241,13 +237,13 @@ def generate_synthetic(n_users: int, n_items: int, seq_len: int, n_contexts: int
             items += [draw_item(None) for _ in range(seq_len)]
         stamps.append(ts)
 
-    seqs = SequenceSet(np.array(items, dtype=np.int64), np.concatenate(stamps),
-                       np.arange(n_users + 1) * seq_len, {f"i{v}": v for v in range(n_items)},
-                       {f"u{u}": u for u in range(n_users)})
-    return annotate_sequences(seqs, scheme), scheme
+    events = UserEvents(np.array(items, dtype=np.int64), np.concatenate(stamps),
+                        np.arange(n_users + 1) * seq_len, {f"i{v}": v for v in range(n_items)},
+                        {f"u{u}": u for u in range(n_users)})
+    return annotate_sequences(events, scheme), scheme
 
 
-def write_interactions_csv(seqs: SequenceSet, path: str) -> None:
+def write_interactions_csv(seqs: UserEvents, path: str) -> None:
     """Dump a sequence set as user,item,timestamp rows (file order = per-user
     step order), so synthetic fixtures can drive the file-based pipeline."""
     user_ids, item_ids = seqs.user_ids(), seqs.item_ids()

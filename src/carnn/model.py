@@ -208,7 +208,7 @@ STATE_WINDOW_BYTES = 1 << 21
 
 
 def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
-    """States of an annotated ``SequenceSet`` at the wanted positions, in lockstep.
+    """States of a ``SequenceSet`` at the wanted positions, in lockstep.
 
     ``positions`` has one entry per user: ``positions[u]`` lists the
     positions of user u whose states are wanted, and may be empty. Position
@@ -232,8 +232,6 @@ def states_at(seqs, positions, p: ModelParams) -> np.ndarray:
     the last step's rows are carried to its head, and stepping goes on. So
     memory is O(users·d + wanted·d + window) besides the event index.
     """
-    if not seqs.annotated:
-        raise ConfigError("sequence must be annotated with contexts before the forward pass")
     lengths = seqs.lengths
     user = np.repeat(np.arange(len(lengths)), list(map(len, positions)))
     want = np.concatenate([np.zeros(0, dtype=np.int64), *positions]).astype(np.int64)
@@ -371,11 +369,10 @@ def check_compatibility(p: ModelParams, seqs) -> None:
     query contexts that ``score_all`` indexes in range."""
     cfg, scheme = p.config, seqs.scheme
     sizes = [("items", cfg.n_items, seqs.n_items)]
-    if scheme is not None:
-        if cfg.use_input_contexts:
-            sizes.append(("input contexts", cfg.n_input_contexts, scheme.n_input_contexts))
-        if cfg.use_transition_contexts:
-            sizes.append(("transition bins", cfg.n_transition_bins, scheme.n_transition_bins))
+    if cfg.use_input_contexts:
+        sizes.append(("input contexts", cfg.n_input_contexts, scheme.n_input_contexts))
+    if cfg.use_transition_contexts:
+        sizes.append(("transition bins", cfg.n_transition_bins, scheme.n_transition_bins))
     for name, model_n, data_n in sizes:
         if model_n != data_n:
             raise CompatibilityError(

@@ -68,10 +68,11 @@ def _vocab_parts(ids: list[str]) -> list:
 
 
 def write_cache(path: str, split: SplitSet) -> None:
+    """Write ``split`` as a format-4 cache; ConfigError, with nothing
+    written, unless ``split.heldout`` accepts every ``n_train``."""
+    split.heldout()
     seqs = split.sequences
     scheme = seqs.scheme
-    if scheme is None:
-        raise FormatError("only annotated splits can be cached")
     holidays = sorted(day.toordinal() for day in scheme.holiday_dates)
     parts = [struct.pack("<qII", scheme.timezone_offset_seconds, scheme.max_interval_days,
                          len(scheme.factors)),

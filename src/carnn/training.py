@@ -12,8 +12,8 @@ The forward pass and the scoring path share one gather of the sequence's
 rows of R and of both banks; the forward pass steps its states through one
 scratch buffer that ``unroll`` reuses, and the backward sweep and the SGD
 step update their buffers in place. Each keeps the bits of its textbook
-form. ``train`` refuses, before anything is drawn, a user whose largest
-gathered block would not fit in physical memory.
+form. ``train`` refuses, before anything is drawn, a user whose pair
+gradients would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .base import as_flag, as_real, as_whole, pick
 from .data import SplitSet, UserSequence
 from .errors import ConfigError, NumericalError
-from .linalg import MINUS_ONE, ONE, ZERO
+from .linalg import MINUS_ONE, ONE, ZERO, sigmoid_vec
 from .model import ModelConfig, ModelParams, first_non_finite, physical_memory, project, unroll
 from .seeding import named_rng
 from .store import write_atomic
@@ -121,8 +121,6 @@ def _pair_gradients(items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray,
     before the first epoch, and draws valid negatives; ``backprop_sequence``
     and ``sequence_loss`` check what they are given.
     """
-    if not len(items):  # an empty sequence may carry no annotations
-        return 0.0
     zeros = np.zeros(len(items), dtype=np.int64)
     m_slots = ctxs if p.config.use_input_contexts else zeros
     w_slots = bins if p.config.use_transition_contexts else zeros
@@ -137,13 +135,9 @@ def _pair_gradients(items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray,
     P = np.matmul(Rr, Ms)                                   # (L, 1+k, d)
     y = np.matmul(P, Q.transpose(0, 2, 1))[:, :, 0]
     x = y[:, :1] - y[:, 1:]
-    # ln(1 + e^-x) and its derivative -sigmoid(-x), with e = exp(-|x|) <= 1:
-    # the numerator is e for x >= 0 and 1 below, max(e, x < 0)
-    e = np.exp(np.copysign(x, MINUS_ONE))
-    total_loss = float((np.maximum(-x, ZERO) + np.log1p(e)).sum())
-    num = np.maximum(e, x < ZERO)
-    e += ONE
-    g = -num / e
+    # ln(1 + e^-x), with exp(-|x|) <= 1, and its derivative -sigmoid(-x)
+    total_loss = float((np.maximum(-x, ZERO) + np.log1p(np.exp(np.copysign(x, MINUS_ONE)))).sum())
+    g = -sigmoid_vec(-x)
     live = g != ZERO
     # d loss / d score of each row: the positive's sums its pairs' g, a negative's is -g
     coef = np.concatenate([g.sum(axis=1, keepdims=True), -g], axis=1)
@@ -179,15 +173,11 @@ def _scatter_add(bank: np.ndarray, index: np.ndarray, values: np.ndarray) -> Non
 
 def _check_inputs(seq: UserSequence, negatives, p: ModelParams) -> tuple[np.ndarray, ...]:
     """The item, input-context and gap-bin ids of ``seq`` and ``negatives``
-    as an array; ConfigError unless ``seq`` is empty or annotated with ids
-    that ``ModelParams.check_ids`` accepts, and ``negatives`` has one row of
-    item ids per position, each in [0, n_items) and not that position's
-    positive."""
+    as an array; ConfigError unless ``ModelParams.check_ids`` accepts the
+    ids of ``seq``, and ``negatives`` has one row of item ids per position,
+    each in [0, n_items) and not that position's positive."""
     items, ctxs, bins, n_items = seq.items, seq.input_ctxs, seq.trans_bins, p.config.n_items
-    if len(items):
-        if not seq.annotated:
-            raise ConfigError("sequence must be annotated with contexts before the forward pass")
-        p.check_ids(items, ctxs, bins)
+    p.check_ids(items, ctxs, bins)
     negatives = np.asarray(negatives)
     if negatives.ndim != 2 or len(negatives) != len(items) or negatives.dtype.kind not in "iu":
         raise ConfigError(f"negatives must be integer ids with one row for each of the "
@@ -306,21 +296,24 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
     per user, forward the train prefix, accumulate pair gradients over every
     predictable position, take one update step. Returns the trained
     parameters and the per-epoch mean pair loss trace. Every training event's
-    ids are checked once, through the mask of ``SplitSet.heldout``. A user's
-    largest float64 block, its (n_train, 1 + negatives_per_positive, d)
-    scored rows or one of its (n_train, d, d) gathers of a bank, larger than
-    physical memory is a ConfigError before anything is drawn."""
+    ids are checked once, through the mask of ``SplitSet.heldout``. A user
+    whose pair gradients would hold more than physical memory at once is a
+    ConfigError before anything is drawn."""
     seqs = split.sequences
-    if not seqs.annotated:
-        raise ConfigError("training requires annotated sequences; run annotation first")
     trained = ~split.heldout()[1]
     p.check_ids(seqs.items[trained], seqs.input_ctxs[trained], seqs.trans_bins[trained])
     starts, n_train = seqs.offsets[:-1].tolist(), split.n_train.tolist()
+    # _pair_gradients holds at once, in 8-byte words an event: Ms, Ws and a
+    # bank's scatter values and flat index (4 d^2); Rr, P, B and R's scatter
+    # values and index (5 (1 + k) d); scores, pair terms and the logistic's
+    # work (8 (1 + k)); states and errors (8 d); row views (64). numpy's
+    # broadcasting buffers add up to 2**18 bytes a call.
     longest, k, d = max(n_train, default=0), cfg.negatives_per_positive, p.config.d
-    if (n_bytes := 8 * longest * d * max(1 + k, d)) > (memory := physical_memory()):
+    words = 4 * d * d + (5 * d + 8) * (1 + k) + 8 * d + 64
+    if (n_bytes := 8 * longest * words + 2**18) > (memory := physical_memory()):
         raise ConfigError(f"negatives_per_positive={k} takes {n_bytes} bytes for a user's "
-                          f"{longest} training events at d={d} (the larger of its scored "
-                          f"rows and its d x d gathers), more than the {memory} bytes of "
+                          f"{longest} training events at d={d} (its gathers, scored rows "
+                          f"and gradient blocks at once), more than the {memory} bytes of "
                           f"physical memory")
     n_items = p.config.n_items
     shuffle_rng = named_rng(cfg.seed, "shuffle")

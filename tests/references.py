@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from carnn.context import SECONDS_PER_DAY, ContextScheme
-from carnn.data import SequenceSet, UserSequence
+from carnn.data import SequenceSet, UserEvents, UserSequence
 from carnn.errors import ConfigError
 from carnn.evaluate import _SYNTH_EPOCH, synthetic_partition
 from carnn.linalg import sigmoid_vec
@@ -44,29 +44,33 @@ def forward_states(seq, p):
     ``unroll``: an (len(seq)+1, d) array whose row 0 is the zero state and
     row k the state after k events. ``states_at`` of the user at
     ``np.arange(len(seq) + 1)`` gives the same bits."""
-    if not len(seq):
-        return np.zeros((1, p.config.d), dtype=np.float64)
-    if not seq.annotated:
-        raise ConfigError("sequence must be annotated with contexts before the forward pass")
     p.check_ids(seq.items, seq.input_ctxs, seq.trans_bins)
     return unroll(*step_inputs(seq.items, seq.input_ctxs, seq.trans_bins, p))
 
 
-def sequence_set(sequences, item_vocab, scheme=None):
-    """A SequenceSet of ``UserSequence`` objects, the per-user form the set
-    once held: users numbered in list order, each column the concatenation
-    of theirs, and the context columns None unless every user has them."""
-    def column(name):
-        parts = [getattr(seq, name) for seq in sequences]
-        if any(part is None for part in parts):
-            return None
-        return np.concatenate([np.zeros(0, np.int64), *parts]).astype(np.int64)
+def _joined(parts):
+    return np.concatenate([np.zeros(0, np.int64), *parts]).astype(np.int64)
 
-    lengths = [len(seq) for seq in sequences]
-    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-    return SequenceSet(column("items"), column("timestamps"), offsets, item_vocab,
-                       {seq.user: u for u, seq in enumerate(sequences)},
-                       column("input_ctxs"), column("trans_bins"), scheme)
+
+def user_events(sequences, item_vocab):
+    """A UserEvents of per-user ``(user, items, timestamps)`` triples: users
+    numbered in list order, each column the concatenation of theirs."""
+    lengths = [len(items) for _, items, _ in sequences]
+    return UserEvents(_joined(items for _, items, _ in sequences),
+                      _joined(ts for _, _, ts in sequences),
+                      np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), item_vocab,
+                      {user: u for u, (user, _, _) in enumerate(sequences)})
+
+
+def sequence_set(sequences, item_vocab, scheme=ContextScheme()):
+    """A SequenceSet of annotated ``UserSequence`` objects, the per-user form
+    the set once held, with their contexts as given rather than read off
+    their timestamps under ``scheme``."""
+    events = user_events([(seq.user, seq.items, seq.timestamps) for seq in sequences],
+                         item_vocab)
+    return SequenceSet(events.items, events.timestamps, events.offsets, item_vocab,
+                       events.user_vocab, _joined(seq.input_ctxs for seq in sequences),
+                       _joined(seq.trans_bins for seq in sequences), scheme)
 
 
 def reference_train_item_counts(split):

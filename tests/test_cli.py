@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from carnn import store, training
 from carnn.cli import cli, config_text, load_run_config
+from carnn.context import annotate_sequences
 from carnn.errors import (CompatibilityError, ConfigError, DataError, FormatError,
                           InputOutputError, NumericalError)
 from carnn.evaluate import generate_synthetic, write_interactions_csv
@@ -152,7 +153,9 @@ class TestPrepare:
         split = store.read_cache(workdir["cache"])
         assert split.sequences.n_users == 30
         assert split.sequences.n_items == 40
-        assert split.sequences.annotated
+        again = annotate_sequences(split.sequences, split.sequences.scheme)
+        for name in ("input_ctxs", "trans_bins"):
+            assert np.array_equal(getattr(split.sequences, name), getattr(again, name))
 
     def test_cache_matches_its_pinned_digest(self, workdir):
         assert hashlib.sha256(Path(workdir["cache"]).read_bytes()).hexdigest() == WORKDIR_CACHE_SHA256
@@ -370,13 +373,13 @@ class TestTrain:
 
     def test_bank_gathers_past_physical_memory_is_config_error(self, workdir, tmp_path,
                                                                monkeypatch):
-        # at d=40 a user's (n_train, d, d) gathers take 20 times the bytes of
-        # its (n_train, 2, d) scored rows; the memory sits between the two
+        # a user's 32 training events take 2,105,344 bytes of pair gradients
+        # at d=40 and 347,136 at the corpus's d=6; the memory sits between
         def unreached(*args):
             raise AssertionError("negatives drawn")
 
         monkeypatch.setattr(training, "make_examples", unreached)
-        monkeypatch.setattr(training, "physical_memory", lambda: 100_000)
+        monkeypatch.setattr(training, "physical_memory", lambda: 1_000_000)
         result = invoke("train", "--config", workdir["cfg"], "--cache", workdir["cache"],
                         "--out", str(tmp_path / "o"), "--d", "40")
         assert result.exit_code == ConfigError.exit_code, result.output

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from carnn.context import (FACTOR_CARDINALITIES, SECONDS_PER_DAY, ContextScheme,
                            annotate_sequences, input_context, parse_holiday_file, transition_bin)
-from carnn.data import MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT, UserSequence
+from carnn.data import MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT
 from carnn.errors import ConfigError, DataError
-from references import sequence_set
+from references import user_events
 
 # 2000-01-03 00:00:00 UTC was a Monday
 MONDAY = 946857600
@@ -256,9 +256,8 @@ class TestTransitionBin:
 
 class TestAnnotate:
     def make_set(self, *users):
-        return sequence_set([UserSequence(f"u{k}", np.zeros(len(t), dtype=np.int64),
-                                          np.array(t, dtype=np.int64))
-                             for k, t in enumerate(users)], {"i": 0})
+        return user_events([(f"u{k}", np.zeros(len(t), dtype=np.int64),
+                             np.array(t, dtype=np.int64)) for k, t in enumerate(users)], {"i": 0})
 
     def test_single_step_gets_start_bin(self):
         scheme = ContextScheme(factors=("hour_of_day",))
@@ -269,7 +268,6 @@ class TestAnnotate:
         scheme = ContextScheme(factors=("hour_of_day",))
         out = annotate_sequences(self.make_set([]), scheme)
         seq = out.sequences[0]
-        assert seq.annotated
         assert seq.input_ctxs.shape == seq.trans_bins.shape == (0,)
         assert seq.input_ctxs.dtype == seq.trans_bins.dtype == np.int64
 
@@ -292,9 +290,8 @@ class TestAnnotate:
         stamps = [[] if k % 3 == 2 else [start, *(start + np.cumsum(gaps)).tolist()]
                   for k, (start, gaps) in enumerate(users)]
         scheme = ContextScheme(factors=("hour_of_day",), max_interval_days=max_days)
-        seqs = sequence_set([UserSequence(f"u{k}", np.zeros(len(t), dtype=np.int64),
-                                          np.array(t, dtype=np.int64))
-                             for k, t in enumerate(stamps)], {"i": 0})
+        seqs = user_events([(f"u{k}", np.zeros(len(t), dtype=np.int64),
+                             np.array(t, dtype=np.int64)) for k, t in enumerate(stamps)], {"i": 0})
         out = annotate_sequences(seqs, scheme)
         assert out.scheme is scheme and len(out.sequences) == len(stamps)
         # the new columns are set whole; the item and timestamp columns are shared

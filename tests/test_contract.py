@@ -182,9 +182,11 @@ def banks_fit(d):
 
 
 def block_fits(k):
-    """Whether one user's scored rows at k negatives per positive fit in
-    physical memory: ``ROWS`` trains every user on all 5 events, at d = 2."""
-    return 8 * 5 * (1 + int(k)) * 2 <= MEMORY
+    """Whether one user's pair gradients at k negatives per positive fit in
+    physical memory, as ``train`` counts them: ``ROWS`` trains every user on
+    all 5 events, at d = 2."""
+    d = 2
+    return 8 * 5 * (4 * d * d + (5 * d + 8) * (1 + int(k)) + 8 * d + 64) + 2**18 <= MEMORY
 
 
 # estimator parameter -> whether it accepts a hostile value
@@ -208,7 +210,7 @@ ACCEPTS = {
     "seed": whole_value,
 }
 # a whole number of epochs this large would loop that long; a d whose banks,
-# or a negatives_per_positive whose scored rows, pass physical memory is
+# or a negatives_per_positive whose pair gradients, pass physical memory is
 # refused before anything is drawn
 SIZES = {"epochs"}
 ROWS = [(f"u{u}", f"i{(u + k) % 6}", 946857600 + 3600 * (5 * u + k))

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, SequenceSet, SplitSet,
-                        UserSequence, _group_order, build_sequences, full_train_split,
-                        parse_interactions, split_sequences, train_length)
+from carnn.context import ContextScheme, annotate_sequences
+from carnn.data import (TIMESTAMP_LIMIT, InteractionLog, Interaction, SplitSet, UserEvents,
+                        _group_order, build_sequences, full_train_split, parse_interactions,
+                        split_sequences, train_length)
 from carnn.errors import ConfigError, DataError, FormatError, InputOutputError
-from references import reference_grouping, sequence_set
+from references import reference_grouping, user_events
 
 
 def interactions_of(log):
@@ -230,10 +231,16 @@ def build_reference(interactions, min_user, min_item):
     sequences = []
     for user in user_vocab:
         events = sorted(per_user[user], key=lambda it: it.timestamp)
-        sequences.append(UserSequence(user, np.array([item_vocab[it.item] for it in events],
-                                                     dtype=np.int64),
-                                      np.array([it.timestamp for it in events], dtype=np.int64)))
-    return sequence_set(sequences, item_vocab)
+        sequences.append((user, np.array([item_vocab[it.item] for it in events], dtype=np.int64),
+                          np.array([it.timestamp for it in events], dtype=np.int64)))
+    return user_events(sequences, item_vocab)
+
+
+def user_slices(events):
+    """Each user's ``(user, items, timestamps)`` in ``events``, as views of its columns."""
+    cuts = events.offsets.tolist()
+    return [(user, events.items[a:b], events.timestamps[a:b])
+            for user, a, b in zip(events.user_ids(), cuts, cuts[1:])]
 
 
 def outcome(fn, *args):
@@ -308,12 +315,9 @@ class TestColumnarPathMatchesReference:
             return
         assert list(got.user_vocab.items()) == list(want.user_vocab.items())
         assert list(got.item_vocab.items()) == list(want.item_vocab.items())
-        assert len(got.sequences) == len(want.sequences)
-        for g, w in zip(got.sequences, want.sequences):
-            assert g.user == w.user
-            assert g.items.dtype == g.timestamps.dtype == np.int64
-            assert g.items.tolist() == w.items.tolist()
-            assert g.timestamps.tolist() == w.timestamps.tolist()
+        assert got.items.dtype == got.timestamps.dtype == np.int64
+        for (gu, gi, gt), (wu, wi, wt) in zip(user_slices(got), user_slices(want), strict=True):
+            assert gu == wu and gi.tolist() == wi.tolist() and gt.tolist() == wt.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("uvwx"), st.sampled_from("abcdef"),
@@ -327,9 +331,8 @@ class TestColumnarPathMatchesReference:
             assert got is want
             return
         assert got.user_ids() == want.user_ids() and got.item_ids() == want.item_ids()
-        for g, w in zip(got.sequences, want.sequences):
-            assert g.items.tolist() == w.items.tolist()
-            assert g.timestamps.tolist() == w.timestamps.tolist()
+        for (_, gi, gt), (_, wi, wt) in zip(user_slices(got), user_slices(want)):
+            assert gi.tolist() == wi.tolist() and gt.tolist() == wt.tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("uvwx"), st.sampled_from("abcdef"),
@@ -347,10 +350,8 @@ class TestColumnarPathMatchesReference:
             return
         assert list(got.user_vocab.items()) == list(want.user_vocab.items())
         assert list(got.item_vocab.items()) == list(want.item_vocab.items())
-        for g, w in zip(got.sequences, want.sequences, strict=True):
-            assert g.user == w.user
-            assert g.items.tolist() == w.items.tolist()
-            assert g.timestamps.tolist() == w.timestamps.tolist()
+        for (gu, gi, gt), (wu, wi, wt) in zip(user_slices(got), user_slices(want), strict=True):
+            assert gu == wu and gi.tolist() == wi.tolist() and gt.tolist() == wt.tolist()
 
     def test_counts_exactly_at_the_thresholds_survive(self):
         # "i" occurs exactly min_item times and "u" keeps exactly min_user events
@@ -358,7 +359,7 @@ class TestColumnarPathMatchesReference:
                 ("u", "rare", 0)]
         seqs = build_sequences(log_of(rows), min_user=3, min_item=2)
         assert seqs.user_ids() == ["u"] and seqs.item_ids() == ["i", "j"]
-        assert seqs.sequences[0].items.tolist() == [1, 0, 0]
+        assert seqs.items.tolist() == [1, 0, 0]
 
 
 class TestBuildSequences:
@@ -371,7 +372,10 @@ class TestBuildSequences:
 
     def test_fields_cannot_be_rebound_and_a_replaced_set_has_its_own_views(self):
         rows = [(f"u{k % 2}", f"i{k % 3}", k) for k in range(8)]
-        seqs = build_sequences(log_of(rows), min_user=2, min_item=1)
+        events = build_sequences(log_of(rows), min_user=2, min_item=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            events.items = events.items + 1
+        seqs = annotate_sequences(events, ContextScheme())
         assert seqs[0].user == "u0"  # the views are built
         with pytest.raises(dataclasses.FrozenInstanceError):
             seqs.user_vocab = {"x0": 0, "x1": 1}
@@ -394,7 +398,7 @@ class TestBuildSequences:
         rows = [(f"u{u}", f"i{k}", k) for u in range(3) for k in range(12)]
         seqs = build_sequences(log_of(rows), min_user=10, min_item=3)
         assert seqs.n_users == 3
-        assert all(len(s) == 12 for s in seqs.sequences)
+        assert seqs.lengths.tolist() == [12, 12, 12]
 
     def test_empty_after_filtering_is_data_error(self):
         rows = [("u", "i", 0)]
@@ -422,30 +426,28 @@ class TestBuildSequences:
     def test_sort_is_stable_under_timestamp_ties(self):
         rows = [("u", "a", 5), ("u", "b", 5), ("u", "c", 5), ("u", "d", 1)] * 3
         seqs = build_sequences(log_of(rows), min_user=2, min_item=1)
-        seq = seqs.sequences[0]
         ids = seqs.item_ids()
-        ordered = [ids[i] for i in seq.items]
+        ordered = [ids[i] for i in seqs.items]
         assert ordered == ["d", "d", "d"] + ["a", "b", "c"] * 3
 
     def test_timestamps_non_decreasing(self):
         rng = np.random.default_rng(0)
         rows = [("u", f"i{rng.integers(4)}", int(rng.integers(1000))) for _ in range(40)]
         seqs = build_sequences(log_of(rows), min_user=2, min_item=1)
-        ts = seqs.sequences[0].timestamps
+        ts = seqs.timestamps
         assert np.all(np.diff(ts) >= 0)
 
     def test_duplicate_records_kept_as_distinct_events(self):
         rows = [("u", "i", 5)] * 12
         seqs = build_sequences(log_of(rows), min_user=10, min_item=3)
-        assert len(seqs.sequences[0]) == 12
+        assert seqs.lengths.tolist() == [12]
 
     def test_surviving_users_meet_threshold(self):
         rng = np.random.default_rng(1)
         rows = [(f"u{rng.integers(8)}", f"i{rng.integers(6)}", int(rng.integers(500)))
                 for _ in range(120)]
         seqs = build_sequences(log_of(rows), min_user=10, min_item=3)
-        for seq in seqs.sequences:
-            assert len(seq) >= 10
+        assert (seqs.lengths >= 10).all()
 
 
 # timestamps that meet at the ends of the accepted range, or repeat
@@ -463,7 +465,7 @@ class TestGrouping:
         rows = [(f"u{u}", i, t) for u, i, t in rows if counts[u] >= 2]  # none filtered below
         assume(rows)
         log = log_of(rows)
-        seqs = build_sequences(log, min_user=2, min_item=1)
+        seqs = annotate_sequences(build_sequences(log, min_user=2, min_item=1), ContextScheme())
         items, stamps = reference_grouping(log.user_codes, log.item_codes, log.timestamps)
         assert list(seqs.user_vocab) == log.user_ids
         assert len(seqs.sequences) == len(items)
@@ -517,8 +519,8 @@ class TestSplit:
     def test_heldout_positions_and_mask_on_ragged_users(self):
         # n_train 0 of 3 events (all held out), 1 of 1 and 2 of 2 (none held
         # out), 0 of an empty user's none, and 2 of 4
-        seqs = SequenceSet(np.arange(10), np.arange(10), np.array([0, 3, 4, 4, 8, 10]),
-                           {f"i{k}": k for k in range(10)}, {f"u{u}": u for u in range(5)})
+        seqs = UserEvents(np.arange(10), np.arange(10), np.array([0, 3, 4, 4, 8, 10]),
+                          {f"i{k}": k for k in range(10)}, {f"u{u}": u for u in range(5)})
         split = SplitSet(seqs, np.array([0, 1, 0, 2, 2]))
         pos, held = split.heldout()
         assert pos.tolist() == [0, 1, 2, 0, 0, 1, 2, 3, 0, 1]
@@ -531,8 +533,8 @@ class TestSplit:
     def test_heldout_refuses_n_train_outside_the_sequence(self, n_train, message):
         # training steps [offsets[u], offsets[u] + n_train[u]), which past the
         # user's length would read the next user's events
-        seqs = SequenceSet(np.arange(5), np.arange(5), np.array([0, 2, 5]),
-                           {f"i{k}": k for k in range(5)}, {"u0": 0, "u1": 1})
+        seqs = UserEvents(np.arange(5), np.arange(5), np.array([0, 2, 5]),
+                          {f"i{k}": k for k in range(5)}, {"u0": 0, "u1": 1})
         with pytest.raises(ConfigError, match=message):
             SplitSet(seqs, np.array(n_train)).heldout()
 
@@ -565,8 +567,8 @@ class TestSplit:
                 for _ in range(60)]
         seqs = build_sequences(log_of(rows), min_user=2, min_item=1)
         split = split_sequences(seqs, 0.8)
-        for i, seq in enumerate(split.sequences.sequences):
+        for i, (_, items, _) in enumerate(user_slices(split.sequences)):
             n = int(split.n_train[i])
-            rebuilt = np.concatenate([seq.items[:n], seq.items[n:]])
-            assert np.array_equal(rebuilt, seq.items)
+            rebuilt = np.concatenate([items[:n], items[n:]])
+            assert np.array_equal(rebuilt, items)
             assert n >= 1

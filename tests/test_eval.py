@@ -1,7 +1,6 @@
 import json
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,13 +128,16 @@ def walker_records(split, p) -> list[RankRecord]:
 RAGGED = [(1, 0), (2, 1), (300, 240), (5, 5), (2, 0), (40, 32), (1, 1), (7, 3), (12, 10)]
 
 
-def ragged_split(seed, shapes=RAGGED, n_items=12, n_ctx=5, n_bins=4, **variant):
+def ragged_split(seed, shapes=RAGGED, n_items=12, **variant):
+    # random contexts, each in range of the scheme's 7 input contexts and 4 gap bins
+    scheme = ContextScheme(("day_of_week",), max_interval_days=2)
+    n_ctx, n_bins = scheme.n_input_contexts, scheme.n_transition_bins
     rng = np.random.default_rng(seed)
     sequences = [UserSequence(f"u{u}", rng.integers(0, n_items, size=n),
                               np.arange(n, dtype=np.int64) * 3600,
                               rng.integers(0, n_ctx, size=n), rng.integers(0, n_bins, size=n))
                  for u, (n, _) in enumerate(shapes)]
-    seqs = sequence_set(sequences, {f"i{v}": v for v in range(n_items)})
+    seqs = sequence_set(sequences, {f"i{v}": v for v in range(n_items)}, scheme)
     config = ModelConfig(d=4, n_items=n_items, n_input_contexts=n_ctx,
                          n_transition_bins=n_bins, seed=seed, **variant)
     return SplitSet(seqs, np.array([t for _, t in shapes], dtype=np.int64)), init_params(config)
@@ -187,7 +189,7 @@ class TestEvaluate:
 
     def test_out_of_range_ids_are_config_errors(self):
         for where in (0, 250):  # a training step and a held-out step of one user
-            for arr, bad in (("input_ctxs", 5), ("input_ctxs", -1), ("trans_bins", 4),
+            for arr, bad in (("input_ctxs", 7), ("input_ctxs", -1), ("trans_bins", 4),
                              ("items", 12)):
                 split, p = ragged_split(0)
                 getattr(split.sequences.sequences[2], arr)[where] = bad
@@ -230,12 +232,6 @@ class TestEvaluate:
             pop_baseline(split)
         with pytest.raises(ConfigError, match=message):
             evaluate(split, p)
-
-    def test_unannotated_split_is_config_error(self):
-        split, _, p = small_model_split()
-        seqs = replace(split.sequences, input_ctxs=None, trans_bins=None)
-        with pytest.raises(ConfigError, match="not annotated"):
-            evaluate(SplitSet(seqs, split.n_train), p)
 
     def test_scheme_is_no_longer_an_argument(self):
         # ks is keyword-only, so a stray third argument cannot bind to it

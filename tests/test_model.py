@@ -317,19 +317,7 @@ class TestForward:
         seq = UserSequence("u", np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                            np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert np.array_equal(all_states(seq, p), np.zeros((1, 2)))
-        # one user's check, which training makes, needs no annotation on no events
-        unannotated = UserSequence("u", seq.items, seq.timestamps)
-        assert np.array_equal(forward_states(unannotated, p), np.zeros((1, 2)))
-
-    def test_unannotated_sequence_rejected(self):
-        p = manual_params(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
-        seq = UserSequence("u", np.array([0, 1]), np.array([0, 5]))
-        with pytest.raises(ConfigError, match="annotated"):
-            forward_states(seq, p)
-        # a set is annotated as a whole, so an unannotated one is refused even with no events
-        for seqs in ([seq], [UserSequence("u", seq.items[:0], seq.timestamps[:0])]):
-            with pytest.raises(ConfigError, match="annotated"):
-                states_at(as_set(seqs), [[0]], p)
+        assert np.array_equal(forward_states(seq, p), np.zeros((1, 2)))
 
     def test_index_out_of_range(self):
         p = manual_params(np.zeros((2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
@@ -465,15 +453,13 @@ class TestStatesAt:
         with pytest.raises(ConfigError, match=f"position {position} outside \\[0, 4\\]"):
             states_at(as_set(seqs), [[6], [position]], p)
 
-    def test_bad_ids_and_unannotated_sequences_rejected(self):
+    def test_bad_ids_rejected(self):
         rng = np.random.default_rng(11)
         p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=2, n_transition_bins=3))
         seq = random_annotated_sequence(rng, 4, 6, 2, 3)
         seq.trans_bins[2] = 3
         with pytest.raises(ConfigError, match="transition bin 3 out of range"):
             states_at(as_set([seq]), [[1]], p)
-        with pytest.raises(ConfigError, match="annotated"):
-            states_at(as_set([UserSequence("u", np.array([0, 1]), np.array([0, 5]))]), [[1]], p)
 
 
 class TestScore:
@@ -703,24 +689,24 @@ class TestPersistence:
             load_params(path)
 
     @staticmethod
-    def sequence_set(n_items, scheme=None):
+    def sequence_set(n_items):
+        # 7 input contexts (day of week) and max_interval_days + 2 = 5 gap bins
+        scheme = ContextScheme(factors=("day_of_week",), max_interval_days=3)
         return sequence_set([], {f"i{v}": v for v in range(n_items)}, scheme)
 
     def test_vocab_compatibility_names_both_sizes(self):
-        p = self.make_params()
+        p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=7, n_transition_bins=5))
         check_compatibility(p, self.sequence_set(6))
         with pytest.raises(CompatibilityError, match="6 items.*9"):
             check_compatibility(p, self.sequence_set(9))
 
     def test_compatibility_checks_each_switched_on_bank(self):
-        # 7 input contexts (day of week) and max_interval_days + 2 = 5 gap bins
-        scheme = ContextScheme(factors=("day_of_week",), max_interval_days=3)
         for kwargs, match in ((dict(n_input_contexts=168), "168 input contexts.*7"),
                               (dict(n_transition_bins=32), "32 transition bins.*5")):
             config = dict(d=2, n_items=6, n_input_contexts=7, n_transition_bins=5) | kwargs
             p = init_params(ModelConfig(**config))
             with pytest.raises(CompatibilityError, match=match):
-                check_compatibility(p, self.sequence_set(6, scheme))
+                check_compatibility(p, self.sequence_set(6))
         check_compatibility(init_params(ModelConfig(d=2, n_items=6, n_input_contexts=7,
                                                     n_transition_bins=5)),
-                            self.sequence_set(6, scheme))
+                            self.sequence_set(6))

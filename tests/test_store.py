@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from carnn import store
 from carnn.context import FACTOR_CARDINALITIES, ContextScheme, annotate_sequences, input_context
-from carnn.data import (MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT, SplitSet, UserSequence,
-                        split_sequences)
-from carnn.errors import CompatibilityError, FormatError, InputOutputError
+from carnn.data import MAX_TZ_OFFSET_SECONDS, TIMESTAMP_LIMIT, SplitSet, split_sequences
+from carnn.errors import CompatibilityError, ConfigError, FormatError, InputOutputError
 from carnn.evaluate import _SYNTH_EPOCH, generate_synthetic
 from conftest import (corrupt_first_user_id, patch_cache, reseal, user_lengths_offset,
                       version_1_cache, version_2_cache)
-from references import sequence_set
+from references import user_events
 
 
 def make_split(holidays=frozenset()):
@@ -55,11 +54,19 @@ class TestCache:
         store.write_cache(path, split)
         assert store.read_cache(path).sequences.scheme.holiday_dates == holidays
 
-    def test_unannotated_split_rejected(self, tmp_path):
-        split = make_split()
-        split = SplitSet(replace(split.sequences, scheme=None), split.n_train)
-        with pytest.raises(FormatError):
-            store.write_cache(str(tmp_path / "c.bin"), split)
+    @pytest.mark.parametrize("n_train, message", [
+        ([6, 2, 2], r"user 'u0' has n_train=6 outside \[0, 5\]"),
+        ([3, -1, 2], r"user 'u1' has n_train=-1 outside \[0, 5\]")])
+    def test_n_train_outside_a_sequence_is_refused_before_writing(self, tmp_path, n_train,
+                                                                  message):
+        # stored as <u4, -1 would be 4294967295, and either cache would read back damaged
+        seqs = annotate_sequences(user_events(
+            [(f"u{u}", np.zeros(5, np.int64), 3600 * np.arange(5)) for u in range(3)],
+            {"i0": 0}), ContextScheme())
+        path = tmp_path / "c.bin"
+        with pytest.raises(ConfigError, match=message):
+            store.write_cache(str(path), SplitSet(seqs, np.array(n_train)))
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
@@ -115,7 +122,7 @@ class TestCache:
 
     def test_first_and_last_parsed_timestamps_round_trip(self, tmp_path):
         ts = np.array([0, TIMESTAMP_LIMIT - 1], dtype=np.int64)
-        seqs = sequence_set([UserSequence("u0", np.zeros(2, np.int64), ts)], {"i0": 0})
+        seqs = user_events([("u0", np.zeros(2, np.int64), ts)], {"i0": 0})
         split = SplitSet(annotate_sequences(seqs, make_split().sequences.scheme),
                          np.ones(1, np.int64))
         path = str(tmp_path / "cache.bin")
@@ -213,8 +220,8 @@ class TestCache:
     def test_split_with_empty_users_round_trips(self, tmp_path, lengths):
         scheme = make_split().sequences.scheme
         users = [f"u{k}" for k in range(len(lengths))]
-        seqs = sequence_set([UserSequence(u, np.zeros(n, np.int64), 3600 * np.arange(n))
-                             for u, n in zip(users, lengths)], {"i0": 0})
+        seqs = user_events([(u, np.zeros(n, np.int64), 3600 * np.arange(n))
+                            for u, n in zip(users, lengths)], {"i0": 0})
         split = SplitSet(annotate_sequences(seqs, scheme), np.zeros(len(users), np.int64))
         path = str(tmp_path / "cache.bin")
         store.write_cache(path, split)
@@ -344,9 +351,9 @@ def annotated_splits(draw):
         timestamps = draw(st.integers(0, 4 * 10**9)) + np.cumsum(gaps, dtype=np.int64)
         ids = draw(st.lists(st.integers(0, len(items) - 1), min_size=len(gaps),
                             max_size=len(gaps)))
-        sequences.append(UserSequence(user, np.array(ids, dtype=np.int64), timestamps))
+        sequences.append((user, np.array(ids, dtype=np.int64), timestamps))
         n_train.append(draw(st.integers(0, len(gaps))))
-    seqs = sequence_set(sequences, {it: i for i, it in enumerate(items)})
+    seqs = user_events(sequences, {it: i for i, it in enumerate(items)})
     return SplitSet(annotate_sequences(seqs, scheme), np.array(n_train, dtype=np.int64))
 
 

@@ -1,7 +1,7 @@
 import copy
 import math
+import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carnn import training as training_module
+from carnn.context import ContextScheme, annotate_sequences
 from carnn.data import SplitSet, UserSequence, split_sequences
 from carnn.errors import ConfigError, NumericalError
 from carnn.evaluate import generate_synthetic
@@ -18,7 +19,7 @@ from carnn.training import (EpochStats, GradientBuffer, TrainConfig, _pair_gradi
                             _recurrence_grads, backprop_sequence, gradient_check, make_examples,
                             sequence_loss, sgd_step, train, write_loss_trace)
 from references import (bpr_pair_loss, forward_states, reference_recurrence_grads,
-                        reference_score, sample_negative)
+                        reference_score, sample_negative, user_events)
 
 
 def tiny_fixture(seed=0, init_scale=0.1, d=3, n_items=5, n_ctx=2, n_bins=3, length=6):
@@ -265,10 +266,7 @@ class TestBackprop:
         negatives = make_examples(seq.items, 5, named_rng(0, "negatives"), 2)
         assert negatives.shape == (0, 2) and negatives.dtype == np.int64
         assert sequence_loss(seq, negatives, params) == 0.0
-        # an empty sequence needs no annotations, as in forward_states
-        bare = UserSequence("u", seq.items, seq.timestamps)
-        assert sequence_loss(bare, negatives, params) == 0.0
-        assert not backprop_sequence(bare, negatives, params, TrainConfig()).touched_items.any()
+        assert not backprop_sequence(seq, negatives, params, TrainConfig()).touched_items.any()
 
 
 def reference_pair_gradients(seq, negatives, p, cfg):
@@ -656,13 +654,6 @@ class TestTrain:
         with pytest.raises(NumericalError, match="epoch 1, user"):
             train(split, p, TrainConfig(epochs=1, seed=1))
 
-    def test_requires_annotated_sequences(self):
-        split, scheme = planted_split()
-        split = SplitSet(replace(split.sequences, input_ctxs=None, trans_bins=None), split.n_train)
-        p = self.make_model(scheme, split.sequences.n_items)
-        with pytest.raises(ConfigError):
-            train(split, p, TrainConfig(epochs=1))
-
     def test_out_of_range_items_are_config_errors(self):
         # the forward pass gathers rows with take, which wraps -1 to the last
         # row of R or of a bank; n would index past it
@@ -721,6 +712,33 @@ class TestTrain:
         with pytest.raises(ConfigError, match=r"user 'u2' has n_train=31 outside \[0, 30\]"):
             train(SplitSet(split.sequences, n_train), self.make_model(scheme, 20),
                   TrainConfig(epochs=1))
+
+    # d x d blocks, negatives, and numpy's fixed broadcasting buffers each in turn dominate
+    @pytest.mark.parametrize("n, d, k, window", [
+        (400, 10, 1, None), (300, 48, 1, None), (200, 40, 2, 3),
+        (400, 4, 20, None), (100, 1, 200, 0), (50, 2, 64, None),
+        (1, 1, 1, None), (10, 32, 1, None)])
+    def test_memory_guard_is_at_least_the_peak_of_a_users_pair_gradients(
+            self, monkeypatch, n, d, k, window):
+        seqs = annotate_sequences(user_events([("u0", np.arange(n) % 50, 3600 * np.arange(n))],
+                                              {f"i{v}": v for v in range(50)}),
+                                  ContextScheme(("hour_of_day",)))
+        p = init_params(ModelConfig(d=d, n_items=50, n_input_contexts=24, n_transition_bins=32))
+        cfg = TrainConfig(epochs=1, negatives_per_positive=k, bptt_window=window)
+        monkeypatch.setattr(training_module, "physical_memory", lambda: 0)
+        with pytest.raises(ConfigError, match=f"takes \\d+ bytes for a user's {n} training "
+                                              f"events at d={d}") as refused:
+            train(SplitSet(seqs, np.array([n])), p, cfg)
+        guard = int(str(refused.value).split()[2])
+        negatives = make_examples(seqs.items, 50, named_rng(0, "negatives"), k)
+        buf = GradientBuffer(p)
+        tracemalloc.start()
+        try:
+            _pair_gradients(seqs.items, seqs.input_ctxs, seqs.trans_bins, negatives, p, cfg, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= guard
 
     def test_loss_trace_csv_round_trip(self, tmp_path):
         trace = [EpochStats(1, 0.6931, 0.5), EpochStats(2, 0.5120, 0.4)]
