@@ -158,6 +158,9 @@ class SplitSet:
     sequences: SequenceSet
     n_train: np.ndarray  # int64, one entry per sequence
 
+    def __post_init__(self):
+        self.n_train = np.asarray(self.n_train)
+
     @property
     def n_test_positions(self) -> int:
         return int(np.count_nonzero(self.heldout()[1]))

@@ -80,7 +80,7 @@ def write_cache(path: str, split: SplitSet) -> None:
              struct.pack(f"<I{len(holidays)}i", len(holidays), *holidays),
              struct.pack("<II", seqs.n_users, seqs.n_items),
              *_vocab_parts(seqs.user_ids()), *_vocab_parts(seqs.item_ids()),
-             seqs.lengths.astype("<u4"), np.asarray(split.n_train).astype("<u4"),
+             seqs.lengths.astype("<u4"), split.n_train.astype("<u4"),
              *(getattr(seqs, field).astype(dtype) for field, dtype in _EVENT_COLUMNS)]
     write_sealed(path, MAGIC, VERSION, parts, "cache")
 

@@ -63,10 +63,9 @@ class TestCache:
         seqs = annotate_sequences(user_events(
             [(f"u{u}", np.zeros(5, np.int64), 3600 * np.arange(5)) for u in range(3)],
             {"i0": 0}), ContextScheme())
-        path = tmp_path / "c.bin"
         with pytest.raises(ConfigError, match=message):
-            store.write_cache(str(path), SplitSet(seqs, np.array(n_train)))
-        assert not path.exists()
+            store.write_cache(str(tmp_path / "c.bin"), SplitSet(seqs, n_train))
+        assert not any(tmp_path.iterdir())
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "c.bin"
