@@ -11,17 +11,19 @@ h @ W[bin] @ (r_item @ M[ctx])^T, with the same two banks.
 With a context switch off the corresponding bank collapses to a single
 shared matrix, which reproduces a conventional recurrent model.
 
-``hidden_step`` is the only code that computes a recurrence step, from
-the input projections r @ M[ctx] and transition matrices that
-``step_inputs`` gathers for a run of steps; it writes the new state in
-place when given ``out``, and works in a scratch buffer when given one.
-``unroll`` steps one user a state at a time through one scratch buffer for
-training, which passes the gathers its scoring path shares, and for
-``carnn predict``; evaluation and the estimator's state table take theirs
-from ``states_at``, which steps every user of a ``SequenceSet`` in lockstep
-as (B, d) blocks, read from the set's columns. A block row goes through the
-same vector-matrix BLAS call (``np.vecmat``, which has the bits of a
-stacked ``np.matmul``) as one state, so both have the same bits.
+Two loops compute recurrence steps, from the input projections
+r @ M[ctx] and transition matrices that ``step_inputs`` gathers for a run
+of steps. ``unroll`` steps one user a state at a time, for training, which
+passes the gathers its scoring path shares, and for ``carnn predict``; it
+runs the step's ufunc calls inline on one work buffer, as a call per step
+would cost about a third of its time. ``hidden_step`` steps blocks:
+evaluation and the estimator's state table take their states from
+``states_at``, which steps every user of a ``SequenceSet`` in lockstep as
+(B, d) blocks, read from the set's columns, one ``hidden_step`` a step. A
+state's vector-matrix product is one OpenBLAS gemv either way
+(``ndarray.dot`` in ``unroll``, ``np.vecmat``, which has the bits of a
+stacked ``np.matmul``, in ``hidden_step``), and the lines after it are
+``sigmoid_vec``'s, so both loops give the same bits; tests pin that.
 ``score_all`` scores a (B, d) block of states under one context and bin, or
 one per row; a single query is the block ``h[None]``.
 
@@ -52,7 +54,7 @@ import numpy as np
 
 from .base import as_flag, as_real, as_whole
 from .errors import CompatibilityError, ConfigError, FormatError, NumericalError
-from .linalg import sigmoid_vec
+from .linalg import MINUS_ONE, ONE, ZERO, sigmoid_vec
 from .seeding import named_rng
 from .store import SealedReader, write_sealed
 
@@ -176,29 +178,37 @@ def project(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def hidden_step(h_prev: np.ndarray, u: np.ndarray, w: np.ndarray,
-                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None) -> np.ndarray:
     """One recurrence step, f(u + h_prev @ w), of one state (d,) or a (B, d)
     block, from the input projections and transition matrices that
-    ``step_inputs`` gives; the state is written to ``out`` if given. The
-    float64 ``scratch`` of shape (3, *h_prev.shape), if given, holds the
-    pre-activation in row 0 and ``sigmoid_vec``'s work in the other two."""
-    if scratch is None:
-        scratch = np.empty((3, *h_prev.shape))
-    z = np.vecmat(h_prev, w, out=scratch[0])
+    ``step_inputs`` gives; the state is written to ``out`` if given, which
+    may be ``h_prev`` itself."""
+    z = np.vecmat(h_prev, w)
     z += u
-    return sigmoid_vec(z, out=out, scratch=scratch[1:])
+    return sigmoid_vec(z, out=out)
 
 
 def unroll(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """States of n steps from the zero state, given their (n, d) input
     projections and transition matrices, (n, d, d) or one shared (d, d):
-    an (n+1, d) array whose row k + 1 ``hidden_step`` writes in place from
-    row k, every step through one scratch buffer."""
+    an (n+1, d) array whose row k + 1 is the step from row k.
+
+    Each step is ``hidden_step`` of one state, inline: the gemv into row 0
+    of one (3, d) work buffer, then ``sigmoid_vec``'s lines on the other
+    two rows, writing the state in place."""
     n, d = U.shape
     H = np.zeros((n + 1, d), dtype=np.float64)
-    scratch = np.empty((3, d))
+    work = np.empty((3, d))
+    z, e, num = work
+    pair = work[1:]
     for h, u, w, out in zip(H, U, W if W.ndim == 3 else repeat(W, n), H[1:]):
-        hidden_step(h, u, w, out=out, scratch=scratch)
+        h.dot(w, out=z)
+        np.add(z, u, out=z)
+        np.copysign(z, MINUS_ONE, out=e)
+        np.minimum(z, ZERO, out=num)
+        np.exp(pair, out=pair)
+        np.add(e, ONE, out=e)
+        np.divide(num, e, out=out)
     return H
 
 

@@ -10,7 +10,7 @@ from carnn.data import SequenceSet, UserEvents, UserSequence
 from carnn.errors import ConfigError
 from carnn.evaluate import _SYNTH_EPOCH, synthetic_partition
 from carnn.linalg import sigmoid_vec
-from carnn.model import step_inputs, unroll
+from carnn.model import hidden_step, step_inputs, unroll
 from carnn.seeding import named_rng
 
 
@@ -46,6 +46,16 @@ def forward_states(seq, p):
     ``np.arange(len(seq) + 1)`` gives the same bits."""
     p.check_ids(seq.items, seq.input_ctxs, seq.trans_bins)
     return unroll(*step_inputs(seq.items, seq.input_ctxs, seq.trans_bins, p))
+
+
+def unroll_by_steps(U, W):
+    """``unroll`` as a loop of one-state ``hidden_step`` calls from the zero
+    state, each writing row k + 1 from row k, as ``unroll`` once stepped."""
+    n, d = U.shape
+    H = np.zeros((n + 1, d))
+    for k in range(n):
+        hidden_step(H[k], U[k], W if W.ndim == 2 else W[k], out=H[k + 1])
+    return H
 
 
 def _joined(parts):

@@ -108,20 +108,19 @@ EXTREMES = np.concatenate([EDGES, [TINY, -TINY, 1e-310, -1e-310, 744.9, -744.9, 
 
 
 @pytest.mark.parametrize("x", INPUTS + (EXTREMES,))
-def test_sigmoid_vec_with_scratch_has_the_bits_of_the_masked_formula(x):
-    scratch = np.full((2, *x.shape), 7.0)
-    assert_bits_of_masked_formula(sigmoid_vec(x, scratch=scratch), x)
+def test_sigmoid_vec_of_each_input_has_the_bits_of_the_masked_formula(x):
+    assert_bits_of_masked_formula(sigmoid_vec(x), x)
     buf = np.full_like(x, 7.0)
-    assert sigmoid_vec(x, out=buf, scratch=scratch) is buf
+    assert sigmoid_vec(x, out=buf) is buf
     assert_bits_of_masked_formula(buf, x)
     inplace = x.copy()
-    assert sigmoid_vec(inplace, out=inplace, scratch=scratch) is inplace
+    assert sigmoid_vec(inplace, out=inplace) is inplace
     assert_bits_of_masked_formula(inplace, x)
 
 
-def test_sigmoid_vec_with_scratch_into_a_row_view():
+def test_sigmoid_vec_of_extremes_into_a_row_view():
     H = np.zeros((3, len(EXTREMES)))
-    sigmoid_vec(EXTREMES, out=H[1], scratch=np.empty((2, len(EXTREMES))))
+    sigmoid_vec(EXTREMES, out=H[1])
     assert_bits_of_masked_formula(H[1], EXTREMES)
     assert not H[0].any() and not H[2].any()
 

@@ -20,7 +20,7 @@ from carnn.model import (ModelConfig, ModelParams, check_compatibility,
                          states_at, step_inputs, top_n, unroll)
 from conftest import reseal, version_1_model
 from references import (forward_states, reference_score, reference_scores, reference_step,
-                        reference_top_n, sequence_set)
+                        reference_top_n, sequence_set, unroll_by_steps)
 
 
 def manual_params(R, M_bank, W_bank, use_input=True, use_trans=True):
@@ -177,7 +177,7 @@ class TestHiddenStep:
         assert h[0] == pytest.approx(0.8175744761936437, abs=1e-12)
 
     @pytest.mark.parametrize("d", [1, 3, 10, 17])
-    def test_scratch_gives_the_bits_of_a_step_row_by_row(self, d):
+    def test_gives_the_bits_of_a_step_row_by_row(self, d):
         rng = np.random.default_rng(d)
         for shape in ((d,), (5, d)):
             h, u = rng.uniform(0.0, 1.0, shape), rng.normal(0.0, 3.0, shape)
@@ -187,29 +187,36 @@ class TestHiddenStep:
                            w.reshape(-1, d, d) if w.ndim == len(shape) + 1 else repeat(w))
                 want = np.array([sigmoid_vec(ur + hr @ wr) for hr, ur, wr in rows])
                 want = want.reshape(shape).view(np.uint64)
-                scratch = np.full((3, *shape), 7.0)
                 assert np.array_equal(hidden_step(h, u, w).view(np.uint64), want)
-                assert np.array_equal(hidden_step(h, u, w, scratch=scratch).view(np.uint64), want)
                 out = np.full(shape, 7.0)
-                assert hidden_step(h, u, w, out=out, scratch=scratch) is out
+                assert hidden_step(h, u, w, out=out) is out
                 assert np.array_equal(out.view(np.uint64), want)
                 # the new state may overwrite the previous one
                 inplace = h.copy()
-                hidden_step(inplace, u, w, out=inplace, scratch=scratch)
+                hidden_step(inplace, u, w, out=inplace)
                 assert np.array_equal(inplace.view(np.uint64), want)
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_unroll_is_a_loop_of_hidden_steps(self, shared):
-        rng = np.random.default_rng(11)
-        n, d = 9, 4
-        U = rng.normal(0.0, 2.0, (n, d))
-        W = rng.normal(0.0, 1.0, (d, d) if shared else (n, d, d))
+    @settings(max_examples=300, deadline=None)
+    @example(d=257, n=4, shared=False, transposed=True, u_scale=1.0, w_scale=1e3, seed=0)
+    @example(d=1, n=3, shared=True, transposed=False, u_scale=0.0, w_scale=0.0, seed=1)
+    @given(d=st.sampled_from([*range(1, 81), 100, 128, 257]), n=st.integers(0, 6),
+           shared=st.booleans(), transposed=st.booleans(),
+           u_scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]),
+           w_scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+    def test_unroll_has_the_bits_of_a_loop_of_hidden_steps(self, d, n, shared, transposed,
+                                                           u_scale, w_scale, seed):
+        # unroll runs the step inline through ndarray.dot, hidden_step through
+        # np.vecmat; both must reach the same gemv and the same logistic. A
+        # scale of 1e3 takes |z| past 745, where exp(-|z|) underflows, and a
+        # scale of 0 gives signed zeros.
+        rng = np.random.default_rng(seed)
+        U = rng.normal(0.0, 1.0, (n, d)) * u_scale
+        W = rng.normal(0.0, 1.0, (d, d) if shared else (n, d, d)) * w_scale
+        if transposed:  # every step's matrix F-ordered
+            W = W.swapaxes(-1, -2)
         H = unroll(U, W)
         assert H.shape == (n + 1, d) and not H[0].any()
-        h = np.zeros(d)
-        for k in range(n):
-            h = hidden_step(h, U[k], W if shared else W[k])
-            assert np.array_equal(H[k + 1].view(np.uint64), h.view(np.uint64))
+        assert np.array_equal(H.view(np.uint64), unroll_by_steps(U, W).view(np.uint64))
 
     def test_state_stays_in_open_unit_interval(self):
         rng = np.random.default_rng(3)

@@ -19,7 +19,7 @@ from carnn.training import (EpochStats, GradientBuffer, TrainConfig, _pair_gradi
                             _recurrence_grads, backprop_sequence, gradient_check, make_examples,
                             sequence_loss, sgd_step, train, write_loss_trace)
 from references import (bpr_pair_loss, forward_states, reference_recurrence_grads,
-                        reference_score, sample_negative, user_events)
+                        reference_score, sample_negative, unroll_by_steps, user_events)
 
 
 def tiny_fixture(seed=0, init_scale=0.1, d=3, n_items=5, n_ctx=2, n_bins=3, length=6):
@@ -739,6 +739,26 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak <= guard
+
+    @pytest.mark.parametrize("window", [None, 0, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("use_in,use_tr", [(True, True), (True, False), (False, True),
+                                               (False, False)])
+    def test_inline_unroll_trains_the_bits_of_a_loop_of_hidden_steps(self, monkeypatch, use_in,
+                                                                    use_tr, k, window):
+        seqs, scheme = generate_synthetic(30, 40, 40, 4, seed=77)
+        split = split_sequences(seqs, 0.8)
+        variant = dict(use_input_contexts=use_in, use_transition_contexts=use_tr)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, negatives_per_positive=k,
+                          bptt_window=window, seed=3)
+        inline, _ = train(split, self.make_model(scheme, 40, d=6, **variant), cfg)
+        calls = []
+        monkeypatch.setattr(training_module, "unroll",
+                            lambda U, W: calls.append(len(U)) or unroll_by_steps(U, W))
+        stepped, _ = train(split, self.make_model(scheme, 40, d=6, **variant), cfg)
+        assert len(calls) == 2 * seqs.n_users
+        for bank in ("R", "M_bank", "W_bank"):
+            assert getattr(inline, bank).tobytes() == getattr(stepped, bank).tobytes()
 
     def test_loss_trace_csv_round_trip(self, tmp_path):
         trace = [EpochStats(1, 0.6931, 0.5), EpochStats(2, 0.5120, 0.4)]
