@@ -1,9 +1,8 @@
 """Dense float64 primitives used by the model, training, and evaluation code.
 
-``model.unroll`` runs the lines of ``sigmoid_vec`` inline, on a work buffer
-it binds once per user, with the 0-d constants below; a test holds its
-states to the bits of a loop of ``model.hidden_step``, which calls
-``sigmoid_vec``.
+``model.unroll`` runs the lines of ``sigmoid_vec`` inline with the 0-d
+constants below; tests hold its states to the bits of a loop of
+``model.hidden_step``, which calls ``sigmoid_vec``.
 """
 
 from __future__ import annotations

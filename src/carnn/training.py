@@ -9,11 +9,11 @@ one forward pass, one gradient accumulation over all predictable positions,
 one SGD step with L2 decay applied lazily to touched parameters only.
 
 The forward pass and the scoring path share one gather of the sequence's
-rows of R and of both banks; the forward pass steps its states through one
-scratch buffer that ``unroll`` reuses, and the backward sweep and the SGD
-step update their buffers in place. Each keeps the bits of its textbook
-form. ``train`` refuses, before anything is drawn, a user whose pair
-gradients would not fit in physical memory.
+rows of R and of both banks; ``unroll`` steps the forward pass inline on
+one work buffer a user, and the backward sweep and the SGD step update
+their buffers in place. Each keeps the bits of its textbook form.
+``train`` refuses, before anything is drawn, a user whose pair gradients
+would not fit in physical memory.
 """
 
 from __future__ import annotations
