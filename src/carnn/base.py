@@ -67,11 +67,13 @@ def check_is_fitted(estimator, attribute: str) -> None:
 def as_interactions(X) -> list[Interaction]:
     """Coerce estimator input into interactions.
 
-    Accepts a list of Interaction, a list/array of (user, item, timestamp)
-    rows, or a 2-D object/str/numeric array with those three columns.
+    Accepts a list of Interaction and (user, item, timestamp) rows, in any
+    mix, or a 2-D object/str/numeric array with those three columns.
     """
-    if isinstance(X, list) and X and isinstance(X[0], Interaction):
-        X = [(it.user, it.item, it.timestamp) for it in X]  # their timestamps get checked too
+    if isinstance(X, list):
+        # each Interaction as a row of its own, so its timestamp gets checked too
+        X = [(row.user, row.item, row.timestamp) if isinstance(row, Interaction) else row
+             for row in X]
     arr = np.asarray(X, dtype=object)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ConfigError(

@@ -195,20 +195,26 @@ def unroll(U: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     Each step is ``hidden_step`` of one state, inline: the gemv into row 0
     of one (3, d) work buffer, then ``sigmoid_vec``'s lines on the other
-    two rows, writing the state in place."""
+    two rows, writing the state in place. The kernels and constants are
+    bound to locals and the state rows are viewed once, so a step makes
+    its seven calls and no lookups."""
     n, d = U.shape
     H = np.zeros((n + 1, d), dtype=np.float64)
     work = np.empty((3, d))
     z, e, num = work
     pair = work[1:]
-    for h, u, w, out in zip(H, U, W if W.ndim == 3 else repeat(W, n), H[1:]):
-        h.dot(w, out=z)
-        np.add(z, u, out=z)
-        np.copysign(z, MINUS_ONE, out=e)
-        np.minimum(z, ZERO, out=num)
-        np.exp(pair, out=pair)
-        np.add(e, ONE, out=e)
-        np.divide(num, e, out=out)
+    add, copysign, minimum, exp, divide = np.add, np.copysign, np.minimum, np.exp, np.divide
+    minus_one, zero, one = MINUS_ONE, ZERO, ONE
+    rows = list(H)
+    # np.minimum takes out= by name: its third positional argument is deprecated
+    for h, u, w, out in zip(rows, U, W if W.ndim == 3 else repeat(W, n), rows[1:]):
+        h.dot(w, z)
+        add(z, u, z)
+        copysign(z, minus_one, e)
+        minimum(z, zero, out=num)
+        exp(pair, pair)
+        add(e, one, e)
+        divide(num, e, out)
     return H
 
 

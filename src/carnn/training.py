@@ -6,7 +6,13 @@ path and back through the unrolled recurrence, so every selected input
 matrix, transition matrix, and touched embedding row receives its exact
 contribution. Updates are per user, on a slice of the split's columns:
 one forward pass, one gradient accumulation over all predictable positions,
-one SGD step with L2 decay applied lazily to touched parameters only.
+one SGD step with L2 decay applied lazily to touched parameters only, which
+also clears what it read from the gradient buffer.
+
+``train`` draws the negatives of consecutive users in one ``make_examples``
+call per block of at most NEGATIVE_BLOCK_BYTES of draws, and slices each
+user's rows from it; numpy's bounded-integer stream is the same drawn per
+user or per block, so the draws are those of one call per user.
 
 The forward pass and the scoring path share one gather of the sequence's
 rows of R and of both banks; ``unroll`` steps the forward pass inline on
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -87,7 +93,8 @@ class GradientBuffer:
 
     "Touched" is one boolean per embedding row and per bank slot; the SGD
     step decays exactly those groups, so an update never regularizes
-    parameters the gradients did not reach.
+    parameters the gradients did not reach, and then zeroes those rows and
+    flags, so one buffer serves every user.
     """
 
     def __init__(self, p: ModelParams):
@@ -97,12 +104,6 @@ class GradientBuffer:
         self.touched_items = np.zeros(len(p.R), dtype=bool)
         self.touched_m = np.zeros(len(p.M_bank), dtype=bool)
         self.touched_w = np.zeros(len(p.W_bank), dtype=bool)
-
-    def clear(self) -> None:
-        for grad, touched in ((self.dR, self.touched_items), (self.dM_bank, self.touched_m),
-                              (self.dW_bank, self.touched_w)):
-            grad[touched.nonzero()[0]] = 0.0
-            touched[:] = False
 
 
 def _pair_gradients(items: np.ndarray, ctxs: np.ndarray, bins: np.ndarray,
@@ -254,13 +255,36 @@ def make_examples(items: np.ndarray, n_items: int, rng: np.random.Generator,
     return draws + (draws >= items[:, None])
 
 
+# Upper bound on the bytes of one ``make_examples`` draw in ``train``, unless
+# one user's draw takes more; at k = 1 a block holds 524,288 negatives.
+NEGATIVE_BLOCK_BYTES = 1 << 22
+
+
+def _blocks(users: list[int], n_train: list[int], rows: int) -> Iterator[list[int]]:
+    """``users`` cut, in order, into runs of consecutive users whose
+    ``n_train`` sum to at most ``rows``, or of one user who alone has more."""
+    block: list[int] = []
+    held = 0
+    for u in users:
+        if block and held + n_train[u] > rows:
+            yield block
+            block, held = [], 0
+        block.append(u)
+        held += n_train[u]
+    if block:
+        yield block
+
+
 def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams:
     """theta <- theta - lr * (grad + l2 * theta) over touched groups only.
 
     Each bank's touched rows are gathered once, updated in the gathered
-    copy, checked and written back. A non-finite gradient, or a step that
-    overflows a finite one, raises NumericalError naming its first row, and
-    leaves that bank and the ones after it untouched."""
+    copy, checked and written back; then their gradient rows and touched
+    flags are zeroed, through the same index, so ``g`` is all zeros again.
+    A gradient row that no flag marks is neither applied nor cleared. A
+    non-finite gradient, or a step that overflows a finite one, raises
+    NumericalError naming its first row, and leaves that bank and the ones
+    after it untouched, in ``p`` and in ``g``."""
     lr = cfg.learning_rate
     l2 = cfg.l2
 
@@ -281,6 +305,8 @@ def sgd_step(p: ModelParams, g: GradientBuffer, cfg: TrainConfig) -> ModelParams
             raise NumericalError(f"step overflowed {name}[{idx[bad]}] "
                                  f"(learning_rate={lr}, l2={l2})")
         theta[idx] = rows
+        grad[idx] = 0.0
+        touched[idx] = False
 
     # the isfinite screen reports an overflow as NumericalError, so numpy's
     # own RuntimeWarning for it would only repeat the error on stderr
@@ -298,7 +324,13 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
     parameters and the per-epoch mean pair loss trace. Every training event's
     ids are checked once, through the mask of ``SplitSet.heldout``. A user
     whose pair gradients would hold more than physical memory at once is a
-    ConfigError before anything is drawn."""
+    ConfigError before anything is drawn.
+
+    The negatives of consecutive users, in visiting order, come from one
+    ``make_examples`` call per block of at most NEGATIVE_BLOCK_BYTES of
+    draws (a user whose draw alone is larger gets a call of its own); each
+    user takes its rows of the block. ``sgd_step`` leaves the one gradient
+    buffer clear for the next user."""
     seqs = split.sequences
     trained = ~split.heldout()[1]
     p.check_ids(seqs.items[trained], seqs.input_ctxs[trained], seqs.trans_bins[trained])
@@ -315,7 +347,7 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
                           f"{longest} training events at d={d} (its gathers, scored rows "
                           f"and gradient blocks at once), more than the {memory} bytes of "
                           f"physical memory")
-    n_items = p.config.n_items
+    n_items, per_block = p.config.n_items, NEGATIVE_BLOCK_BYTES // (8 * k)
     shuffle_rng = named_rng(cfg.seed, "shuffle")
     neg_rng = named_rng(cfg.seed, "negatives")
     buf = GradientBuffer(p)
@@ -330,24 +362,26 @@ def train(split: SplitSet, p: ModelParams, cfg: TrainConfig) -> tuple[ModelParam
         # isfinite screen in sgd_step report that as NumericalError, so
         # numpy's own RuntimeWarning would only repeat it on stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            for u in order:
-                if n_train[u] < 1:  # nothing to train on
-                    continue
-                at = slice(starts[u], starts[u] + n_train[u])
-                items = seqs.items[at]
-                negatives = make_examples(items, n_items, neg_rng, cfg.negatives_per_positive)
-                loss = _pair_gradients(items, seqs.input_ctxs[at], seqs.trans_bins[at],
-                                       negatives, p, cfg, buf)
-                loss_sum += loss
-                loss_count += negatives.size
-                try:
-                    if not math.isfinite(loss):
-                        raise NumericalError(f"non-finite pair loss {loss}")
-                    sgd_step(p, buf, cfg)
-                except NumericalError as exc:
-                    user = seqs.user_ids()[u]
-                    raise NumericalError(f"epoch {epoch}, user {user!r}: {exc}") from exc
-                buf.clear()
+            # a user with no training events draws nothing
+            for block in _blocks([u for u in order if n_train[u]], n_train, per_block):
+                ats = [slice(starts[u], starts[u] + n_train[u]) for u in block]
+                drawn = make_examples(np.concatenate([seqs.items[at] for at in ats]),
+                                      n_items, neg_rng, k)
+                end = 0
+                for u, at in zip(block, ats):
+                    begin, end = end, end + n_train[u]
+                    negatives = drawn[begin:end]
+                    loss = _pair_gradients(seqs.items[at], seqs.input_ctxs[at],
+                                           seqs.trans_bins[at], negatives, p, cfg, buf)
+                    loss_sum += loss
+                    loss_count += negatives.size
+                    try:
+                        if not math.isfinite(loss):
+                            raise NumericalError(f"non-finite pair loss {loss}")
+                        sgd_step(p, buf, cfg)
+                    except NumericalError as exc:
+                        user = seqs.user_ids()[u]
+                        raise NumericalError(f"epoch {epoch}, user {user!r}: {exc}") from exc
         mean_loss = loss_sum / loss_count if loss_count else float("nan")
         trace.append(EpochStats(epoch, mean_loss, time.perf_counter() - t0))
     return p, trace

@@ -219,6 +219,24 @@ class TestFitPredict:
         with pytest.raises(ConfigError, match="timestamp 1000000000000 is outside"):
             CARNNRecommender(d=4, epochs=1).fit(rows)
 
+    def test_interaction_objects_and_rows_mix(self):
+        from carnn.data import Interaction
+        rows = interaction_rows()
+        mixed = [Interaction(*row) if j % 2 else row for j, row in enumerate(rows)]
+        expected = CARNNRecommender(d=4, epochs=1).fit(rows).params_
+        for X in (mixed, [Interaction(*rows[0]), *rows[1:]]):
+            got = CARNNRecommender(d=4, epochs=1).fit(X).params_
+            assert got.R.tobytes() == expected.R.tobytes()
+        CARNNRecommender(d=4, epochs=1).fit([Interaction("u", "i", 1), ("u", "j", 2),
+                                             ("u", "k", 3)])
+
+    @pytest.mark.parametrize("bad", [("u0", "i1"), ("u0", "i1", 5, 6), 5, "u0,i1,5",
+                                     ("u0", "i1", "abc"), ("u0", "i1", 10**12)])
+    def test_malformed_row_after_an_interaction_rejected(self, bad):
+        from carnn.data import Interaction
+        with pytest.raises(ConfigError):
+            CARNNRecommender(d=4, epochs=1).fit([Interaction("u0", "i0", 1), bad])
+
     def test_query_timestamp_before_history_rejected(self):
         est = self.fitted()
         with pytest.raises(DataError, match="out of order"):

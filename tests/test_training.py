@@ -449,11 +449,12 @@ class TestSgdStep:
         assert np.array_equal(params.W_bank, before.W_bank)
 
     def test_clear_zeroes_touched_groups_and_masks(self):
+        # the step clears what it read, so train needs no clearing of its own
         params, seq = tiny_fixture(2)
         negatives = make_examples(seq.items, 5, named_rng(2, "negatives"))
         buf = backprop_sequence(seq, negatives, params, TrainConfig())
         assert buf.touched_items.any() and buf.touched_m.any() and buf.touched_w.any()
-        buf.clear()
+        sgd_step(params, buf, TrainConfig())
         for name in ("dR", "dM_bank", "dW_bank", "touched_items", "touched_m", "touched_w"):
             assert not getattr(buf, name).any(), name
 
@@ -465,7 +466,7 @@ class TestSgdStep:
                                                (False, False)])
     def test_clear_after_real_steps_leaves_every_bank_zero(self, use_in, use_tr, init_scale,
                                                            k, window):
-        # clear zeroes the touched rows only, so every row a step wrote must be touched
+        # sgd_step zeroes the touched rows only, so every row a step wrote must be touched
         config = ModelConfig(d=4, n_items=7, n_input_contexts=3, n_transition_bins=4,
                              use_input_contexts=use_in, use_transition_contexts=use_tr,
                              seed=k, init_scale=init_scale)
@@ -479,7 +480,6 @@ class TestSgdStep:
             _pair_gradients(items, rng.integers(0, 3, size=length),
                             rng.integers(0, 4, size=length), negatives, p, cfg, buf)
             sgd_step(p, buf, cfg)
-            buf.clear()
             for name in ("dR", "dM_bank", "dW_bank", "touched_items", "touched_m",
                          "touched_w"):
                 assert not getattr(buf, name).any(), (length, name)
@@ -759,6 +759,46 @@ class TestTrain:
         assert len(calls) == 2 * seqs.n_users
         for bank in ("R", "M_bank", "W_bank"):
             assert getattr(inline, bank).tobytes() == getattr(stepped, bank).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_negatives_are_the_sample_negative_stream_across_blocks(self, monkeypatch, k):
+        # blocks of at most 5 positions: users of 0 events draw nothing, the
+        # user of 7 draws alone, and the stream runs on across cuts and epochs
+        # as if every position drew its own negatives in visiting order
+        n_train = [3, 0, 2, 7, 1, 0, 4, 5, 2]
+        rng = named_rng(3, "synthetic")
+        events = [(f"u{u}", rng.integers(0, 6, size=8), 3600 * np.arange(8))
+                  for u in range(len(n_train))]
+        seqs = annotate_sequences(user_events(events, {f"i{v}": v for v in range(6)}),
+                                  ContextScheme(("hour_of_day",)))
+        p = init_params(ModelConfig(d=3, n_items=6, n_input_contexts=24, n_transition_bins=32))
+        monkeypatch.setattr(training_module, "NEGATIVE_BLOCK_BYTES", 8 * k * 5)
+        drawn, scored = [], []
+        real_draw, real_grads = make_examples, _pair_gradients
+        monkeypatch.setattr(training_module, "make_examples",
+                            lambda items, *rest: drawn.append(len(items)) or real_draw(items, *rest))
+        monkeypatch.setattr(training_module, "_pair_gradients",
+                            lambda items, ctxs, bins, negatives, *rest:
+                            scored.append((items, negatives)) or
+                            real_grads(items, ctxs, bins, negatives, *rest))
+        train(SplitSet(seqs, np.array(n_train)), p,
+              TrainConfig(epochs=2, negatives_per_positive=k, seed=4))
+        stream = named_rng(4, "negatives")
+        assert len(scored) == 2 * 7
+        for items, negatives in scored:
+            assert negatives.tolist() == [[sample_negative(stream, int(pos), 6) for _ in range(k)]
+                                          for pos in items]
+        # each block is cut before the user who would take it past 5 positions
+        cuts = []
+        for epoch in (scored[:7], scored[7:]):
+            held = 0
+            for items, _ in epoch:
+                if held and held + len(items) > 5:
+                    cuts.append(held)
+                    held = 0
+                held += len(items)
+            cuts.append(held)
+        assert drawn == cuts and 7 in drawn and max(drawn) == 7
 
     def test_loss_trace_csv_round_trip(self, tmp_path):
         trace = [EpochStats(1, 0.6931, 0.5), EpochStats(2, 0.5120, 0.4)]
