@@ -549,9 +549,11 @@ class TestSgdStep:
         with pytest.raises(NumericalError, match=rf"non-finite gradient in {bank}\[1\]"):
             sgd_step(params, buf, TrainConfig(learning_rate=0.1, l2=0.01))
         order = ["R", "M_bank", "W_bank"]
-        for name in order:
+        for name, touched in zip(order, (buf.touched_items, buf.touched_m, buf.touched_w)):
             changed = not np.array_equal(getattr(params, name), getattr(before, name))
             assert changed == (order.index(name) < order.index(bank)), name
+            # a stepped bank's flags are cleared; the one that raised and later ones keep theirs
+            assert not touched.any() if changed else touched.all(), name
 
     @pytest.mark.parametrize("bank", ["R", "M_bank", "W_bank"])
     def test_overflowing_step_leaves_its_bank_and_later_ones_untouched(self, bank):
@@ -783,8 +785,10 @@ class TestTrain:
                             real_grads(items, ctxs, bins, negatives, *rest))
         train(SplitSet(seqs, np.array(n_train)), p,
               TrainConfig(epochs=2, negatives_per_positive=k, seed=4))
-        stream = named_rng(4, "negatives")
-        assert len(scored) == 2 * 7
+        shuffle, stream = named_rng(4, "shuffle"), named_rng(4, "negatives")
+        visits = [u for _ in range(2) for u in shuffle.permutation(9).tolist() if n_train[u]]
+        assert [items.tolist() for items, _ in scored] == [
+            seqs.items[seqs.offsets[u]:seqs.offsets[u] + n_train[u]].tolist() for u in visits]
         for items, negatives in scored:
             assert negatives.tolist() == [[sample_negative(stream, int(pos), 6) for _ in range(k)]
                                           for pos in items]
